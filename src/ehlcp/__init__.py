@@ -1,8 +1,8 @@
 """Solvers, convergence checks, and global error bounds for extended
 horizontal linear complementarity problems."""
 
-from .blockdata import (BlockMatrixSet, BlockTridiagonalMatrix, BoundLadder,
-                        DenseMatrix, Ehlcp2Problem, EhlcpProblem,
+from .blockdata import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
+                        BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem,
                         EhlcpSolution, TridiagonalMatrix, ValidationReport,
                         identity_matrix, prefix_sums, problem_from_json,
                         problem_to_json, validate)

@@ -1,12 +1,13 @@
-"""Problem data: matrix layouts, block sets, bound ladders, validation, JSON I/O.
+"""Problem data: matrix stores, block sets, bound ladders, validation, JSON I/O.
 
-Matrices come in three layouts. ``DenseMatrix`` stores a full array.
-``TridiagonalMatrix`` stores the three diagonals. ``BlockTridiagonalMatrix``
-stores the uniform block pattern blktridiag(sub*I, B, super*I) where B is one
-tridiagonal block repeated down the block diagonal and n = g^2 for block
-order g. All layouts answer the same duck-typed interface (entry, matvec,
-band form, dense form, entrywise transforms), and band layouts return zero
-outside their band.
+Matrices come in two stores. ``DenseMatrix`` stores a full array.
+``BandMatrix`` stores the nonzero diagonals in scipy's DIA convention. The
+two named band layouts are constructors over it: ``TridiagonalMatrix`` from
+three diagonals, and ``BlockTridiagonalMatrix`` from the uniform block
+pattern blktridiag(sub*I, B, super*I), where B is one tridiagonal block
+repeated down the block diagonal and n = g^2 for block order g. Both stores
+answer the same duck-typed interface (entry, matvec, dense form, entrywise
+transforms), and band stores return zero outside their band.
 
 Instances are treated as immutable after construction; nothing in this
 package writes into a stored array.
@@ -15,6 +16,7 @@ package writes into a stored array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,34 +107,151 @@ class DenseMatrix:
     def all_finite(self):
         return bool(np.isfinite(self.data).all())
 
-    @property
-    def bandwidth(self):
-        return self.n - 1
+    def diagonals(self):
+        """(offset, values) of each nonzero diagonal, as BandMatrix.diagonals gives them."""
+        return self._band.diagonals()
+
+    @cached_property
+    def _band(self):
+        offsets, cols = np.arange(1 - self.n, self.n), np.arange(self.n)
+        return BandMatrix(offsets, self.data[(cols - offsets[:, None]) % self.n, cols])
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Tridiagonal matrix stored as (sub, diag, super) bands.
+class BandMatrix:
+    """Square band matrix in scipy's DIA convention: data[k, j] = A[j - offsets[k], j].
+
+    The layout is column-aligned, so scaling columns scales data's columns.
+    Only diagonals holding a nonzero are stored, the main diagonal first and
+    then by rising |offset|, negative before positive; every product and row
+    or column sum accumulates the diagonals in that order. Entries of data
+    that fall outside the matrix are zero.
+    """
+
+    layout = "band"
+
+    def __init__(self, offsets, data):
+        offsets = [int(o) for o in offsets]
+        data = np.array(data, dtype=float, ndmin=2)
+        if data.ndim != 2 or data.shape[0] != len(offsets):
+            raise ValueError(f"band data of shape {data.shape} for {len(offsets)} offsets")
+        n = data.shape[1]
+        for o, row in zip(offsets, data):
+            if o > 0:
+                row[:o] = 0.0
+            elif o < 0:
+                row[max(0, n + o):] = 0.0
+        nonzero = data.any(axis=1).tolist()
+        keep = sorted((k for k in range(len(offsets)) if nonzero[k]),
+                      key=lambda k: (abs(offsets[k]), offsets[k]))
+        self.offsets = tuple(offsets[k] for k in keep)
+        if len(set(self.offsets)) != len(keep):
+            raise ValueError(f"repeated band offset in {offsets}")
+        self.data = data[keep]
+        self.n = n
+        self.bandwidth = max((abs(o) for o in self.offsets), default=0)
+        self._rows = dict(zip(self.offsets, self.data))
+        self._main = self._rows.get(0)
+        # (values, rows, cols) per off-diagonal: A[rows, cols] holds values.
+        self._off = [(row[max(0, o):min(n, n + o)], slice(max(0, -o), min(n, n - o)),
+                      slice(max(0, o), min(n, n + o)))
+                     for o, row in self._rows.items() if o]
+
+    def _rebuilt(self, main, off):
+        """A band store with main as its main diagonal and off(data) as the others."""
+        start = 0 if self._main is None else 1
+        return BandMatrix((0,) + self.offsets[start:],
+                          np.vstack([main, off(self.data[start:])]))
+
+    def entry(self, i, j):
+        return float(self.column(j)[i])
+
+    def matvec(self, x):
+        y = np.zeros(self.n) if self._main is None else self._main * x
+        for values, rows, cols in self._off:
+            y[rows] += values * x[cols]
+        return y
+
+    def rmatvec(self, x):
+        y = np.zeros(self.n) if self._main is None else self._main * x
+        for values, rows, cols in self._off:
+            y[cols] += values * x[rows]
+        return y
+
+    def to_dense(self):
+        return np.column_stack([self.column(j) for j in range(self.n)])
+
+    def transpose(self):
+        # A^T[j + o, j] = A[j, j + o]: each row shifts by its offset; what wraps
+        # around lands outside the matrix, which the constructor zeroes.
+        return BandMatrix([-o for o in self.offsets], np.reshape(
+            [np.roll(row, -o) for o, row in self._rows.items()], (-1, self.n)))
+
+    def diagonal(self):
+        return np.zeros(self.n) if self._main is None else self._main.copy()
+
+    def diagonals(self):
+        """(offset, values) of each stored diagonal, values[j] = A[j - offset, j]."""
+        return list(self._rows.items())
+
+    def column(self, j):
+        col = np.zeros(self.n)
+        for o, row in self._rows.items():
+            if 0 <= j - o < self.n:
+                col[j - o] = row[j]
+        return col
+
+    def scaled(self, c):
+        return BandMatrix(self.offsets, c * self.data)
+
+    def shifted_diag(self, c):
+        return self._rebuilt(self.diagonal() + c, np.positive)
+
+    def absolute(self):
+        return BandMatrix(self.offsets, np.abs(self.data))
+
+    def comparison(self):
+        return self._rebuilt(np.abs(self.diagonal()), lambda d: -np.abs(d))
+
+    def offdiag_abs(self):
+        return self._rebuilt(np.zeros(self.n), np.abs)
+
+    def offdiag_negated(self):
+        return self._rebuilt(np.zeros(self.n), np.negative)
+
+    def row_scaled(self, s):
+        # A[j - o, j] takes s[j - o] = np.roll(s, o)[j]; wrapped entries meet zeros.
+        return BandMatrix(self.offsets, self.data * np.reshape(
+            [np.roll(s, o) for o in self.offsets], (-1, self.n)))
+
+    def abs_rowsums(self):
+        return self.absolute().matvec(np.ones(self.n))
+
+    def abs_colsums(self):  # data is column-aligned and zero outside the matrix
+        return np.abs(self.data).sum(axis=0)
+
+    def all_finite(self):
+        return bool(np.isfinite(self.data).all())
+
+
+class TridiagonalMatrix(BandMatrix):
+    """Tridiagonal band store built from its (sub, diag, super) bands.
 
     sub[i] sits at (i+1, i), diag[i] at (i, i), sup[i] at (i, i+1).
     """
 
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-
-    def __post_init__(self):
-        d = _as_vector(self.diag, name="diag")
-        n = d.shape[0]
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "sub", _as_vector(self.sub, max(n - 1, 0), "sub"))
-        object.__setattr__(self, "sup", _as_vector(self.sup, max(n - 1, 0), "super"))
-
-    @property
-    def n(self):
-        return self.diag.shape[0]
-
     layout = "tridiagonal"
+
+    def __init__(self, sub, diag, sup):
+        self.diag = _as_vector(diag, name="diag")
+        n = self.diag.shape[0]
+        self.sub = _as_vector(sub, max(n - 1, 0), "sub")
+        self.sup = _as_vector(sup, max(n - 1, 0), "super")
+        super().__init__((0, -1, 1), [self.diag, np.concatenate((self.sub, [0.0])),
+                                      np.concatenate(([0.0], self.sup))])
+
+    # Each named layout binds matvec in its own body, so bench/spans.py can
+    # wrap (and count) it per layout.
+    matvec = BandMatrix.matvec
 
     @classmethod
     def constant(cls, n, sub, diag, sup):
@@ -141,232 +260,29 @@ class TridiagonalMatrix:
                    np.full(n, float(diag)),
                    np.full(max(n - 1, 0), float(sup)))
 
-    def entry(self, i, j):
-        if i == j:
-            return float(self.diag[i])
-        if i == j + 1:
-            return float(self.sub[j])
-        if j == i + 1:
-            return float(self.sup[i])
-        return 0.0
 
-    def matvec(self, x):
-        y = self.diag * x
-        if self.n > 1:
-            y[1:] += self.sub * x[:-1]
-            y[:-1] += self.sup * x[1:]
-        return y
+class BlockTridiagonalMatrix(BandMatrix):
+    """blktridiag(sub*I, B, super*I) with g diagonal blocks B of order g, n = g^2.
 
-    def rmatvec(self, x):
-        y = self.diag * x
-        if self.n > 1:
-            y[:-1] += self.sub * x[1:]
-            y[1:] += self.sup * x[:-1]
-        return y
-
-    def to_dense(self):
-        out = np.diag(self.diag)
-        if self.n > 1:
-            out[np.arange(1, self.n), np.arange(self.n - 1)] = self.sub
-            out[np.arange(self.n - 1), np.arange(1, self.n)] = self.sup
-        return out
-
-    def transpose(self):
-        return TridiagonalMatrix(self.sup.copy(), self.diag.copy(), self.sub.copy())
-
-    def diagonal(self):
-        return self.diag.copy()
-
-    def column(self, j):
-        col = np.zeros(self.n)
-        col[j] = self.diag[j]
-        if j > 0:
-            col[j - 1] = self.sup[j - 1]
-        if j < self.n - 1:
-            col[j + 1] = self.sub[j]
-        return col
-
-    def scaled(self, c):
-        return TridiagonalMatrix(c * self.sub, c * self.diag, c * self.sup)
-
-    def shifted_diag(self, c):
-        return TridiagonalMatrix(self.sub.copy(), self.diag + c, self.sup.copy())
-
-    def absolute(self):
-        return TridiagonalMatrix(np.abs(self.sub), np.abs(self.diag), np.abs(self.sup))
-
-    def comparison(self):
-        return TridiagonalMatrix(-np.abs(self.sub), np.abs(self.diag), -np.abs(self.sup))
-
-    def offdiag_abs(self):
-        return TridiagonalMatrix(np.abs(self.sub), np.zeros(self.n), np.abs(self.sup))
-
-    def offdiag_negated(self):
-        return TridiagonalMatrix(-self.sub, np.zeros(self.n), -self.sup)
-
-    def row_scaled(self, s):
-        s = np.asarray(s)
-        return TridiagonalMatrix(self.sub * s[1:], self.diag * s, self.sup * s[:-1])
-
-    def abs_rowsums(self):
-        r = np.abs(self.diag).copy()
-        if self.n > 1:
-            r[1:] += np.abs(self.sub)
-            r[:-1] += np.abs(self.sup)
-        return r
-
-    def abs_colsums(self):
-        c = np.abs(self.diag).copy()
-        if self.n > 1:
-            c[:-1] += np.abs(self.sub)
-            c[1:] += np.abs(self.sup)
-        return c
-
-    def all_finite(self):
-        return bool(np.isfinite(self.diag).all()
-                    and np.isfinite(self.sub).all()
-                    and np.isfinite(self.sup).all())
-
-    @property
-    def bandwidth(self):
-        return 1 if self.n > 1 else 0
-
-
-@dataclass(frozen=True)
-class BlockTridiagonalMatrix:
-    """blktridiag(sub*I, B, super*I) with g diagonal blocks B of order g, n = g^2."""
-
-    block_order: int
-    sub: float
-    diag_block: TridiagonalMatrix
-    sup: float
-
-    def __post_init__(self):
-        g = int(self.block_order)
-        if g < 1:
-            raise ValueError("block order must be >= 1")
-        if self.diag_block.n != g:
-            raise ValueError("diagonal block order must match block order")
-        object.__setattr__(self, "block_order", g)
-        object.__setattr__(self, "sub", float(self.sub))
-        object.__setattr__(self, "sup", float(self.sup))
-
-    @property
-    def n(self):
-        return self.block_order * self.block_order
+    A band store on the offsets 0, -1, 1, -g, g: B's diagonals tiled g times,
+    since each block starts a new column-aligned period.
+    """
 
     layout = "block-tridiagonal"
 
-    def entry(self, i, j):
-        g = self.block_order
-        bi, ii = divmod(i, g)
-        bj, jj = divmod(j, g)
-        if bi == bj:
-            return self.diag_block.entry(ii, jj)
-        if bj == bi - 1:
-            return self.sub if ii == jj else 0.0
-        if bj == bi + 1:
-            return self.sup if ii == jj else 0.0
-        return 0.0
+    def __init__(self, block_order, sub, diag_block, sup):
+        g = int(block_order)
+        if g < 1:
+            raise ValueError("block order must be >= 1")
+        if diag_block.n != g:
+            raise ValueError("diagonal block order must match block order")
+        self.block_order, self.diag_block = g, diag_block
+        self.sub, self.sup = float(sub), float(sup)
+        diagonals = [(o, np.tile(row, g)) for o, row in diag_block.diagonals()]
+        diagonals += [(-g, np.full(g * g, self.sub)), (g, np.full(g * g, self.sup))]
+        super().__init__(*zip(*diagonals))
 
-    def _blocked(self, x):
-        return np.asarray(x).reshape(self.block_order, self.block_order)
-
-    def matvec(self, x):
-        g = self.block_order
-        v = self._blocked(x)
-        b = self.diag_block
-        y = b.diag * v
-        if g > 1:
-            y[:, 1:] += b.sub * v[:, :-1]
-            y[:, :-1] += b.sup * v[:, 1:]
-            y[1:, :] += self.sub * v[:-1, :]
-            y[:-1, :] += self.sup * v[1:, :]
-        return y.reshape(-1)
-
-    def rmatvec(self, x):
-        return self.transpose().matvec(x)
-
-    def to_dense(self):
-        g = self.block_order
-        out = np.zeros((self.n, self.n))
-        bd = self.diag_block.to_dense()
-        eye = np.eye(g)
-        for k in range(g):
-            out[k * g:(k + 1) * g, k * g:(k + 1) * g] = bd
-            if k > 0:
-                out[k * g:(k + 1) * g, (k - 1) * g:k * g] = self.sub * eye
-            if k < g - 1:
-                out[k * g:(k + 1) * g, (k + 1) * g:(k + 2) * g] = self.sup * eye
-        return out
-
-    def transpose(self):
-        return BlockTridiagonalMatrix(self.block_order, self.sup,
-                                      self.diag_block.transpose(), self.sub)
-
-    def diagonal(self):
-        return np.tile(self.diag_block.diag, self.block_order)
-
-    def column(self, j):
-        g = self.block_order
-        bj, jj = divmod(j, g)
-        col = np.zeros(self.n)
-        col[bj * g:(bj + 1) * g] = self.diag_block.column(jj)
-        if bj > 0:
-            col[(bj - 1) * g + jj] = self.sup
-        if bj < g - 1:
-            col[(bj + 1) * g + jj] = self.sub
-        return col
-
-    def scaled(self, c):
-        return BlockTridiagonalMatrix(self.block_order, c * self.sub,
-                                      self.diag_block.scaled(c), c * self.sup)
-
-    def shifted_diag(self, c):
-        return BlockTridiagonalMatrix(self.block_order, self.sub,
-                                      self.diag_block.shifted_diag(c), self.sup)
-
-    def absolute(self):
-        return BlockTridiagonalMatrix(self.block_order, abs(self.sub),
-                                      self.diag_block.absolute(), abs(self.sup))
-
-    def comparison(self):
-        return BlockTridiagonalMatrix(self.block_order, -abs(self.sub),
-                                      self.diag_block.comparison(), -abs(self.sup))
-
-    def offdiag_abs(self):
-        return BlockTridiagonalMatrix(self.block_order, abs(self.sub),
-                                      self.diag_block.offdiag_abs(), abs(self.sup))
-
-    def offdiag_negated(self):
-        return BlockTridiagonalMatrix(self.block_order, -self.sub,
-                                      self.diag_block.offdiag_negated(), -self.sup)
-
-    def abs_rowsums(self):
-        g = self.block_order
-        r = np.tile(self.diag_block.abs_rowsums(), g)
-        v = r.reshape(g, g)
-        if g > 1:
-            v[1:, :] += abs(self.sub)
-            v[:-1, :] += abs(self.sup)
-        return v.reshape(-1)
-
-    def abs_colsums(self):
-        g = self.block_order
-        c = np.tile(self.diag_block.abs_colsums(), g)
-        v = c.reshape(g, g)
-        if g > 1:
-            v[:-1, :] += abs(self.sub)
-            v[1:, :] += abs(self.sup)
-        return v.reshape(-1)
-
-    def all_finite(self):
-        return (np.isfinite(self.sub) and np.isfinite(self.sup)
-                and self.diag_block.all_finite())
-
-    @property
-    def bandwidth(self):
-        return self.block_order if self.block_order > 1 else 0
+    matvec = BandMatrix.matvec
 
 
 def identity_matrix(n):
@@ -374,126 +290,24 @@ def identity_matrix(n):
     return TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)
 
 
-def is_identity(store, tol=0.0):
-    """True when every entry matches the identity (band layouts checked in band)."""
-    if isinstance(store, DenseMatrix):
-        return bool(np.all(np.abs(store.data - np.eye(store.n)) <= tol))
-    if isinstance(store, TridiagonalMatrix):
-        return bool(np.all(np.abs(store.diag - 1.0) <= tol)
-                    and np.all(np.abs(store.sub) <= tol)
-                    and np.all(np.abs(store.sup) <= tol))
-    if isinstance(store, BlockTridiagonalMatrix):
-        return (abs(store.sub) <= tol and abs(store.sup) <= tol
-                and is_identity(store.diag_block, tol))
-    raise TypeError(f"not a matrix store: {store!r}")
+def is_identity(store):
+    """True when every entry matches the identity exactly."""
+    return not store.shifted_diag(-1.0).abs_rowsums().any()
 
 
-def to_band(store, lower, upper):
-    """Band form ab[upper + i - j, j] = a[i, j] with the requested bandwidths.
+def entrywise(fn, stores):
+    """One store holding fn(arrays) for the stores' entry arrays, aligned entry by entry.
 
-    The requested (lower, upper) must cover the store's own band. Used to put
-    mixed band layouts on a common footing before combining or factoring.
+    The arrays are the dense forms when any store is dense, else each band
+    store's data on the union of the stores' offsets (zero rows where a store
+    has no such diagonal); fn must map equal-shape arrays to one such array.
     """
-    n = store.n
-    ab = np.zeros((lower + upper + 1, n))
-    if isinstance(store, TridiagonalMatrix):
-        if n > 1 and (lower < 1 or upper < 1) and store.bandwidth > 0:
-            raise ValueError("requested band too narrow for tridiagonal store")
-        ab[upper, :] = store.diag
-        if n > 1:
-            ab[upper + 1, :-1] = store.sub
-            ab[upper - 1, 1:] = store.sup
-        return ab
-    if isinstance(store, BlockTridiagonalMatrix):
-        g = store.block_order
-        if g > 1 and (lower < g or upper < g):
-            raise ValueError("requested band too narrow for block-tridiagonal store")
-        b = store.diag_block
-        ab[upper, :] = np.tile(b.diag, g)
-        if g > 1:
-            sub_line = np.tile(np.append(b.sub, 0.0), g)[:n - 1]
-            sup_line = np.tile(np.append(b.sup, 0.0), g)[:n - 1]
-            ab[upper + 1, :-1] = sub_line
-            ab[upper - 1, 1:] = sup_line
-            ab[upper + g, :-g] = store.sub
-            ab[upper - g, g:] = store.sup
-        return ab
-    if isinstance(store, DenseMatrix):
-        a = store.data
-        for d in range(-(n - 1), n):
-            if (d < -lower or d > upper) and np.any(np.diag(a, d)):
-                raise ValueError("dense store has entries outside the requested band")
-        for i in range(n):
-            lo = max(0, i - lower)
-            hi = min(n, i + upper + 1)
-            ab[upper + i - np.arange(lo, hi), np.arange(lo, hi)] = a[i, lo:hi]
-        return ab
-    raise TypeError(f"not a matrix store: {store!r}")
-
-
-def band_to_dense(ab, lower, upper):
-    n = ab.shape[1]
-    out = np.zeros((n, n))
-    for i in range(n):
-        lo = max(0, i - lower)
-        hi = min(n, i + upper + 1)
-        out[i, lo:hi] = ab[upper + i - np.arange(lo, hi), np.arange(lo, hi)]
-    return out
-
-
-def band_nonzero_rows(ab):
-    """Indices of band rows holding any nonzero; precompute for hot matvecs."""
-    return tuple(r for r in range(ab.shape[0]) if ab[r].any())
-
-
-def band_matvec(ab, lower, upper, x, rows=None):
-    """y = A @ x for A in band form (vectorized over diagonals).
-
-    ``rows`` restricts the sweep to the given band rows (see
-    band_nonzero_rows); wide mostly-empty bands are common here.
-    """
-    n = ab.shape[1]
-    y = np.zeros(n)
-    if rows is None:
-        rows = range(ab.shape[0])
-    for r in rows:
-        k = r - upper  # diagonal i - j = k
-        if k == 0:
-            y += ab[upper, :] * x
-        elif k > 0:
-            y[k:] += ab[r, :n - k] * x[:n - k]
-        else:
-            y[:n + k] += ab[r, -k:] * x[-k:]
-    return y
-
-
-def band_row_scale(ab, lower, upper, s):
-    """Band form of diag(s) @ A for A in band form."""
-    n = ab.shape[1]
-    out = np.array(ab, copy=True)
-    s = np.asarray(s)
-    for r in range(ab.shape[0]):
-        off = upper - r  # this band row holds the diagonal j - i = off
-        js = np.arange(n)
-        rows = js - off
-        valid = (rows >= 0) & (rows < n)
-        out[r, valid] *= s[rows[valid]]
-    return out
-
-
-def band_transpose(ab, lower, upper):
-    """Band form of A^T: diagonal k of A becomes diagonal -k of A^T."""
-    n = ab.shape[1]
-    out = np.zeros((lower + upper + 1, n))
-    for k in range(-lower, upper + 1):
-        # diagonal k of A holds a[i, i+k]; in A^T it becomes diagonal -k.
-        if k >= 0:
-            vals = ab[upper - k, k:]
-            out[lower + k, :n - k] = vals
-        else:
-            vals = ab[upper - k, :n + k]
-            out[lower + k, -k:] = vals
-    return out
+    if any(isinstance(s, DenseMatrix) for s in stores):
+        return DenseMatrix(fn([s.to_dense() for s in stores]))
+    offsets = sorted(set().union(*(s.offsets for s in stores)))
+    zero, rows = np.zeros(stores[0].n), [dict(s.diagonals()) for s in stores]
+    return BandMatrix(offsets, fn([np.reshape([r.get(o, zero) for o in offsets], (-1, zero.size))
+                                   for r in rows]))
 
 
 #
@@ -604,7 +418,7 @@ class Ehlcp2Problem:
     def as_general(self):
         """The same problem as a general block set (I, H1, I) with ladder (b,)."""
         eye = identity_matrix(self.n)
-        blocks = BlockMatrixSet(eye, (self.H1, identity_matrix(self.n)))
+        blocks = BlockMatrixSet(eye, (self.H1, eye))
         return EhlcpProblem(blocks, self.q, BoundLadder((self.b,), self.n))
 
 
@@ -643,14 +457,11 @@ def validate(problem):
         issues.append("order n must be >= 1")
     for label, store in [("M", blocks.M)] + [(f"H{k}", h) for k, h in
                                              enumerate(blocks.H, start=1)]:
-        if store.n != n:
-            issues.append(f"dimension mismatch: {label} has order {store.n}, expected {n}")
         if not store.all_finite():
             issues.append(f"non-finite entries in {label}")
-        if isinstance(store, BlockTridiagonalMatrix):
-            g = store.block_order
-            if store.n != g * g:
-                issues.append(f"{label}: block-tridiagonal order must be blockOrder^2")
+    if problem.ladder.n != n:
+        issues.append(f"dimension mismatch: n = {problem.ladder.n}, but the blocks "
+                      f"have order {n}")
     if problem.q.shape[0] != n:
         issues.append(f"dimension mismatch: q has length {problem.q.shape[0]}, expected {n}")
     if not np.isfinite(problem.q).all():
@@ -659,8 +470,6 @@ def validate(problem):
     if ladder.m != blocks.m:
         issues.append(f"ladder length {ladder.m - 1} does not match m - 1 = {blocks.m - 1}")
     for i, d in enumerate(ladder.d, start=1):
-        if d.shape[0] != n:
-            issues.append(f"dimension mismatch: d{i} has length {d.shape[0]}, expected {n}")
         if not np.isfinite(d).all():
             issues.append(f"non-finite entries in d{i}")
         elif not np.all(d > 0):
@@ -673,18 +482,19 @@ def validate(problem):
 #
 
 def matrix_to_json(store):
-    if isinstance(store, DenseMatrix):
+    """The JSON spelling of a dense store or a named band layout."""
+    if store.layout == "dense":
         return {"dense": store.data.tolist()}
-    if isinstance(store, TridiagonalMatrix):
+    if store.layout == "tridiagonal":
         return {"tridiag": {"sub": store.sub.tolist(),
                             "diag": store.diag.tolist(),
                             "super": store.sup.tolist()}}
-    if isinstance(store, BlockTridiagonalMatrix):
+    if store.layout == "block-tridiagonal":
         return {"blocktridiag": {"blockOrder": store.block_order,
                                  "sub": store.sub,
                                  "diagBlock": matrix_to_json(store.diag_block)["tridiag"],
                                  "super": store.sup}}
-    raise TypeError(f"not a matrix store: {store!r}")
+    raise TypeError(f"no JSON spelling for the {store.layout} layout")
 
 
 def matrix_from_json(obj):
@@ -692,14 +502,10 @@ def matrix_from_json(obj):
         return DenseMatrix(np.asarray(obj["dense"], dtype=float))
     if "tridiag" in obj:
         t = obj["tridiag"]
-        return TridiagonalMatrix(np.asarray(t["sub"], dtype=float),
-                                 np.asarray(t["diag"], dtype=float),
-                                 np.asarray(t["super"], dtype=float))
+        return TridiagonalMatrix(t["sub"], t["diag"], t["super"])
     if "blocktridiag" in obj:
         t = obj["blocktridiag"]
-        block = TridiagonalMatrix(np.asarray(t["diagBlock"]["sub"], dtype=float),
-                                  np.asarray(t["diagBlock"]["diag"], dtype=float),
-                                  np.asarray(t["diagBlock"]["super"], dtype=float))
+        block = matrix_from_json({"tridiag": t["diagBlock"]})
         return BlockTridiagonalMatrix(int(t["blockOrder"]), float(t["sub"]),
                                       block, float(t["super"]))
     raise ValueError(f"unknown matrix layout keys: {sorted(obj)}")
@@ -731,9 +537,8 @@ def problem_from_json(obj):
     H = tuple(matrix_from_json(h) for h in obj["H"])
     if len(H) != m:
         raise ValueError(f"H lists {len(H)} blocks but m = {m}")
-    q = np.asarray(obj["q"], dtype=float)
-    d = tuple(np.asarray(v, dtype=float) for v in obj.get("d", []))
-    problem = EhlcpProblem(BlockMatrixSet(M, H), q, BoundLadder(d, n))
+    problem = EhlcpProblem(BlockMatrixSet(M, H), obj["q"],
+                           BoundLadder(tuple(obj.get("d", [])), n))
     prescribed = obj.get("prescribed")
     if prescribed is not None:
         prescribed = {

@@ -16,15 +16,15 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .blockdata import (DenseMatrix, band_matvec, band_nonzero_rows,
-                        band_row_scale, band_to_dense, band_transpose, to_band)
-from .convergence import (TWO_NORM_MAX_ORDER, simplex_selections,
+from .blockdata import DenseMatrix, entrywise
+from .convergence import (TWO_NORM_MAX_ORDER, induced_norm, simplex_selections,
                           spectral_radius_nonneg, two_norm_estimate)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
-from .solvers import BandedFactor, DenseFactor
+from .solvers import LinearOperatorFactor
 from .transform import DiagonalSelection, pls_residual
-from .wproperty import assignments, representative, selection_combination
+from .wproperty import (assignments, representative, selection_combination,
+                        vertex_selections)
 
 DENSE_LIMIT = 4096
 
@@ -80,19 +80,6 @@ class BoundReport:
     error_interval: Optional[tuple] = None
 
 
-def _scaled_abs_offdiag_band(blocks, lambdas):
-    """Band forms of Lambda_i^{-1}|C_i| on a common bandwidth, or None if dense."""
-    stores = blocks.all()
-    if any(isinstance(s, DenseMatrix) for s in stores):
-        return None
-    width = max(max(s.bandwidth for s in stores), 1)
-    mats = []
-    for lam, s in zip(lambdas, stores):
-        ab = to_band(s.offdiag_abs(), width, width)
-        mats.append(band_row_scale(ab, width, width, 1.0 / lam))
-    return np.maximum.reduce(mats), width
-
-
 def bound42(blocks, norm_tag="inf"):
     """Constant of the positive-diagonal bound, with its spectral condition.
 
@@ -104,47 +91,30 @@ def bound42(blocks, norm_tag="inf"):
     if norm_tag not in ("1", "inf"):
         raise ValueError("bound supports norm tags '1' and 'inf'")
     n = blocks.n
+    if n > DENSE_LIMIT and any(isinstance(s, DenseMatrix) for s in blocks.all()):
+        raise ValueError(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
     split = split_diagonal(blocks)
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
-    banded = _scaled_abs_offdiag_band(blocks, split.Lambda)
-    if banded is not None:
-        x_ab, w = banded
-        nz = band_nonzero_rows(x_ab)
-        est = spectral_radius_nonneg(
-            lambda v: band_matvec(x_ab, w, w, v, rows=nz), n,
-            dense=(lambda: band_to_dense(x_ab, w, w)) if n <= 512 else None)
-    else:
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
-        parts = []
-        for lam, s in zip(split.Lambda, blocks.all()):
-            a = np.abs(s.to_dense())
-            np.fill_diagonal(a, 0.0)
-            parts.append(a / lam[:, None])
-        x_dense = np.maximum.reduce(parts)
-        est = spectral_radius_nonneg(lambda v: x_dense @ v, n, dense=lambda: x_dense)
+    x = entrywise(np.maximum.reduce, [s.offdiag_abs().row_scaled(1.0 / lam)
+                                      for lam, s in zip(split.Lambda, blocks.all())])
+    est = spectral_radius_nonneg(x.matvec, n, dense=x.to_dense)
     satisfied = est.upper < 1.0
+    i_minus_x = x.scaled(-1.0).shifted_diag(1.0)
     if satisfied:
         # (I - X)^{-1} D is entrywise nonnegative: its 1/inf norms are plain
         # column/row sums, one banded (or dense) solve each.
-        if banded is not None:
-            ab_i = -x_ab.copy()
-            ab_i[w, :] += 1.0
-            factor = BandedFactor(ab_i, w, w)
-        else:
-            factor = DenseFactor(np.eye(n) - x_dense)
+        factor = LinearOperatorFactor(i_minus_x)
         if norm_tag == "inf":
             z = factor.solve(d_max)
             constant = float(np.max(z))
         else:
-            u = factor.solve(np.ones(n), transposed=True)
+            u = factor.solve_transposed(np.ones(n))
             constant = float(np.max(d_max * u))
     else:
         # Condition violated: report the true norm when feasible, flag it.
         if n <= DENSE_LIMIT:
-            x_dense = band_to_dense(x_ab, w, w) if banded is not None else x_dense
             try:
-                inv = np.linalg.inv(np.eye(n) - x_dense)
+                inv = np.linalg.inv(i_minus_x.to_dense())
                 mat = inv * d_max[None, :]
                 constant = float(np.linalg.norm(mat, {"1": 1, "inf": np.inf}[norm_tag]))
             except np.linalg.LinAlgError:
@@ -204,49 +174,21 @@ class AlphaEstimate:
     count: int
 
 
-def _combo_norm(combo, norm_tag, n):
-    if isinstance(combo, DenseMatrix):
+def _combo_inverse_norm(combo, norm_tag):
+    """Induced norm of combo^{-1}: exact up to order TWO_NORM_MAX_ORDER, estimated beyond."""
+    n = combo.n
+    factor = LinearOperatorFactor(combo)  # raises SingularM
+    if n > TWO_NORM_MAX_ORDER:
         if norm_tag == "2":
-            return float(np.linalg.norm(combo.data, 2))
-        return float(np.linalg.norm(combo.data, {"1": 1, "inf": np.inf}[norm_tag]))
-    ab, l, u = combo
-    if norm_tag == "inf":
-        return float(np.max(band_matvec(np.abs(ab), l, u, np.ones(n))))
-    if norm_tag == "1":
-        return float(np.max(np.sum(np.abs(ab), axis=0)))
-    abt = band_transpose(ab, l, u)
-    return two_norm_estimate(lambda v: band_matvec(ab, l, u, v),
-                             lambda v: band_matvec(abt, l, u, v), n)
-
-
-def _combo_inverse_norm(combo, norm_tag, n):
-    if isinstance(combo, DenseMatrix):
-        try:
-            inv = np.linalg.inv(combo.data)
-        except np.linalg.LinAlgError as exc:
-            raise SingularM(str(exc)) from exc
-        if not np.isfinite(inv).all():
-            raise SingularM("inverse overflowed")
-        if norm_tag == "2":
-            return float(np.linalg.norm(inv, 2))
-        return float(np.linalg.norm(inv, {"1": 1, "inf": np.inf}[norm_tag]))
-    ab, l, u = combo
-    factor = BandedFactor(ab, l, u)
-    if norm_tag == "2":
-        return two_norm_estimate(factor.solve,
-                                 lambda v: factor.solve(v, transposed=True), n)
-    if norm_tag == "1":
-        op = LinearOperator((n, n), matvec=factor.solve,
-                            rmatvec=lambda v: factor.solve(v, transposed=True))
-    else:  # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
-        op = LinearOperator((n, n), matvec=lambda v: factor.solve(v, transposed=True),
-                            rmatvec=factor.solve)
-    return float(onenormest(op)) if n > 2 else _dense_inverse_norm(ab, l, u, norm_tag)
-
-
-def _dense_inverse_norm(ab, l, u, norm_tag):
-    inv = np.linalg.inv(band_to_dense(ab, l, u))
-    return float(np.linalg.norm(inv, {"1": 1, "inf": np.inf}[norm_tag]))
+            return two_norm_estimate(factor.solve, factor.solve_transposed, n)
+        # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
+        solve, rsolve = ((factor.solve, factor.solve_transposed) if norm_tag == "1"
+                         else (factor.solve_transposed, factor.solve))
+        return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
+    inv = factor.solve(np.eye(n))
+    if not np.isfinite(inv).all():
+        raise SingularM("inverse overflowed")
+    return float(np.linalg.norm(inv, {"1": 1, "2": 2, "inf": np.inf}[norm_tag]))
 
 
 def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
@@ -262,14 +204,13 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     if total <= budget:
         worst = 0.0
         for assign in assignments(n, m):
-            worst = max(worst, _combo_norm(representative(blocks, assign),
-                                           norm_tag, n))
+            worst = max(worst, induced_norm(representative(blocks, assign), norm_tag))
         return AlphaEstimate(worst, norm_tag, True, total)
     if samples > 0:
         worst = 0.0
         for lam in simplex_selections(m, n, samples, seed):
-            worst = max(worst, _combo_norm(selection_combination(blocks, lam),
-                                           norm_tag, n))
+            worst = max(worst, induced_norm(selection_combination(blocks, lam),
+                                            norm_tag))
         return AlphaEstimate(worst, norm_tag, False, samples)
     raise BudgetExceeded(f"{total} vertices exceed budget {budget}; "
                          "pass samples > 0 for a sampled estimate")
@@ -291,7 +232,7 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
         nonlocal worst, count
         combo = selection_combination(blocks, lam)
         try:
-            worst = max(worst, _combo_inverse_norm(combo, norm_tag, n))
+            worst = max(worst, _combo_inverse_norm(combo, norm_tag))
         except SingularM as exc:
             raise SingularSelection(
                 "singular selection combination (column W-property violated)",
@@ -300,9 +241,7 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
         count += 1
 
     if (m + 1) ** n <= vertex_budget:
-        for assign in assignments(n, m):
-            lam = np.zeros((m + 1, n))
-            lam[list(assign), np.arange(n)] = 1.0
+        for lam in vertex_selections(n, m):
             visit(lam)
     for lam in simplex_selections(m, n, samples, seed):
         visit(lam)

@@ -41,11 +41,13 @@ def _fail(code, message):
 
 
 def _load_problem(path):
-    with open(path) as fh:
-        obj = json.load(fh)
     try:
+        with open(path) as fh:
+            obj = json.load(fh)
         problem, prescribed = problem_from_json(obj)
-    except (KeyError, ValueError, TypeError) as exc:
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot read problem file: {exc}")
+    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         _fail(EXIT_VALIDATION, f"cannot parse problem file: {exc}")
     report = validate(problem)
     if not report.ok:
@@ -359,7 +361,6 @@ def build_parser():
     p = sub.add_parser("repro", help="reproduce a benchmark table as CSV")
     p.add_argument("--table", type=int, required=True, choices=range(1, 7))
     p.add_argument("--out", help="CSV path (default stdout)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_repro)
     return parser
 

@@ -8,15 +8,15 @@ eigenvalue fallback at small order when the bracket stalls.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .blockdata import (BlockTridiagonalMatrix, DenseMatrix, TridiagonalMatrix)
+from .blockdata import DenseMatrix, entrywise
 from .errors import NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
+from .wproperty import selection_combination, vertex_selections
 
 TWO_NORM_MAX_ORDER = 2000
 DENSE_EIG_MAX_ORDER = 512
@@ -112,14 +112,16 @@ def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234,
 
 
 def induced_norm(store, tag):
-    """Induced matrix norm of a store; the 2-norm is size-limited."""
+    """Induced matrix norm of a store; the 2-norm is exact up to order 512, then
+    estimated, and size-limited."""
     if tag == "1":
         return float(np.max(store.abs_colsums()))
     if tag == "inf":
         return float(np.max(store.abs_rowsums()))
     if tag == "2":
-        return two_norm_estimate(store.matvec, store.rmatvec, store.n,
-                                 dense=store.to_dense)
+        if store.n <= DENSE_EIG_MAX_ORDER:
+            return float(np.linalg.norm(store.to_dense(), 2))
+        return two_norm_estimate(store.matvec, store.rmatvec, store.n)
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
@@ -201,14 +203,6 @@ def simplex_selections(m, n, trials, seed):
         yield e / e.sum(axis=0)
 
 
-def vertex_selections(m, n):
-    """All assignments of full weight to one block per coordinate."""
-    for assign in itertools.product(range(m + 1), repeat=n):
-        lam = np.zeros((m + 1, n))
-        lam[list(assign), np.arange(n)] = 1.0
-        yield lam
-
-
 def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     """Heuristic scan of the iteration-matrix spectral radius over selections.
 
@@ -218,20 +212,16 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     """
     n, m = blocks.n, blocks.m
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
-    dense_blocks = [s.to_dense() for s in blocks.all()]
     eye = np.eye(n)
 
     def rho_of(lam):
-        s = np.zeros((n, n))
-        for row, mat in zip(lam, dense_blocks):
-            s += mat * row[None, :]
-        l_mat = eye - factor.solve(s)
+        l_mat = eye - factor.solve(selection_combination(blocks, lam).to_dense())
         return float(np.max(np.abs(np.linalg.eigvals(l_mat))))
 
     worst = 0.0
     count = 0
     if (m + 1) ** n <= vertex_budget:
-        for lam in vertex_selections(m, n):
+        for lam in vertex_selections(n, m):
             worst = max(worst, rho_of(lam))
             count += 1
     for lam in simplex_selections(m, n, trials, seed):
@@ -241,13 +231,9 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
 
 
 def is_symmetric(store):
-    if isinstance(store, DenseMatrix):
-        return bool(np.array_equal(store.data, store.data.T))
-    if isinstance(store, TridiagonalMatrix):
-        return bool(np.array_equal(store.sub, store.sup))
-    if isinstance(store, BlockTridiagonalMatrix):
-        return store.sub == store.sup and is_symmetric(store.diag_block)
-    raise TypeError(f"not a matrix store: {store!r}")
+    """True when the store equals its transpose entry by entry."""
+    differs = entrywise(lambda a: a[0] != a[1], [store, store.transpose()])
+    return not differs.abs_rowsums().any()
 
 
 def is_diagonal(store):

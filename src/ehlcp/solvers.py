@@ -7,6 +7,7 @@ the leading block once and reuse the factorization every sweep.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -15,8 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .blockdata import (BlockTridiagonalMatrix, DenseMatrix, EhlcpSolution,
-                        TridiagonalMatrix, to_band)
+from .blockdata import DenseMatrix, EhlcpSolution
 from .errors import InvalidParams, SingularM
 from .transform import recover_solution, residual_of_tuple
 
@@ -67,14 +67,17 @@ class SolveReport:
 
 
 class BandedFactor:
-    """LAPACK banded LU (gbtrf/gbtrs) of a matrix given in band form."""
+    """LAPACK banded LU (gbtrf/gbtrs) of a band store, on kl = ku = max(bandwidth, 1)."""
 
-    def __init__(self, ab, kl, ku):
-        self.n = ab.shape[1]
-        self.kl, self.ku = kl, ku
-        lab = np.zeros((2 * kl + ku + 1, self.n))
-        lab[kl:, :] = ab
-        lub, ipiv, info = dgbtrf(lab, kl, ku)
+    def __init__(self, store):
+        self.n = store.n
+        self.kl = self.ku = kl = max(store.bandwidth, 1)
+        # LAPACK's band is column-aligned like the store: A[i, j] sits in row
+        # 2 kl + i - j, so each stored diagonal is one row of it.
+        lab = np.zeros((3 * kl + 1, self.n))
+        for offset, values in store.diagonals():
+            lab[2 * kl - offset] = values
+        lub, ipiv, info = dgbtrf(lab, kl, kl)
         if info > 0:
             raise SingularM(f"banded factorization hit a zero pivot at {info}")
         if info < 0:
@@ -113,7 +116,7 @@ class DenseFactor:
 class LinearOperatorFactor:
     """One-time factorization of a matrix store supporting repeated solves.
 
-    Banded layouts go through LAPACK's banded LU; dense uses partial-pivoted
+    Band stores go through LAPACK's banded LU; dense uses partial-pivoted
     LU. The factorization is immutable and shareable.
     """
 
@@ -121,11 +124,8 @@ class LinearOperatorFactor:
         self.n = store.n
         if isinstance(store, DenseMatrix):
             self._impl = DenseFactor(store.data)
-        elif isinstance(store, (TridiagonalMatrix, BlockTridiagonalMatrix)):
-            kl = ku = max(store.bandwidth, 1)
-            self._impl = BandedFactor(to_band(store, kl, ku), kl, ku)
         else:
-            raise TypeError(f"not a matrix store: {store!r}")
+            self._impl = BandedFactor(store)
 
     def solve(self, rhs):
         return self._impl.solve(rhs)
@@ -171,7 +171,7 @@ def method31(problem, y0=None, cfg=None):
         if step < cfg.tol:
             status, iterations = "Converged", k
             break
-        if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
+        if not np.max(np.abs(y)) <= DIVERGENCE_LIMIT:  # also true for NaN
             status, iterations = "Diverged", k
             break
     final = recover_solution(y, problem.ladder)
@@ -204,7 +204,7 @@ def method32(problem, omega, y0=None, cfg=None):
         if step < cfg.tol:
             status, iterations = "Converged", k
             break
-        if np.max(np.abs(y)) > DIVERGENCE_LIMIT:
+        if not np.max(np.abs(y)) <= DIVERGENCE_LIMIT:  # also true for NaN
             status, iterations = "Diverged", k
             break
     w = omega * np.maximum(0.0, -y)
@@ -215,56 +215,33 @@ def method32(problem, omega, y0=None, cfg=None):
     return _finish(general.blocks, q, sol, y, status, iterations, steps, cfg)
 
 
-def _strict_triangle_entries(H1, j, ktag):
-    """Nonzero (l, value) pairs of row j of the strictly lower/upper part of H1."""
-    n = H1.n
-    if isinstance(H1, TridiagonalMatrix):
-        if ktag == "lower":
-            return ((j - 1, H1.sub[j - 1]),) if j > 0 else ()
-        return ((j + 1, H1.sup[j]),) if j < n - 1 else ()
-    if isinstance(H1, BlockTridiagonalMatrix):
-        g = H1.block_order
-        jj = j % g
-        if ktag == "lower":
-            out = []
-            if jj > 0:
-                out.append((j - 1, H1.diag_block.sub[jj - 1]))
-            if j >= g:
-                out.append((j - g, H1.sub))
-            return tuple(out)
-        out = []
-        if jj < g - 1:
-            out.append((j + 1, H1.diag_block.sup[jj]))
-        if j < n - g:
-            out.append((j + g, H1.sup))
-        return tuple(out)
-    row = H1.data[j]
-    if ktag == "lower":
-        return tuple((l, row[l]) for l in range(j) if row[l] != 0.0)
-    return tuple((l, row[l]) for l in range(j + 1, n) if row[l] != 0.0)
-
-
 def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
     """One projection update with the implicit correction resolved by a sweep.
 
     K is the strictly lower (forward sweep) or strictly upper (backward sweep)
     triangular part of H1, so each coordinate only needs already-updated ones;
-    the sweep is exact, no inner iteration.
+    the sweep is exact, no inner iteration. Each correction sums K's entries
+    by rising column index, on plain floats.
     """
     n = H1.n
-    g = H1.matvec(x) + q
-    x_new = np.empty(n)
-    delta = np.zeros(n)
-    order = range(n) if ktag == "lower" else range(n - 1, -1, -1)
-    for j in order:
+    lower = ktag == "lower"
+    g = (H1.matvec(x) + q).tolist()
+    # K[j, j + offset] = values[j + offset] for each strict-triangle diagonal.
+    tri = sorted((offset, values.tolist()) for offset, values in H1.diagonals()
+                 if (offset < 0 if lower else offset > 0))
+    xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
+    x_new = [0.0] * n
+    delta = [0.0] * n
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
         corr = 0.0
-        for l, kval in _strict_triangle_entries(H1, j, ktag):
-            corr += kval * delta[l]
-        z = x[j] - omega_relax * e_diag[j] * (g[j] + corr)
-        p = min(max(z, 0.0), b[j])
-        x_new[j] = eta * p + (1.0 - eta) * x[j]
-        delta[j] = x_new[j] - x[j]
-    return x_new
+        for offset, values in tri:
+            l = j + offset
+            if 0 <= l < n:
+                corr += values[l] * delta[l]
+        z = xs[j] - omega_relax * es[j] * (g[j] + corr)
+        x_new[j] = eta * min(max(z, 0.0), bs[j]) + (1.0 - eta) * xs[j]
+        delta[j] = x_new[j] - xs[j]
+    return np.array(x_new)
 
 
 def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
@@ -300,6 +277,9 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
         x = x_new
         if step < cfg.tol:
             status, iterations = "Converged", k
+            break
+        if not math.isfinite(step):  # x holds a NaN or an infinity
+            status, iterations = "Diverged", k
             break
     # Recovery of (w, x2) from w = q + H1 x1 + x2 with x2 supported on {x1 = b}.
     base = q + H1.matvec(x)

@@ -42,13 +42,6 @@ class DiagonalSelection:
     def n(self):
         return self.lambdas.shape[1]
 
-    def combine(self, blocks):
-        """Dense selection combination M*D_0 + sum_i H_i*D_i (column scaling)."""
-        out = np.zeros((self.n, self.n))
-        for lam, store in zip(self.lambdas, blocks.all()):
-            out += store.to_dense() * lam[None, :]
-        return out
-
 
 @dataclass
 class ResidualReport:

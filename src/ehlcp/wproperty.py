@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, band_matvec, to_band
+from .blockdata import DenseMatrix, entrywise
 from .errors import BudgetExceeded, SingularM
-from .solvers import BandedFactor, DenseFactor
+from .solvers import LinearOperatorFactor
 from .transform import DiagonalSelection
 
 DET_ZERO_COEFF = 1e-10
@@ -41,6 +41,18 @@ def assignments(n, m, start=0, stop=None):
             val, r = divmod(val, base)
             digits.append(r)
         yield tuple(digits)
+
+
+def vertex_selections(n, m):
+    """Full-weight selections in the counter order of assignments.
+
+    The selection of an assignment puts weight one on block assign[j] at
+    coordinate j and zero on the others.
+    """
+    for assign in assignments(n, m):
+        lam = np.zeros((m + 1, n))
+        lam[list(assign), np.arange(n)] = 1.0
+        yield lam
 
 
 def representative(blocks, assign):
@@ -110,20 +122,12 @@ def has_column_w_property(blocks, budget=2 ** 20):
 def selection_combination(blocks, lambdas):
     """M*D_0 + sum_i H_i*D_i for diagonal weights lambdas (column scaling).
 
-    Returns a DenseMatrix when any block is dense, else a band-form triple
-    (ab, l, u).
+    Returns a DenseMatrix when any block is dense, else a BandMatrix. Both
+    layouts are column-aligned, so D_i scales the columns of either array.
     """
-    stores = blocks.all()
-    if any(isinstance(s, DenseMatrix) for s in stores):
-        out = np.zeros((blocks.n, blocks.n))
-        for lam, s in zip(lambdas, stores):
-            out += s.to_dense() * np.asarray(lam)[None, :]
-        return DenseMatrix(out)
-    width = max(max(s.bandwidth for s in stores), 1)
-    ab = np.zeros((2 * width + 1, blocks.n))
-    for lam, s in zip(lambdas, stores):
-        ab += to_band(s, width, width) * np.asarray(lam)[None, :]
-    return ab, width, width
+    return entrywise(lambda arrays: sum(a * np.asarray(lam)[None, :]
+                                        for a, lam in zip(arrays, lambdas)),
+                     blocks.all())
 
 
 def _midpoint_selections(m, n):
@@ -138,13 +142,8 @@ def _midpoint_selections(m, n):
 
 def _condition_estimate(combo, n, rng):
     """Crude cond_inf estimate: ||S||_inf times probed ||S^-1||_inf."""
-    if isinstance(combo, DenseMatrix):
-        norm_s = float(np.max(combo.abs_rowsums()))
-        factor = DenseFactor(combo.data)
-    else:
-        ab, l, u = combo
-        norm_s = float(np.max(band_matvec(np.abs(ab), l, u, np.ones(n))))
-        factor = BandedFactor(ab, l, u)
+    norm_s = float(np.max(combo.abs_rowsums()))
+    factor = LinearOperatorFactor(combo)
     inv_est = 0.0
     for _ in range(4):
         r = rng.standard_normal(n)

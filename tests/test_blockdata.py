@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from ehlcp import (BlockMatrixSet, BlockTridiagonalMatrix, BoundLadder,
-                   DenseMatrix, EhlcpProblem, TridiagonalMatrix,
+from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
+                   BoundLadder, DenseMatrix, EhlcpProblem, TridiagonalMatrix,
                    identity_matrix, prefix_sums, problem_from_json,
                    problem_to_json, validate)
-from ehlcp.blockdata import (band_matvec, band_row_scale, band_to_dense,
-                             band_transpose, is_identity, to_band)
+from ehlcp.blockdata import is_identity
 
 
 def example_stores(rng):
@@ -20,7 +19,8 @@ def example_stores(rng):
                                                    rng.uniform(2, 4, 3),
                                                    rng.uniform(-1, 1, 2)), 0.75)
     dense = DenseMatrix(rng.uniform(-1, 1, (n, n)))
-    return [tri, blk, dense]
+    band = BandMatrix((3, 0, -2), rng.uniform(-1, 1, (3, n)))
+    return [tri, blk, band, dense]
 
 
 def test_element_access_agrees_with_dense(rng):
@@ -61,6 +61,8 @@ def test_entrywise_transforms_match_dense(rng):
         assert np.allclose(store.scaled(1.5).to_dense(), 1.5 * dense)
         assert np.allclose(store.shifted_diag(2.0).to_dense(),
                            dense + 2.0 * np.eye(store.n))
+        s = rng.uniform(0.5, 2.0, store.n)
+        assert np.allclose(store.row_scaled(s).to_dense(), dense * s[:, None])
 
 
 def test_columns_match_dense(rng):
@@ -71,24 +73,32 @@ def test_columns_match_dense(rng):
 
 
 def test_band_roundtrip_and_ops(rng):
-    for store in example_stores(rng)[:2]:
-        w = max(store.bandwidth, 1)
-        ab = to_band(store, w, w)
+    for store in example_stores(rng):
         dense = store.to_dense()
-        assert np.allclose(band_to_dense(ab, w, w), dense)
+        offsets, values = zip(*store.diagonals())
+        band = BandMatrix(offsets, values)
+        assert np.array_equal(band.to_dense(), dense)
+        assert band.bandwidth == max(abs(o) for o in offsets)
         x = rng.standard_normal(store.n)
-        assert np.allclose(band_matvec(ab, w, w, x), dense @ x)
-        abt = band_transpose(ab, w, w)
-        assert np.allclose(band_to_dense(abt, w, w), dense.T)
-        s = rng.uniform(0.5, 2.0, store.n)
-        assert np.allclose(band_to_dense(band_row_scale(ab, w, w, s), w, w),
-                           dense * s[:, None])
+        assert np.allclose(band.matvec(x), dense @ x)
+        assert np.allclose(band.rmatvec(x), dense.T @ x)
+        assert np.array_equal(band.transpose().to_dense(), dense.T)
 
 
-def test_to_band_rejects_out_of_band_dense():
-    full = DenseMatrix(np.ones((4, 4)))
+def test_band_store_keeps_only_nonzero_diagonals_inside():
+    # offset 1 is all zero, offset -5 lies outside a 4 x 4 matrix, and the
+    # entries of offsets 2 and -1 that fall outside the matrix are dropped
+    band = BandMatrix((2, 1, -1, -5), [[9.0, 9.0, 1.0, 2.0], np.zeros(4),
+                                       [3.0, 4.0, 5.0, 9.0], np.ones(4)])
+    assert band.offsets == (-1, 2)
+    assert band.bandwidth == 2
+    expected = np.zeros((4, 4))
+    expected[[0, 1], [2, 3]] = [1.0, 2.0]
+    expected[[1, 2, 3], [0, 1, 2]] = [3.0, 4.0, 5.0]
+    assert np.array_equal(band.to_dense(), expected)
+    assert band.all_finite()
     with pytest.raises(ValueError):
-        to_band(full, 1, 1)
+        BandMatrix((1, 1), np.ones((2, 4)))
 
 
 def test_identity_store():
@@ -96,6 +106,8 @@ def test_identity_store():
     assert is_identity(eye)
     assert np.allclose(eye.to_dense(), np.eye(5))
     assert not is_identity(TridiagonalMatrix.constant(5, 0.0, 2.0, 0.0))
+    assert is_identity(DenseMatrix(np.eye(3)))
+    assert not is_identity(BandMatrix((0, 1), [np.ones(3), [0.0, 0.0, 1e-300]]))
 
 
 def test_prefix_sums_examples():
@@ -154,6 +166,9 @@ def test_validate_flags_dimension_mismatch():
     report = validate(p)
     assert not report.ok
     assert any("dimension mismatch" in msg for msg in report.issues)
+    # the ladder's n (a problem file's "n") must match the blocks' order too
+    p = EhlcpProblem(blocks, np.zeros(n), BoundLadder((), n + 1))
+    assert [msg for msg in validate(p).issues if "dimension mismatch" in msg]
 
 
 def test_validate_flags_nonfinite():

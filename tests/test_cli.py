@@ -121,6 +121,24 @@ def test_invalid_problem_exit_code(tmp_path):
     assert run_cli(["solve", "--method", "fp31", str(problem)]) == 2
 
 
+def test_missing_problem_file_exit_code(tmp_path):
+    assert run_cli(["solve", "--method", "fp31", str(tmp_path / "none.json")]) == 2
+
+
+def test_malformed_json_exit_code(tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text("{not json")
+    assert run_cli(["solve", "--method", "fp31", str(problem)]) == 2
+
+
+def test_order_disagreeing_with_n_exit_code(tmp_path):
+    problem = tmp_path / "p.json"
+    obj = {"n": 3, "m": 1, "M": {"dense": [[1.0, 0.0], [0.0, 1.0]]},
+           "H": [{"dense": [[2.0, 0.0], [0.0, 2.0]]}], "q": [1.0, 1.0], "d": []}
+    problem.write_text(json.dumps(obj))
+    assert run_cli(["solve", "--method", "fp31", str(problem)]) == 2
+
+
 def test_bounds_example53(tmp_path, capsys):
     problem = tmp_path / "p.json"
     probe = tmp_path / "y.json"

@@ -75,6 +75,19 @@ def test_method31_diverges_with_guard():
     assert rep.status == "Diverged"
 
 
+def test_nonfinite_iterate_diverges_where_it_appears():
+    gen = gen_example52(10)
+    q = gen.problem.q.copy()
+    q[3] = np.nan
+    e2 = Ehlcp2Problem(gen.problem.H1, q, gen.problem.b)
+    cfg = IterationConfig(max_iter=500)
+    reports = [method31(e2.as_general(), cfg=cfg), method32(e2, 4.0, cfg=cfg),
+               method33(e2, eta=0.5, omega_relax=0.25, cfg=cfg)]
+    for rep in reports:
+        assert rep.status == "Diverged"
+        assert rep.iterations == 1
+
+
 def test_method31_max_iter_status():
     gen = gen_example51(3, 1.0, 1.0)
     rep = method31(gen.problem, cfg=IterationConfig(max_iter=1, tol=1e-14))
