@@ -16,7 +16,6 @@ package writes into a stored array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -108,13 +107,15 @@ class DenseMatrix:
         return bool(np.isfinite(self.data).all())
 
     def diagonals(self):
-        """(offset, values) of each nonzero diagonal, as BandMatrix.diagonals gives them."""
-        return self._band.diagonals()
-
-    @cached_property
-    def _band(self):
-        offsets, cols = np.arange(1 - self.n, self.n), np.arange(self.n)
-        return BandMatrix(offsets, self.data[(cols - offsets[:, None]) % self.n, cols])
+        """(offset, values) of each nonzero diagonal, values[j] = A[j - offset, j]."""
+        n, out = self.n, []
+        for offset in range(1 - n, n):
+            diag = self.data.diagonal(offset)
+            if np.count_nonzero(diag):
+                values = np.zeros(n)
+                values[max(offset, 0):n + min(offset, 0)] = diag
+                out.append((offset, values))
+        return out
 
 
 class BandMatrix:

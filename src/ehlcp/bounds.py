@@ -17,8 +17,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, entrywise
-from .convergence import (TWO_NORM_MAX_ORDER, induced_norm, simplex_selections,
-                          spectral_radius_nonneg, two_norm_estimate)
+from .convergence import (induced_norm, simplex_selections, spectral_radius_nonneg,
+                          two_norm_estimate)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
@@ -175,20 +175,23 @@ class AlphaEstimate:
 
 
 def _combo_inverse_norm(combo, norm_tag):
-    """Induced norm of combo^{-1}: exact up to order TWO_NORM_MAX_ORDER, estimated beyond."""
+    """Induced norm of combo^{-1}: exact for a dense store, estimated on the band LU."""
     n = combo.n
+    if isinstance(combo, DenseMatrix):
+        try:
+            inv = np.linalg.inv(combo.data)
+        except np.linalg.LinAlgError as exc:
+            raise SingularM(str(exc)) from exc
+        if not np.isfinite(inv).all():
+            raise SingularM("inverse overflowed")
+        return float(np.linalg.norm(inv, {"1": 1, "2": 2, "inf": np.inf}[norm_tag]))
     factor = LinearOperatorFactor(combo)  # raises SingularM
-    if n > TWO_NORM_MAX_ORDER:
-        if norm_tag == "2":
-            return two_norm_estimate(factor.solve, factor.solve_transposed, n)
-        # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
-        solve, rsolve = ((factor.solve, factor.solve_transposed) if norm_tag == "1"
-                         else (factor.solve_transposed, factor.solve))
-        return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
-    inv = factor.solve(np.eye(n))
-    if not np.isfinite(inv).all():
-        raise SingularM("inverse overflowed")
-    return float(np.linalg.norm(inv, {"1": 1, "2": 2, "inf": np.inf}[norm_tag]))
+    if norm_tag == "2":
+        return two_norm_estimate(factor.solve, factor.solve_transposed, n)
+    # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
+    solve, rsolve = ((factor.solve, factor.solve_transposed) if norm_tag == "1"
+                     else (factor.solve_transposed, factor.solve))
+    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
 
 
 def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):

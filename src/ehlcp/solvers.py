@@ -227,7 +227,7 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
     lower = ktag == "lower"
     g = (H1.matvec(x) + q).tolist()
     # K[j, j + offset] = values[j + offset] for each strict-triangle diagonal.
-    tri = sorted((offset, values.tolist()) for offset, values in H1.diagonals()
+    tri = sorted((offset, memoryview(values)) for offset, values in H1.diagonals()
                  if (offset < 0 if lower else offset > 0))
     xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
     x_new = [0.0] * n

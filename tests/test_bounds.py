@@ -9,8 +9,9 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    overalpha_estimate, pls_residual, residual_error_interval,
                    sdd_classify, split_diagonal, underalpha_exact)
 from ehlcp.blockdata import TridiagonalMatrix
+from ehlcp.convergence import simplex_selections
 from ehlcp.errors import BudgetExceeded
-from ehlcp.wproperty import assignments, representative
+from ehlcp.wproperty import assignments, representative, selection_combination
 
 UNIT_TRIANGULAR_PAIR = BlockMatrixSet(DenseMatrix([[1.0, 0.0], [-1.0, 1.0]]),
                                 (DenseMatrix([[1.0, 0.0], [2.0, 1.0]]),))
@@ -224,13 +225,20 @@ def test_overalpha_dominated_by_bounds():
         assert est_1.value <= b43.constant + 1e-10
 
 
-def test_overalpha_estimates_beyond_exact_order():
-    # past order 2000 the inverse norms come from onenormest on the band LU,
-    # still below the certified bound42 constant
-    blocks = gen_example52(2001).problem.as_general().blocks
-    est = overalpha_estimate(blocks, "inf", samples=2, seed=0, vertex_budget=0)
-    assert est.count == 2 and not est.exact
-    assert 1.0 <= est.value <= bound42(blocks, "inf").constant + 1e-10
+def test_overalpha_dense_exact_band_estimated():
+    # a dense store takes the exact inverse norm of every selection
+    # combination; a band store estimates it on its banded LU
+    blocks = gen_example52(12).problem.as_general().blocks
+    dense = BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
+                           tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
+    lams = list(simplex_selections(blocks.m, blocks.n, 6, 3))
+    for tag, order in (("1", 1), ("2", 2), ("inf", np.inf)):
+        exact = max(np.linalg.norm(np.linalg.inv(
+            selection_combination(dense, lam).to_dense()), order) for lam in lams)
+        est = overalpha_estimate(dense, tag, samples=6, seed=3, vertex_budget=0)
+        assert est.value == exact
+        est = overalpha_estimate(blocks, tag, samples=6, seed=3, vertex_budget=0)
+        assert est.value == pytest.approx(exact, rel=1e-6)
 
 
 def test_overalpha_singular_selection_witness():
