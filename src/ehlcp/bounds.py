@@ -22,9 +22,8 @@ from .convergence import (induced_norm, simplex_selections, spectral_radius_nonn
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
-from .transform import DiagonalSelection, pls_residual
-from .wproperty import (assignments, representative, selection_combination,
-                        vertex_selections)
+from .transform import NORM_ORD, DiagonalSelection, pls_residual
+from .wproperty import selection_combination, vertex_chunks
 
 DENSE_LIMIT = 4096
 
@@ -116,7 +115,7 @@ def bound42(blocks, norm_tag="inf"):
             try:
                 inv = np.linalg.inv(i_minus_x.to_dense())
                 mat = inv * d_max[None, :]
-                constant = float(np.linalg.norm(mat, {"1": 1, "inf": np.inf}[norm_tag]))
+                constant = float(np.linalg.norm(mat, NORM_ORD[norm_tag]))
             except np.linalg.LinAlgError:
                 constant = float("inf")
         else:
@@ -184,7 +183,7 @@ def _combo_inverse_norm(combo, norm_tag):
             raise SingularM(str(exc)) from exc
         if not np.isfinite(inv).all():
             raise SingularM("inverse overflowed")
-        return float(np.linalg.norm(inv, {"1": 1, "2": 2, "inf": np.inf}[norm_tag]))
+        return float(np.linalg.norm(inv, NORM_ORD[norm_tag]))
     factor = LinearOperatorFactor(combo)  # raises SingularM
     if norm_tag == "2":
         return two_norm_estimate(factor.solve, factor.solve_transposed, n)
@@ -202,12 +201,15 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     vertex, and vertex combinations are exactly the column representatives.
     Otherwise a sampled lower estimate (flagged) when samples > 0.
     """
+    if norm_tag not in NORM_ORD:
+        raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
     total = (m + 1) ** n
     if total <= budget:
         worst = 0.0
-        for assign in assignments(n, m):
-            worst = max(worst, induced_norm(representative(blocks, assign), norm_tag))
+        for _, stack in vertex_chunks(blocks):
+            worst = max(worst, float(np.linalg.norm(stack, NORM_ORD[norm_tag],
+                                                    axis=(1, 2)).max()))
         return AlphaEstimate(worst, norm_tag, True, total)
     if samples > 0:
         worst = 0.0
@@ -227,25 +229,37 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
     for tightness diagnostics against the computable upper bounds. A singular
     selection is raised as a witness against the column W-property.
     """
+    if norm_tag not in NORM_ORD:
+        raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
     worst = 0.0
     count = 0
 
-    def visit(lam):
-        nonlocal worst, count
-        combo = selection_combination(blocks, lam)
-        try:
-            worst = max(worst, _combo_inverse_norm(combo, norm_tag))
-        except SingularM as exc:
-            raise SingularSelection(
-                "singular selection combination (column W-property violated)",
-                selection=DiagonalSelection(np.asarray(lam, dtype=float)),
-            ) from exc
-        count += 1
+    def singular(lam):
+        return SingularSelection(
+            "singular selection combination (column W-property violated)",
+            selection=DiagonalSelection(np.asarray(lam, dtype=float)))
 
     if (m + 1) ** n <= vertex_budget:
-        for lam in vertex_selections(n, m):
-            visit(lam)
+        for digits, stack in vertex_chunks(blocks):
+            # A singular vertex (slogdet sign 0) keeps a NaN inverse, so the
+            # first non-finite inverse in counter order is the witness.
+            inv = np.full(stack.shape, np.nan)
+            regular = np.linalg.slogdet(stack)[0] != 0
+            inv[regular] = np.linalg.inv(stack[regular])
+            bad = ~np.isfinite(inv).all(axis=(1, 2))
+            if bad.any():
+                lam = np.zeros((m + 1, n))
+                lam[digits[np.argmax(bad)], np.arange(n)] = 1.0
+                raise singular(lam)
+            worst = max(worst, float(np.linalg.norm(inv, NORM_ORD[norm_tag],
+                                                    axis=(1, 2)).max()))
+            count += len(stack)
     for lam in simplex_selections(m, n, samples, seed):
-        visit(lam)
+        try:
+            worst = max(worst, _combo_inverse_norm(selection_combination(blocks, lam),
+                                                   norm_tag))
+        except SingularM as exc:
+            raise singular(lam) from exc
+        count += 1
     return AlphaEstimate(worst, norm_tag, False, count)

@@ -22,13 +22,11 @@ from .blockdata import (Ehlcp2Problem, is_identity, problem_from_json,
 from .convergence import suggest_omega
 from .errors import BudgetExceeded, EhlcpError
 from .problems import alternating
-from .transform import pls_residual, reconstruct_y
+from .transform import NORM_ORD, pls_residual, reconstruct_y
 
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_BUDGET = 4
-
-_NORM_ORD = {"1": 1, "inf": np.inf}
 
 
 def _fmt(x):
@@ -56,11 +54,11 @@ def _load_problem(path):
 
 
 def _as_ehlcp2(problem):
-    if problem.m != 2 or not is_identity(problem.blocks.M) \
-            or not is_identity(problem.blocks.H[1]):
-        _fail(EXIT_VALIDATION,
-              "method needs the m = 2 form with identity leading and trailing blocks")
-    return Ehlcp2Problem(problem.blocks.H[0], problem.q, problem.ladder.d[0])
+    """The m = 2 form with identity leading and trailing blocks, or None."""
+    if problem.m == 2 and is_identity(problem.blocks.M) \
+            and is_identity(problem.blocks.H[1]):
+        return Ehlcp2Problem(problem.blocks.H[0], problem.q, problem.ladder.d[0])
+    return None
 
 
 def _write_json(path, obj):
@@ -122,13 +120,16 @@ def cmd_solve(args):
     t0 = time.perf_counter()
     if args.method == "fp31":
         report = solvers.method31(problem, cfg=cfg)
-    elif args.method == "omega32":
+    elif args.method in ("omega32", "proj33"):
         e2 = _as_ehlcp2(problem)
-        report = solvers.method32(e2, _resolve_omega(args, e2), cfg=cfg)
-    elif args.method == "proj33":
-        e2 = _as_ehlcp2(problem)
-        report = solvers.method33(e2, eta=args.eta, omega_relax=args.relax,
-                                  ktag=args.ktag, cfg=cfg)
+        if e2 is None:
+            _fail(EXIT_VALIDATION,
+                  "method needs the m = 2 form with identity leading and trailing blocks")
+        if args.method == "omega32":
+            report = solvers.method32(e2, _resolve_omega(args, e2), cfg=cfg)
+        else:
+            report = solvers.method33(e2, eta=args.eta, omega_relax=args.relax,
+                                      ktag=args.ktag, cfg=cfg)
     else:
         _fail(EXIT_VALIDATION, f"unknown method {args.method!r}")
     cpu = time.perf_counter() - t0
@@ -165,9 +166,8 @@ def _y_star(args, problem, prescribed):
         return prescribed["y"]
     if args.solve_ystar:
         cfg = solvers.IterationConfig(tol=1e-12, max_iter=100000)
-        if problem.m == 2 and is_identity(problem.blocks.M) \
-                and is_identity(problem.blocks.H[1]):
-            e2 = Ehlcp2Problem(problem.blocks.H[0], problem.q, problem.ladder.d[0])
+        e2 = _as_ehlcp2(problem)
+        if e2 is not None:
             rep = solvers.method32(e2, suggest_omega(e2.H1).value, cfg=cfg)
         else:
             rep = solvers.method31(problem, cfg=cfg)
@@ -187,7 +187,7 @@ def cmd_bounds(args):
     rows = []
     for tag in ("1", "inf"):
         b42 = bounds_mod.bound42(problem.blocks, tag)
-        true_err = float(np.linalg.norm(y - y_star, _NORM_ORD[tag]))
+        true_err = float(np.linalg.norm(y - y_star, NORM_ORD[tag]))
         rows.append([tag, _fmt(true_err), _fmt(rep.norms[tag]),
                      _fmt(b42.constant * rep.norms[tag]),
                      _fmt(b43.constant * rep.norms[tag]),

@@ -16,7 +16,8 @@ import numpy as np
 from .blockdata import DenseMatrix, entrywise
 from .errors import NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
-from .wproperty import selection_combination, vertex_selections
+from .transform import NORM_ORD
+from .wproperty import selection_combination, vertex_chunks
 
 TWO_NORM_MAX_ORDER = 2000
 DENSE_EIG_MAX_ORDER = 512
@@ -153,7 +154,7 @@ def check_cor31(blocks, norm_tag="inf", dense_limit=4096):
             d = DenseMatrix(e)
             norm_sum += two_norm_estimate(d.matvec, d.rmatvec, n, dense=lambda e=e: e)
         else:
-            norm_sum += float(np.linalg.norm(e, {"1": 1, "inf": np.inf}[norm_tag]))
+            norm_sum += float(np.linalg.norm(e, NORM_ORD[norm_tag]))
     est = spectral_radius_nonneg(lambda x: abs_sum @ x, n, dense=lambda: abs_sum)
     rho_rep = _report("Eq38Rho", est.value)
     norm_rep = _report("Eq38NormSum", norm_sum)
@@ -221,9 +222,13 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     worst = 0.0
     count = 0
     if (m + 1) ** n <= vertex_budget:
-        for lam in vertex_selections(n, m):
-            worst = max(worst, rho_of(lam))
-            count += 1
+        for _, stack in vertex_chunks(blocks):
+            # One multi-RHS solve M X = [S_1 ... S_k] for the whole chunk.
+            k = len(stack)
+            sol = factor.solve(stack.transpose(1, 0, 2).reshape(n, k * n))
+            l_mats = eye - sol.reshape(n, k, n).transpose(1, 0, 2)
+            worst = max(worst, float(np.abs(np.linalg.eigvals(l_mats)).max()))
+            count += k
     for lam in simplex_selections(m, n, trials, seed):
         worst = max(worst, rho_of(lam))
         count += 1

@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import overalpha_estimate, underalpha_exact
 from .errors import BudgetExceeded
 from .transform import recover_solution
-from .wproperty import assignments
+from .wproperty import vertex_chunks
 
 REGION_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -41,49 +41,33 @@ def oracle_solve(problem, budget=2 ** 20, region_tol=REGION_TOL,
     total = (m + 1) ** n
     if total > budget:
         raise BudgetExceeded(f"{total} regions exceed budget {budget}")
-    stores = problem.blocks.all()
-    cols = [np.column_stack([s.column(j) for j in range(n)]) for s in stores]
-    s_breaks = problem.ladder.prefix_sums()
-    d = problem.ladder.d
+    # cols[c, j] is column j of block c. On region c at coordinate j the
+    # system gains the constant column const[c, j] (zero for c = 0):
+    # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
+    cols = np.stack([s.to_dense().T for s in problem.blocks.all()])
+    s_breaks = np.array(problem.ladder.prefix_sums())
+    d_cols = np.reshape(problem.ladder.d, (m - 1, n, 1)) * cols[1:m]
+    below = np.cumsum(np.concatenate([np.zeros((1, n, n)), d_cols]), axis=0)
+    const = np.concatenate([np.zeros((1, n, n)), below - s_breaks[:, :, None] * cols[1:]])
+    # Region c admits y_j in [lower[c, j], upper[c, j]] (closed, with slack;
+    # s_0 = 0, so region 0 is y_j <= region_tol).
+    lower = np.vstack([np.full(n, -np.inf), s_breaks - region_tol])
+    upper = np.vstack([s_breaks + region_tol, np.full(n, np.inf)])
     ys = []
     singular = 0
-    checked = 0
-    for assign in assignments(n, m):
-        checked += 1
-        mat = np.empty((n, n))
-        g = np.array(problem.q, copy=True)
-        for j, c in enumerate(assign):
-            if c == 0:
-                mat[:, j] = cols[0][:, j]
-            else:
-                mat[:, j] = cols[c][:, j]
-                g -= s_breaks[c - 1][j] * cols[c][:, j]
-                for l in range(1, c):
-                    g += d[l - 1][j] * cols[l][:, j]
-        try:
-            y = np.linalg.solve(mat, -g)
-        except np.linalg.LinAlgError:
-            singular += 1
-            continue
-        ok = True
-        for j, c in enumerate(assign):
-            v = y[j]
-            if c == 0:
-                ok = v <= region_tol
-            elif c < m:
-                ok = (s_breaks[c - 1][j] - region_tol <= v
-                      <= s_breaks[c][j] + region_tol)
-            else:
-                ok = v >= s_breaks[m - 1][j] - region_tol
-            if not ok:
-                break
-        if not ok:
-            continue
-        if any(np.max(np.abs(y - prev)) <= dedup_tol for prev in ys):
-            continue
-        ys.append(y)
+    coords = np.arange(n)
+    for digits, stack in vertex_chunks(problem.blocks):
+        regular = np.linalg.slogdet(stack)[0] != 0
+        singular += int(np.count_nonzero(~regular))
+        digits = digits[regular]
+        g = problem.q + const[digits, coords].sum(axis=1)
+        y = np.linalg.solve(stack[regular], -g[..., None])[..., 0]
+        inside = ((lower[digits, coords] <= y) & (y <= upper[digits, coords])).all(axis=1)
+        for yk in y[inside]:
+            if not any(np.max(np.abs(yk - prev)) <= dedup_tol for prev in ys):
+                ys.append(yk)
     solutions = [(y, recover_solution(y, problem.ladder)) for y in ys]
-    return OracleResult(solutions, checked, singular)
+    return OracleResult(solutions, total, singular)
 
 
 def oracle_alpha_constants(blocks, norm_tag="inf", budget=2 ** 20):

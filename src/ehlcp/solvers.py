@@ -18,15 +18,13 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .blockdata import DenseMatrix, EhlcpSolution
 from .errors import InvalidParams, SingularM
-from .transform import recover_solution, residual_of_tuple
+from .transform import NORM_ORD, recover_solution, residual_of_tuple
 
 DIVERGENCE_LIMIT = 1e12
 
-_NORM_ORD = {"1": 1, "2": 2, "inf": np.inf}
-
 
 def _vec_norm(v, tag):
-    return float(np.linalg.norm(v, _NORM_ORD[tag]))
+    return float(np.linalg.norm(v, NORM_ORD[tag]))
 
 
 @dataclass(frozen=True)
@@ -41,7 +39,7 @@ class IterationConfig:
             raise InvalidParams("tol must be positive")
         if self.max_iter < 1:
             raise InvalidParams("max_iter must be >= 1")
-        if self.norm_tag not in _NORM_ORD:
+        if self.norm_tag not in NORM_ORD:
             raise InvalidParams(f"unknown norm tag {self.norm_tag!r}")
 
 

@@ -20,6 +20,7 @@ from .blockdata import EhlcpSolution
 from .errors import InfeasibleTuple
 
 FEASIBILITY_TOL = 1e-9
+NORM_ORD = {"1": 1, "2": 2, "inf": np.inf}  # norm tag -> numpy ord
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,7 @@ def pls_residual(problem, y):
     return ResidualReport(
         r=r,
         feasibility_violations=feasibility_violations(sol, problem.ladder),
-        norms={
-            "1": float(np.linalg.norm(r, 1)),
-            "2": float(np.linalg.norm(r, 2)),
-            "inf": float(np.linalg.norm(r, np.inf)),
-        },
+        norms={tag: float(np.linalg.norm(r, order)) for tag, order in NORM_ORD.items()},
     )
 
 

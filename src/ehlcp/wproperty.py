@@ -4,7 +4,9 @@ The property asks every column representative determinant to carry one strict
 sign. Exhaustive verification costs (m+1)^n determinants and is offered at
 desk scale behind a budget; beyond it, randomized selection probing can only
 falsify (a singular nonnegative-diagonal combination is a witness against the
-property; absence of a witness proves nothing).
+property; absence of a witness proves nothing). Every exhaustive scan in the
+package walks the representatives through ``vertex_chunks``, one stack of
+matrices at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,26 @@ from .transform import DiagonalSelection
 
 DET_ZERO_COEFF = 1e-10
 COND_WITNESS_LIMIT = 1e14
+CHUNK_BYTES = 2 ** 20  # cap on the representatives of one chunk, in bytes
+
+
+def _counter_chunks(n, m, start, stop):
+    """(k, n) mixed-radix digit arrays of the counters [start, stop), in order.
+
+    Coordinate 0 is the fastest digit. A chunk holds at most CHUNK_BYTES of
+    n x n representatives (at least one). Counters are int64, so they stay
+    below 2**63.
+    """
+    base = m + 1
+    total = base ** n
+    stop = total if stop is None else min(stop, total)
+    step = max(1, CHUNK_BYTES // max(8 * n * n, 1))
+    for lo in range(start, stop, step):
+        val = np.arange(lo, min(lo + step, stop), dtype=np.int64)
+        digits = np.empty((val.size, n), dtype=np.intp)
+        for j in range(n):
+            val, digits[:, j] = np.divmod(val, base)
+        yield digits
 
 
 def assignments(n, m, start=0, stop=None):
@@ -30,29 +52,21 @@ def assignments(n, m, start=0, stop=None):
     Decoding by index keeps scans resumable and partitionable: worker ranges
     [start, stop) are disjoint and their union covers all (m+1)^n assignments.
     """
-    total = (m + 1) ** n
-    if stop is None or stop > total:
-        stop = total
-    base = m + 1
-    for k in range(start, stop):
-        digits = []
-        val = k
-        for _ in range(n):
-            val, r = divmod(val, base)
-            digits.append(r)
-        yield tuple(digits)
+    for digits in _counter_chunks(n, m, start, stop):
+        yield from map(tuple, digits.tolist())
 
 
-def vertex_selections(n, m):
-    """Full-weight selections in the counter order of assignments.
+def vertex_chunks(blocks, start=0, stop=None):
+    """(digits, stack) chunks of the column representatives of [start, stop).
 
-    The selection of an assignment puts weight one on block assign[j] at
-    coordinate j and zero on the others.
+    digits is a (k, n) block of assignments in the order of ``assignments``
+    and stack[i] the (n, n) representative of digits[i]: column j taken from
+    block digits[i, j], gathered from one (m+1, n, n) table of the blocks.
     """
-    for assign in assignments(n, m):
-        lam = np.zeros((m + 1, n))
-        lam[list(assign), np.arange(n)] = 1.0
-        yield lam
+    table = np.stack([s.to_dense() for s in blocks.all()])
+    idx = np.arange(blocks.n)
+    for digits in _counter_chunks(blocks.n, blocks.m, start, stop):
+        yield digits, table[digits[:, None, :], idx[:, None], idx]
 
 
 def representative(blocks, assign):
@@ -63,24 +77,6 @@ def representative(blocks, assign):
     for j, c in enumerate(assign):
         cols[:, j] = stores[c].column(j)
     return DenseMatrix(cols)
-
-
-def _det_sign(a):
-    """Sign of det(a) with an explicit numerically-zero band.
-
-    |det| below 1e-10 * (max column 2-norm)^n counts as zero; strict sign is
-    required by the property, so floating point needs the explicit band.
-    """
-    n = a.shape[0]
-    sign, logabs = np.linalg.slogdet(a)
-    col_norms = np.linalg.norm(a, axis=0)
-    max_col = float(np.max(col_norms))
-    if max_col == 0.0 or sign == 0.0:
-        return 0
-    threshold_log = math.log(DET_ZERO_COEFF) + n * math.log(max_col)
-    if logabs < threshold_log:
-        return 0
-    return int(sign)
 
 
 @dataclass
@@ -99,24 +95,27 @@ def has_column_w_property(blocks, budget=2 ** 20):
         raise BudgetExceeded(
             f"{total} representatives exceed budget {budget}; use falsify_random")
     sign_min, sign_max = 2, -2
-    first_sign = 0
-    witness = None
+    first_sign = None
     checked = 0
-    for assign in assignments(n, m):
-        s = _det_sign(representative(blocks, assign).data)
-        checked += 1
-        sign_min = min(sign_min, s)
-        sign_max = max(sign_max, s)
-        if s == 0:
-            witness = assign
-            break
-        if first_sign == 0:
-            first_sign = s
-        elif s != first_sign:
-            witness = assign
-            break
-    holds = witness is None and first_sign != 0
-    return WPropertyReport(holds, (sign_min, sign_max), witness, checked)
+    for digits, stack in vertex_chunks(blocks):
+        # |det| below 1e-10 * (max column 2-norm)^n counts as zero; strict sign
+        # is required by the property, so floating point needs the explicit band.
+        sign, logabs = np.linalg.slogdet(stack)
+        max_col = np.linalg.norm(stack, axis=1).max(axis=1)
+        with np.errstate(divide="ignore"):
+            zero_log = math.log(DET_ZERO_COEFF) + n * np.log(max_col)
+        signs = np.where(logabs < zero_log, 0, sign).astype(int)
+        if first_sign is None:
+            first_sign = signs[0]
+        bad = (signs == 0) | (signs != first_sign)
+        end = int(np.argmax(bad)) + 1 if bad.any() else len(signs)
+        checked += end
+        sign_min = min(sign_min, int(signs[:end].min()))
+        sign_max = max(sign_max, int(signs[:end].max()))
+        if bad.any():
+            witness = tuple(digits[end - 1].tolist())
+            return WPropertyReport(False, (sign_min, sign_max), witness, checked)
+    return WPropertyReport(True, (sign_min, sign_max), None, checked)
 
 
 def selection_combination(blocks, lambdas):

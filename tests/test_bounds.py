@@ -264,3 +264,12 @@ def test_banded_combination_norms_match_dense(rng):
     over_dense = overalpha_estimate(dense_blocks, "inf", samples=15, seed=9,
                                     vertex_budget=0)
     assert over_band.value == pytest.approx(over_dense.value, rel=1e-6)
+
+
+def test_alpha_constants_reject_unknown_norm_tag():
+    band = gen_example52(3).problem.as_general().blocks
+    for blocks in (UNIT_TRIANGULAR_PAIR, band):
+        with pytest.raises(ValueError):
+            underalpha_exact(blocks, "fro")
+        with pytest.raises(ValueError):
+            overalpha_estimate(blocks, "fro", samples=2)

@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,9 +241,13 @@ def test_repro_deterministic(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "p.json"
+    # the child finds the package where this process does, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ehlcp.cli", "gen", "--example", "5.2",
          "--n", "10", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
