@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, entrywise
-from .convergence import (induced_norm, simplex_selections, spectral_radius_nonneg,
-                          two_norm_estimate)
+from .convergence import (induced_norm, inverse_norm, simplex_selections,
+                          spectral_radius_nonneg)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
@@ -96,7 +95,7 @@ def bound42(blocks, norm_tag="inf"):
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
     x = entrywise(np.maximum.reduce, [s.offdiag_abs().row_scaled(1.0 / lam)
                                       for lam, s in zip(split.Lambda, blocks.all())])
-    est = spectral_radius_nonneg(x.matvec, n, dense=x.to_dense)
+    est = spectral_radius_nonneg(x)
     satisfied = est.upper < 1.0
     i_minus_x = x.scaled(-1.0).shifted_diag(1.0)
     if satisfied:
@@ -173,26 +172,6 @@ class AlphaEstimate:
     count: int
 
 
-def _combo_inverse_norm(combo, norm_tag):
-    """Induced norm of combo^{-1}: exact for a dense store, estimated on the band LU."""
-    n = combo.n
-    if isinstance(combo, DenseMatrix):
-        try:
-            inv = np.linalg.inv(combo.data)
-        except np.linalg.LinAlgError as exc:
-            raise SingularM(str(exc)) from exc
-        if not np.isfinite(inv).all():
-            raise SingularM("inverse overflowed")
-        return float(np.linalg.norm(inv, NORM_ORD[norm_tag]))
-    factor = LinearOperatorFactor(combo)  # raises SingularM
-    if norm_tag == "2":
-        return two_norm_estimate(factor.solve, factor.solve_transposed, n)
-    # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
-    solve, rsolve = ((factor.solve, factor.solve_transposed) if norm_tag == "1"
-                     else (factor.solve_transposed, factor.solve))
-    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
-
-
 def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     """Max selection-combination norm over the selection set.
 
@@ -257,8 +236,8 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
             count += len(stack)
     for lam in simplex_selections(m, n, samples, seed):
         try:
-            worst = max(worst, _combo_inverse_norm(selection_combination(blocks, lam),
-                                                   norm_tag))
+            worst = max(worst, inverse_norm(selection_combination(blocks, lam),
+                                            norm_tag))
         except SingularM as exc:
             raise singular(lam) from exc
         count += 1

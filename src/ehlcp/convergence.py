@@ -1,5 +1,7 @@
 """Checkable sufficient conditions for convergence and step-size heuristics.
 
+Every condition and bound in the package runs on three kernels over a matrix
+store: ``induced_norm``, ``inverse_norm`` and ``spectral_radius_nonneg``.
 Spectral radii of nonnegative matrices are bracketed by Collatz-Wielandt
 ratios on a diagonally shifted power iteration (the shift keeps the iterate
 strictly positive, so the bracket is rigorous at every step), with a dense
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, entrywise
 from .errors import NoRuleApplies, SingularM
@@ -19,7 +22,7 @@ from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
 from .wproperty import selection_combination, vertex_chunks
 
-TWO_NORM_MAX_ORDER = 2000
+TWO_NORM_MAX_ORDER = 2000  # check_thm34 reports no 2-norm above this order
 DENSE_EIG_MAX_ORDER = 512
 
 
@@ -48,15 +51,16 @@ class SpectralRadiusEstimate:
     method: str  # power | dense | zero
 
 
-def spectral_radius_nonneg(matvec, n, tol=1e-10, max_iter=5000, dense=None):
-    """Spectral radius of a nonnegative operator given by its matvec.
+def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
+    """Spectral radius of a nonnegative matrix store.
 
     Runs shifted power iteration with Collatz-Wielandt brackets; if the
-    bracket does not close and ``dense`` (a callable returning the full
-    matrix) is available with n <= 512, computes eigenvalues directly.
+    bracket does not close and the order is at most 512, computes the
+    eigenvalues of ``store.to_dense()`` directly.
     """
+    n = store.n
     v = np.ones(n)
-    u0 = matvec(v)
+    u0 = store.matvec(v)
     if np.min(u0) < -1e-30:
         raise ValueError("operator is not entrywise nonnegative")
     scale = float(np.max(u0))
@@ -65,7 +69,7 @@ def spectral_radius_nonneg(matvec, n, tol=1e-10, max_iter=5000, dense=None):
     shift = 0.01 * scale
     lo = up = np.nan
     for k in range(1, max_iter + 1):
-        u = matvec(v) + shift * v
+        u = store.matvec(v) + shift * v
         ratios = u / v
         lo = float(np.min(ratios))
         up = float(np.max(ratios))
@@ -74,25 +78,20 @@ def spectral_radius_nonneg(matvec, n, tol=1e-10, max_iter=5000, dense=None):
             return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
                                           k, True, "power")
         v = u / np.max(u)
-    if dense is not None and n <= DENSE_EIG_MAX_ORDER:
-        mat = dense()
-        value = float(np.max(np.abs(np.linalg.eigvals(mat))))
+    if n <= DENSE_EIG_MAX_ORDER:
+        value = float(np.max(np.abs(np.linalg.eigvals(store.to_dense()))))
         return SpectralRadiusEstimate(value, value, value, max_iter, True, "dense")
     value = 0.5 * (lo + up) - shift
     return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
                                   max_iter, False, "power")
 
 
-def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234,
-                      dense=None):
+def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234):
     """Largest singular value via power iteration on A^T A.
 
-    Only offered for n <= 2000; raises ValueError beyond (callers report the
-    2-norm as unavailable there). Random seeded start avoids starts orthogonal
-    to the dominant singular space.
+    Operator-based, so it also runs on a factorization's solves. Random seeded
+    start avoids starts orthogonal to the dominant singular space.
     """
-    if n > TWO_NORM_MAX_ORDER:
-        raise ValueError(f"2-norm only computed for n <= {TWO_NORM_MAX_ORDER}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -107,14 +106,12 @@ def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234,
         if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
             return float(np.sqrt(max(lam, 0.0)))
         lam_prev = lam
-    if dense is not None and n <= DENSE_EIG_MAX_ORDER:
-        return float(np.linalg.norm(dense(), 2))
     return float(np.sqrt(max(lam_prev, 0.0)))
 
 
 def induced_norm(store, tag):
     """Induced matrix norm of a store; the 2-norm is exact up to order 512, then
-    estimated, and size-limited."""
+    estimated."""
     if tag == "1":
         return float(np.max(store.abs_colsums()))
     if tag == "inf":
@@ -124,6 +121,29 @@ def induced_norm(store, tag):
             return float(np.linalg.norm(store.to_dense(), 2))
         return two_norm_estimate(store.matvec, store.rmatvec, store.n)
     raise ValueError(f"unknown norm tag {tag!r}")
+
+
+def inverse_norm(store, tag):
+    """Induced norm of store^{-1}: exact for a dense store, estimated on the band LU.
+
+    Raises SingularM when the store cannot be inverted.
+    """
+    n = store.n
+    if isinstance(store, DenseMatrix):
+        try:
+            inv = np.linalg.inv(store.data)
+        except np.linalg.LinAlgError as exc:
+            raise SingularM(str(exc)) from exc
+        if not np.isfinite(inv).all():
+            raise SingularM("inverse overflowed")
+        return float(np.linalg.norm(inv, NORM_ORD[tag]))
+    factor = LinearOperatorFactor(store)  # raises SingularM
+    if tag == "2":
+        return two_norm_estimate(factor.solve, factor.solve_transposed, n)
+    # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
+    solve, rsolve = ((factor.solve, factor.solve_transposed) if tag == "1"
+                     else (factor.solve_transposed, factor.solve))
+    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
 
 
 @dataclass
@@ -150,12 +170,8 @@ def check_cor31(blocks, norm_tag="inf", dense_limit=4096):
     for h in blocks.H:
         e = eye - factor.solve(h.to_dense())
         abs_sum += np.abs(e)
-        if norm_tag == "2":
-            d = DenseMatrix(e)
-            norm_sum += two_norm_estimate(d.matvec, d.rmatvec, n, dense=lambda e=e: e)
-        else:
-            norm_sum += float(np.linalg.norm(e, NORM_ORD[norm_tag]))
-    est = spectral_radius_nonneg(lambda x: abs_sum @ x, n, dense=lambda: abs_sum)
+        norm_sum += induced_norm(DenseMatrix(e), norm_tag)
+    est = spectral_radius_nonneg(DenseMatrix(abs_sum))
     rho_rep = _report("Eq38Rho", est.value)
     norm_rep = _report("Eq38NormSum", norm_sum)
     satisfied = rho_rep.satisfied or norm_rep.satisfied
@@ -184,8 +200,7 @@ def check_thm34(H1, omega):
     if omega <= 0:
         raise ValueError("omega must be positive")
     a = H1.scaled(1.0 / omega).shifted_diag(-1.0)
-    a_abs = a.absolute()
-    est = spectral_radius_nonneg(a_abs.matvec, a.n, dense=a_abs.to_dense)
+    est = spectral_radius_nonneg(a.absolute())
     norms = {}
     for tag in ("1", "inf"):
         norms[tag] = _report("Eq314Norm", induced_norm(a, tag))

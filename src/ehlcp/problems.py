@@ -75,11 +75,10 @@ def gen_example51(grid_m, mu, nu):
     return GeneratedProblem(problem, Prescribed(sol, x1 - w))
 
 
-def gen_example52(n):
-    """Market-equilibrium test family: H1 = tridiag(1, 4, -2), b = 0.1e."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    h1 = TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0)
+def _box_family(h1):
+    """m = 2 identity-block problem with b = 0.1e and q prescribed so that
+    w = (0.2, 0, ...), x1 = x2 = (0, 0.1, ...) solves it."""
+    n = h1.n
     b = np.full(n, 0.1)
     w = alternating(n, 0.2, 0.0)
     x1 = alternating(n, 0.0, 0.1)
@@ -87,10 +86,15 @@ def gen_example52(n):
     sol = EhlcpSolution(w, (x1, x2))
     eye = TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)
     blocks = BlockMatrixSet(eye, (h1, eye))
-    ladder = BoundLadder((b,), n)
-    q = prescribe_q(blocks, ladder, sol)
-    problem = Ehlcp2Problem(h1, q, b)
-    return GeneratedProblem(problem, Prescribed(sol, x1 + x2 - w))
+    q = prescribe_q(blocks, BoundLadder((b,), n), sol)
+    return GeneratedProblem(Ehlcp2Problem(h1, q, b), Prescribed(sol, x1 + x2 - w))
+
+
+def gen_example52(n):
+    """Market-equilibrium test family: H1 = tridiag(1, 4, -2), b = 0.1e."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return _box_family(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0))
 
 
 def gen_example53(alpha, q=None):
@@ -123,16 +127,5 @@ def gen_example55(grid_m):
     """
     if grid_m < 2:
         raise ValueError("grid order must be >= 2")
-    n = grid_m * grid_m
-    h1 = BlockTridiagonalMatrix(grid_m, -1.0, _laplacian_block(grid_m, 0.0), -1.0)
-    b = np.full(n, 0.1)
-    w = alternating(n, 0.2, 0.0)
-    x1 = alternating(n, 0.0, 0.1)
-    x2 = x1.copy()
-    sol = EhlcpSolution(w, (x1, x2))
-    eye = TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)
-    blocks = BlockMatrixSet(eye, (h1, eye))
-    ladder = BoundLadder((b,), n)
-    q = prescribe_q(blocks, ladder, sol)
-    problem = Ehlcp2Problem(h1, q, b)
-    return GeneratedProblem(problem, Prescribed(sol, x1 + x2 - w))
+    return _box_family(BlockTridiagonalMatrix(grid_m, -1.0,
+                                              _laplacian_block(grid_m, 0.0), -1.0))

@@ -7,7 +7,6 @@ the leading block once and reuse the factorization every sweep.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -144,6 +143,27 @@ def _finish(problem_blocks, q, ladder_sol, y, status, iterations, steps, cfg):
     )
 
 
+def _iterate(update, y0, cfg):
+    """Run y <- update(y) until the step norm falls below cfg.tol.
+
+    A step that is not at most DIVERGENCE_LIMIT (this includes NaN and inf)
+    stops the run as Diverged. The iteration count includes the update that
+    first meets either test. Returns (y, status, iterations, step norms).
+    """
+    y = y0
+    steps = []
+    for k in range(1, cfg.max_iter + 1):
+        y_new = update(y)
+        step = _vec_norm(y_new - y, cfg.norm_tag)
+        steps.append(step)
+        y = y_new
+        if step < cfg.tol:
+            return y, "Converged", k, steps
+        if not step <= DIVERGENCE_LIMIT:
+            return y, "Diverged", k, steps
+    return y, "MaxIterReached", cfg.max_iter, steps
+
+
 def method31(problem, y0=None, cfg=None):
     """Fixed-point iteration M y+ = M max{0, y} - q - phi(y) for the general chain.
 
@@ -153,25 +173,16 @@ def method31(problem, y0=None, cfg=None):
     cfg = cfg or IterationConfig()
     n = problem.n
     factor = LinearOperatorFactor(problem.blocks.M)
-    y = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float).copy()
-    steps = []
-    status = "MaxIterReached"
-    iterations = cfg.max_iter
-    for k in range(1, cfg.max_iter + 1):
+    y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float).copy()
+
+    def update(y):
         sol = recover_solution(y, problem.ladder)
         phi = np.zeros(n)
         for h, x in zip(problem.blocks.H, sol.x):
             phi += h.matvec(x)
-        y_new = np.maximum(0.0, y) - factor.solve(problem.q + phi)
-        step = _vec_norm(y_new - y, cfg.norm_tag)
-        steps.append(step)
-        y = y_new
-        if step < cfg.tol:
-            status, iterations = "Converged", k
-            break
-        if not np.max(np.abs(y)) <= DIVERGENCE_LIMIT:  # also true for NaN
-            status, iterations = "Diverged", k
-            break
+        return np.maximum(0.0, y) - factor.solve(problem.q + phi)
+
+    y, status, iterations, steps = _iterate(update, y0, cfg)
     final = recover_solution(y, problem.ladder)
     return _finish(problem.blocks, problem.q, final, y, status, iterations, steps, cfg)
 
@@ -189,22 +200,13 @@ def method32(problem, omega, y0=None, cfg=None):
     if omega.shape != (problem.n,) or not np.all(omega > 0):
         raise InvalidParams("omega must be a positive scalar or positive vector")
     H1, q, b = problem.H1, problem.q, problem.b
-    y = np.zeros(problem.n) if y0 is None else np.asarray(y0, dtype=float).copy()
-    steps = []
-    status = "MaxIterReached"
-    iterations = cfg.max_iter
-    for k in range(1, cfg.max_iter + 1):
+    y0 = np.zeros(problem.n) if y0 is None else np.asarray(y0, dtype=float).copy()
+
+    def update(y):
         z = np.clip(y, 0.0, b)
-        y_new = z - (H1.matvec(z) + q) / omega
-        step = _vec_norm(y_new - y, cfg.norm_tag)
-        steps.append(step)
-        y = y_new
-        if step < cfg.tol:
-            status, iterations = "Converged", k
-            break
-        if not np.max(np.abs(y)) <= DIVERGENCE_LIMIT:  # also true for NaN
-            status, iterations = "Diverged", k
-            break
+        return z - (H1.matvec(z) + q) / omega
+
+    y, status, iterations, steps = _iterate(update, y0, cfg)
     w = omega * np.maximum(0.0, -y)
     x1 = np.clip(y, 0.0, b)
     x2 = omega * np.maximum(0.0, y - b)
@@ -262,23 +264,11 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
     if e_diag.shape != (n,) or not np.all(e_diag > 0):
         raise InvalidParams("E must be a positive diagonal (vector)")
     b, q, H1 = problem.b, problem.q, problem.H1
-    x = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
-    if np.any(x < 0) or np.any(x > b):
+    x0 = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
+    if np.any(x0 < 0) or np.any(x0 > b):
         raise InvalidParams("x10 must lie in [0, b]")
-    steps = []
-    status = "MaxIterReached"
-    iterations = cfg.max_iter
-    for k in range(1, cfg.max_iter + 1):
-        x_new = implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag)
-        step = _vec_norm(x_new - x, cfg.norm_tag)
-        steps.append(step)
-        x = x_new
-        if step < cfg.tol:
-            status, iterations = "Converged", k
-            break
-        if not math.isfinite(step):  # x holds a NaN or an infinity
-            status, iterations = "Diverged", k
-            break
+    x, status, iterations, steps = _iterate(
+        lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag), x0, cfg)
     # Recovery of (w, x2) from w = q + H1 x1 + x2 with x2 supported on {x1 = b}.
     base = q + H1.matvec(x)
     active = x >= b - cfg.tol

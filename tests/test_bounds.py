@@ -241,6 +241,14 @@ def test_overalpha_dense_exact_band_estimated():
         assert est.value == pytest.approx(exact, rel=1e-6)
 
 
+def test_overalpha_two_norm_on_band_blocks_above_order_2000():
+    # the sampled 2-norm runs power iteration on the banded LU at any order
+    blocks = gen_example52(2001).problem.as_general().blocks
+    est = overalpha_estimate(blocks, "2", samples=1, vertex_budget=0)
+    assert np.isfinite(est.value) and est.value > 0
+    assert est.count == 1
+
+
 def test_overalpha_singular_selection_witness():
     blocks = BlockMatrixSet(identity_matrix(1), (DenseMatrix([[0.0]]),))
     with pytest.raises(SingularSelection) as info:

@@ -18,24 +18,22 @@ def test_spectral_radius_matches_dense(rng):
     for _ in range(20):
         n = int(rng.integers(2, 8))
         a = np.abs(rng.standard_normal((n, n)))
-        est = spectral_radius_nonneg(lambda v: a @ v, n, dense=lambda: a)
+        est = spectral_radius_nonneg(DenseMatrix(a))
         truth = np.max(np.abs(np.linalg.eigvals(a)))
         assert est.value == pytest.approx(truth, abs=1e-8, rel=1e-8)
         assert est.lower <= truth + 1e-9 and truth <= est.upper + 1e-9
 
 
 def test_spectral_radius_zero_matrix():
-    est = spectral_radius_nonneg(lambda v: np.zeros_like(v), 5)
+    est = spectral_radius_nonneg(DenseMatrix(np.zeros((5, 5))))
     assert est.value == 0.0 and est.converged
 
 
-def test_two_norm_rejects_large_and_matches_dense(rng):
+def test_two_norm_matches_dense(rng):
     a = rng.standard_normal((6, 6))
     d = DenseMatrix(a)
-    got = two_norm_estimate(d.matvec, d.rmatvec, 6, dense=lambda: a)
+    got = two_norm_estimate(d.matvec, d.rmatvec, 6)
     assert got == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
-    with pytest.raises(ValueError):
-        two_norm_estimate(d.matvec, d.rmatvec, 4000)
 
 
 def test_check_cor31_identical_blocks():
@@ -151,6 +149,17 @@ def test_norm_dominance(rng):
         problem, _ = random_dominant_problem(seed)
         res = check_cor31(problem.blocks, norm_tag="inf")
         assert res.rho.value <= res.norm_sum.value + 1e-10
+
+
+def test_cor31_two_norm_sum_is_exact():
+    for seed in range(12):
+        problem, _ = random_dominant_problem(seed)
+        blocks = problem.blocks
+        m_inv = np.linalg.inv(blocks.M.to_dense())
+        want = sum(np.linalg.norm(np.eye(blocks.n) - m_inv @ h.to_dense(), 2)
+                   for h in blocks.H)
+        got = check_cor31(blocks, "2").norm_sum.value
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_induced_norms_match_numpy(rng):
