@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
-from .convergence import (induced_norm, inverse_norm, simplex_selections,
-                          spectral_radius_nonneg)
+from .convergence import (EIGVALS_FIRST_ORDER, induced_norm, inverse_norm,
+                          simplex_selections, spectral_radius_nonneg)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
@@ -75,6 +75,7 @@ class BoundReport:
     norm_tag: str
     condition_satisfied: bool
     condition_value: float
+    condition_bracket: Optional[tuple] = None  # (lower, upper) bound on rho
     error_interval: Optional[tuple] = None
 
 
@@ -82,9 +83,20 @@ def bound42(blocks, norm_tag="inf"):
     """Constant of the positive-diagonal bound, with its spectral condition.
 
     The entrywise max over blocks of Lambda_i^{-1}|C_i| is taken coordinate by
-    coordinate; when rho of that matrix is below one, the constant
-    ||(I - max_i Lambda_i^{-1}|C_i|)^{-1} max_i Lambda_i^{-1}|| certifies the
-    upper error bound (norms 1 and inf supported).
+    coordinate; when rho of that matrix X is below one, the constant
+    ||(I - X)^{-1} max_i Lambda_i^{-1}|| certifies the upper error bound
+    (norms 1 and inf supported).
+
+    The condition is decided by the solve that gives the constant: for tag inf
+    z = (I - X)^{-1} d_max with ratios (X z)_i / z_i, for tag 1
+    u = (I - X^T)^{-1} e with ratios (X^T u)_i / u_i. It holds exactly when
+    the vector is finite and positive and its largest ratio is below one
+    (Collatz-Wielandt: then min ratio <= rho(X) <= max ratio < 1). On a
+    certified instance ``condition_bracket`` is that (min, max) ratio pair.
+    ``condition_value`` is the spectral radius from ``spectral_radius_nonneg``
+    at order ``EIGVALS_FIRST_ORDER`` or below, and the bracket's upper end
+    above it. On an uncertified instance both come from
+    ``spectral_radius_nonneg``: its value and its (lower, upper) bracket.
     """
     if norm_tag not in ("1", "inf"):
         raise ValueError("bound supports norm tags '1' and 'inf'")
@@ -95,31 +107,42 @@ def bound42(blocks, norm_tag="inf"):
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
     x = entrywise(np.maximum.reduce, [s.offdiag_abs().row_scaled(1.0 / lam)
                                       for lam, s in zip(split.Lambda, blocks.all())])
-    est = spectral_radius_nonneg(x)
-    satisfied = est.upper < 1.0
     i_minus_x = x.scaled(-1.0).shifted_diag(1.0)
-    if satisfied:
-        # (I - X)^{-1} D is entrywise nonnegative: its 1/inf norms are plain
-        # column/row sums, one banded (or dense) solve each.
+    bracket = None
+    try:
         factor = LinearOperatorFactor(i_minus_x)
-        if norm_tag == "inf":
-            z = factor.solve(d_max)
-            constant = float(np.max(z))
-        else:
-            u = factor.solve_transposed(np.ones(n))
-            constant = float(np.max(d_max * u))
+    except SingularM:
+        pass  # the condition fails
     else:
-        # Condition violated: report the true norm when feasible, flag it.
-        if n <= DENSE_LIMIT:
-            try:
-                inv = np.linalg.inv(i_minus_x.to_dense())
-                mat = inv * d_max[None, :]
-                constant = float(np.linalg.norm(mat, NORM_ORD[norm_tag]))
-            except np.linalg.LinAlgError:
-                constant = float("inf")
-        else:
-            constant = float("nan")
-    return BoundReport("Thm42Eta", constant, norm_tag, satisfied, est.value)
+        # Collatz-Wielandt on the constant's own solve. With v > 0 the product
+        # X v sums nonnegative terms, so its ratios to v are accurate to
+        # rounding however inexact the solve was.
+        v, apply_x = ((factor.solve(d_max), x.matvec) if norm_tag == "inf" else
+                      (factor.solve_transposed(np.ones(n)), x.rmatvec))
+        if np.isfinite(v).all() and (v > 0).all():
+            ratios = apply_x(v) / v
+            if np.max(ratios) < 1.0:
+                bracket = (float(np.min(ratios)), float(np.max(ratios)))
+    if bracket is not None:
+        # (I - X)^{-1} D is entrywise nonnegative: its 1/inf norms are plain
+        # column/row sums, read off the certificate's own solve.
+        constant = float(np.max(v if norm_tag == "inf" else d_max * v))
+        value = (bracket[1] if n > EIGVALS_FIRST_ORDER
+                 else spectral_radius_nonneg(x).value)
+        return BoundReport("Thm42Eta", constant, norm_tag, True, value, bracket)
+    # Condition violated: report the true norm when feasible, flag it.
+    est = spectral_radius_nonneg(x)
+    if n <= DENSE_LIMIT:
+        try:
+            inv = np.linalg.inv(i_minus_x.to_dense())
+            mat = inv * d_max[None, :]
+            constant = float(np.linalg.norm(mat, NORM_ORD[norm_tag]))
+        except np.linalg.LinAlgError:
+            constant = float("inf")
+    else:
+        constant = float("nan")
+    return BoundReport("Thm42Eta", constant, norm_tag, False, est.value,
+                       (est.lower, est.upper))
 
 
 def bound43(blocks):

@@ -2,10 +2,15 @@
 
 Every condition and bound in the package runs on three kernels over a matrix
 store: ``induced_norm``, ``inverse_norm`` and ``spectral_radius_nonneg``.
-Spectral radii of nonnegative matrices are bracketed by Collatz-Wielandt
-ratios on a diagonally shifted power iteration (the shift keeps the iterate
-strictly positive, so the bracket is rigorous at every step), with a dense
-eigenvalue fallback at small order when the bracket stalls.
+Spectral radii of nonnegative matrices come from the dense eigenvalues at
+order ``EIGVALS_FIRST_ORDER`` and below. Above it they are bracketed by
+Collatz-Wielandt ratios on a diagonally shifted power iteration (the shift
+keeps the iterate strictly positive, so the bracket is rigorous at every
+step), with a dense eigenvalue fallback up to order 512 when the bracket
+stalls. ``check_thm34`` and ``check_cor31`` report that spectral radius.
+``bounds.bound42`` decides its own condition rho < 1 without this kernel
+wherever it can: a Collatz-Wielandt test on the vector its constant's solve
+already returns.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ from .wproperty import selection_combination, vertex_chunks
 
 TWO_NORM_MAX_ORDER = 2000  # check_thm34 reports no 2-norm above this order
 DENSE_EIG_MAX_ORDER = 512
+# At or below this order the dense eigenvalues come first: on one AMD EPYC
+# core eigvals took about 4 ms at order 120 (11 ms at 160, 35 ms at 256),
+# less than a power iteration of a few hundred steps, and power iteration
+# stalls on 2-cyclic matrices (5,000 steps, 44-57 ms, on Ex 5.2 at 60-120).
+EIGVALS_FIRST_ORDER = 128
 
 
 @dataclass
@@ -54,9 +64,10 @@ class SpectralRadiusEstimate:
 def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
     """Spectral radius of a nonnegative matrix store.
 
-    Runs shifted power iteration with Collatz-Wielandt brackets; if the
-    bracket does not close and the order is at most 512, computes the
-    eigenvalues of ``store.to_dense()`` directly.
+    At order EIGVALS_FIRST_ORDER or below, takes the eigenvalues of
+    ``store.to_dense()`` directly. Above it, runs shifted power iteration with
+    Collatz-Wielandt brackets; if the bracket does not close and the order is
+    at most 512, falls back to the dense eigenvalues.
     """
     n = store.n
     v = np.ones(n)
@@ -66,6 +77,8 @@ def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
     scale = float(np.max(u0))
     if scale == 0.0:
         return SpectralRadiusEstimate(0.0, 0.0, 0.0, 1, True, "zero")
+    if n <= EIGVALS_FIRST_ORDER:
+        return _dense_radius(store, 0)
     shift = 0.01 * scale
     lo = up = np.nan
     for k in range(1, max_iter + 1):
@@ -79,11 +92,15 @@ def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
                                           k, True, "power")
         v = u / np.max(u)
     if n <= DENSE_EIG_MAX_ORDER:
-        value = float(np.max(np.abs(np.linalg.eigvals(store.to_dense()))))
-        return SpectralRadiusEstimate(value, value, value, max_iter, True, "dense")
+        return _dense_radius(store, max_iter)
     value = 0.5 * (lo + up) - shift
     return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
                                   max_iter, False, "power")
+
+
+def _dense_radius(store, iterations):
+    value = float(np.max(np.abs(np.linalg.eigvals(store.to_dense()))))
+    return SpectralRadiusEstimate(value, value, value, iterations, True, "dense")
 
 
 def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
@@ -8,7 +12,8 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    gen_example52, gen_example53, identity_matrix,
                    overalpha_estimate, pls_residual, residual_error_interval,
                    sdd_classify, split_diagonal, underalpha_exact)
-from ehlcp.blockdata import TridiagonalMatrix
+from ehlcp import bounds
+from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
 from ehlcp.convergence import simplex_selections
 from ehlcp.errors import BudgetExceeded
 from ehlcp.wproperty import assignments, representative, selection_combination
@@ -103,6 +108,95 @@ def test_bound42_banded_matches_dense(rng):
         slow = bound42(dense_blocks, tag)
         assert fast.constant == pytest.approx(slow.constant, rel=1e-12)
         assert fast.condition_satisfied == slow.condition_satisfied
+
+
+def test_bound42_large_cells_certify_without_spectral_radius(monkeypatch):
+    # Ex 5.1 at grid 100 (Table 1): the certificate alone decides the
+    # condition, so no power iteration runs.
+    blocks = gen_example51(100, 4.0, 4.0).problem.blocks
+    want = {tag: bound42(blocks, tag) for tag in ("1", "inf")}
+
+    def no_power_iteration(store, *args, **kwargs):
+        raise AssertionError("spectral_radius_nonneg called")
+
+    monkeypatch.setattr(bounds, "spectral_radius_nonneg", no_power_iteration)
+    for tag, ref in want.items():
+        rep = bound42(blocks, tag)
+        assert rep.condition_satisfied and ref.condition_satisfied
+        assert rep.constant == ref.constant
+        lo, hi = rep.condition_bracket
+        assert 0.0 <= lo <= hi < 1.0 and rep.condition_value == hi
+
+
+def as_band(a):
+    dia = scipy.sparse.dia_matrix(a)
+    return BandMatrix(dia.offsets, dia.data)
+
+
+def bound42_x(mats):
+    """max_i Lambda_i^{-1}|C_i| and max_i Lambda_i^{-1}, straight from dense blocks."""
+    diags = np.stack([np.diag(a) for a in mats])
+    off = np.abs(mats) * (1.0 - np.eye(mats.shape[1]))
+    return np.max(off * (1.0 / diags)[:, :, None], axis=0), np.max(1.0 / diags, axis=0)
+
+
+@st.composite
+def bound42_instances(draw):
+    """Banded blocks with positive diagonals, scaled so rho(X) is a drawn value
+    on either side of one; dense or band layout."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 2))
+    width = draw(st.integers(1, n - 1))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
+    off = draw(hnp.arrays(float, (m + 1, n, n), elements=st.floats(0.05, 1.0)))
+    signs = draw(hnp.arrays(float, (m + 1, n, n), elements=st.sampled_from([-1.0, 1.0])))
+    diags = draw(hnp.arrays(float, (m + 1, n), elements=st.floats(0.5, 2.0)))
+    off = off * signs * (band & ~np.eye(n, dtype=bool))
+    mats = off + np.stack([np.diag(d) for d in diags])
+    rho = np.max(np.abs(np.linalg.eigvals(bound42_x(mats)[0])))
+    target = draw(st.floats(0.05, 0.95) | st.floats(1.05, 3.0))
+    mats = off * (target / rho) + np.stack([np.diag(d) for d in diags])
+    wrap = DenseMatrix if draw(st.booleans()) else as_band
+    blocks = BlockMatrixSet(wrap(mats[0]), tuple(wrap(a) for a in mats[1:]))
+    return blocks, mats
+
+
+@settings(max_examples=120, deadline=None)
+@given(bound42_instances())
+def test_bound42_certificate_matches_dense_reference(case):
+    blocks, mats = case
+    x, d_max = bound42_x(mats)
+    rho = float(np.max(np.abs(np.linalg.eigvals(x))))
+    assume(abs(rho - 1.0) >= 1e-8)
+    try:
+        inv = np.linalg.inv(np.eye(len(x)) - x) * d_max[None, :]
+    except np.linalg.LinAlgError:
+        inv = None
+    for tag in ("1", "inf"):
+        rep = bound42(blocks, tag)
+        assert rep.condition_satisfied == (rho < 1.0)
+        if rep.condition_satisfied:
+            lo, hi = rep.condition_bracket
+            assert lo - 1e-12 <= rho <= hi + 1e-12
+        want = np.inf if inv is None else np.linalg.norm(inv, {"1": 1, "inf": np.inf}[tag])
+        assert rep.constant == pytest.approx(want, rel=1e-12)
+
+
+def test_bound42_never_certifies_rho_one():
+    # Row-stochastic X with dyadic entries has rho = 1 exactly, yet rounding
+    # often leaves I - X factorable with a huge positive solve whose largest
+    # ratio rounds to exactly 1.
+    rng = np.random.default_rng(7)
+    scale = 2.0 ** 20
+    for _ in range(200):
+        n = int(rng.integers(3, 6))
+        x = np.zeros((n, n))
+        for i in range(n):
+            cuts = np.concatenate([[0], np.sort(rng.integers(0, scale, n - 2)), [scale]])
+            x[i, np.arange(n) != i] = np.diff(cuts) / scale
+        blocks = BlockMatrixSet(DenseMatrix(np.eye(n) - x), (identity_matrix(n),))
+        for tag in ("1", "inf"):
+            assert not bound42(blocks, tag).condition_satisfied
 
 
 def test_bound42_rejects_two_norm():

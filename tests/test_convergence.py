@@ -6,8 +6,8 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, NoRuleApplies, check_cor31,
                    check_thm34, gen_example51, gen_example52, gen_example55,
                    identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp.blockdata import TridiagonalMatrix
-from ehlcp.convergence import (induced_norm, spectral_radius_nonneg,
-                               two_norm_estimate)
+from ehlcp.convergence import (EIGVALS_FIRST_ORDER, induced_norm,
+                               spectral_radius_nonneg, two_norm_estimate)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -27,6 +27,33 @@ def test_spectral_radius_matches_dense(rng):
 def test_spectral_radius_zero_matrix():
     est = spectral_radius_nonneg(DenseMatrix(np.zeros((5, 5))))
     assert est.value == 0.0 and est.converged
+
+
+def test_spectral_radius_two_cyclic_takes_eigvals():
+    # Shifted power iteration needs about 800 steps here; eigvals needs none.
+    c = 0.7
+    est = spectral_radius_nonneg(DenseMatrix([[0.0, c], [c, 0.0]]))
+    assert est.method == "dense" and est.iterations == 0
+    assert est.value == pytest.approx(c, rel=1e-15)
+    assert est.lower == est.upper == est.value
+
+
+def test_spectral_radius_above_cut_runs_power_iteration(rng):
+    n = EIGVALS_FIRST_ORDER + 16
+    # Positive, so the dominant eigenvalue is well separated and the
+    # Collatz-Wielandt bracket closes.
+    a = rng.uniform(0.0, 1.0, size=(n, n)) / n
+    est = spectral_radius_nonneg(DenseMatrix(a))
+    truth = np.max(np.abs(np.linalg.eigvals(a)))
+    assert est.method == "power" and est.converged and est.iterations > 0
+    assert est.lower <= truth + 1e-12 and truth <= est.upper + 1e-12
+    # 2-cyclic: the bracket stalls and the dense fallback ends the run.
+    cyclic = TridiagonalMatrix.constant(n, 0.25, 0.0, 0.5)
+    est = spectral_radius_nonneg(cyclic, max_iter=200)
+    assert est.method == "dense" and est.iterations == 200
+    # eigvals of this nonnormal matrix is accurate to about 1e-8
+    assert est.value == pytest.approx(2.0 * np.sqrt(0.125) * np.cos(np.pi / (n + 1)),
+                                      abs=1e-7)
 
 
 def test_two_norm_matches_dense(rng):
