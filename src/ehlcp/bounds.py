@@ -76,7 +76,6 @@ class BoundReport:
     condition_satisfied: bool
     condition_value: float
     condition_bracket: Optional[tuple] = None  # (lower, upper) bound on rho
-    error_interval: Optional[tuple] = None
 
 
 def bound42(blocks, norm_tag="inf"):

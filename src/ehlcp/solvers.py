@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -215,33 +216,198 @@ def method32(problem, omega, y0=None, cfg=None):
     return _finish(general.blocks, q, sol, y, status, iterations, steps, cfg)
 
 
-def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
+# The level kernel costs a fixed number of numpy calls per level, so it pays
+# only on wide enough levels: below this mean width the scalar loop is faster
+# (break-even measured near 13 coordinates per level, see CHANGES.md).
+LEVEL_MIN_WIDTH = 16
+
+
+class _SweepPlan:
+    """How implicit_sweep runs for one (H1, b, eta, omega, E, direction).
+
+    Built once per method33 solve from H1's strict-triangle diagonals (K) and
+    reused by every sweep. ``kernel`` names the one it picked:
+
+    - ``scan``: K is the one diagonal next to the main one and every slope
+      |a_j| <= 1. The sweep is then the chain
+      delta_j = clamp(a_j delta_{j-1} + c_j, l_j, h_j) of clamp-affine maps,
+      composed by a doubling prefix scan;
+    - ``levels``: any other band store whose levels, grouped by the nonzero
+      entries of K, hold LEVEL_MIN_WIDTH coordinates on average; each level
+      is one vector step;
+    - ``loop``: dense stores and every other pattern, the scalar sweep.
+
+    A sweep with non-finite g or x takes the loop whatever the kernel.
+    """
+
+    def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
+        self.n = H1.n
+        self.lower = ktag == "lower"
+        self.eta, self.rest = eta, 1.0 - eta
+        self.b = np.asarray(b, dtype=float)
+        self.w = omega_relax * np.asarray(e_diag, dtype=float)
+        # K[j, j + offset] = values[j + offset], offsets by rising column index.
+        self.tri = sorted((offset, values) for offset, values in H1.diagonals()
+                          if (offset < 0 if self.lower else offset > 0))
+        self.kernel = "loop"
+        finite = np.isfinite(self.b).all() and np.isfinite(self.w).all()
+        if isinstance(H1, DenseMatrix) or not finite:
+            return
+        if [offset for offset, _ in self.tri] == [-1 if self.lower else 1]:
+            self._plan_scan()
+        else:
+            self._plan_levels()
+
+    @cached_property
+    def loop_data(self):
+        """b, omega E and K's diagonals as plain floats, for the scalar loop."""
+        return (self.b.tolist(), self.w.tolist(),
+                [(offset, memoryview(values)) for offset, values in self.tri])
+
+    def _order(self):
+        return range(self.n) if self.lower else range(self.n - 1, -1, -1)
+
+    def _plan_scan(self):
+        # In sweep order (reversed for upper) step i reads step i - 1 through
+        # kv[i - 1]: K[j, j - 1] = values[j - 1], K[j, j + 1] = values[j + 1].
+        d = self.dir = slice(None) if self.lower else slice(None, None, -1)
+        self.kv = self.tri[0][1][d][:-1]
+        self.eta_w = self.eta * self.w[d]
+        a = np.zeros(self.n)
+        a[1:] = -self.eta_w[1:] * self.kv
+        # With |a| <= 1 no composed slope overflows; past it one can, and
+        # inf * 0 then gives NaN. NaN in a fails the test too.
+        if np.abs(a).max() <= 1.0:
+            self.a, self.kernel = a, "scan"
+
+    def _plan_levels(self):
+        n = self.n
+        # Only nonzero entries are dependencies: the tiled block's stored
+        # zeros at block edges would otherwise chain all n coordinates.
+        nonzero = [(offset, (values != 0.0).tolist()) for offset, values in self.tri]
+        level = [0] * n
+        for j in self._order():
+            lev = 0
+            for offset, nz in nonzero:
+                l = j + offset
+                if 0 <= l < n and nz[l] and level[l] >= lev:
+                    lev = level[l] + 1
+            level[j] = lev
+        count = np.bincount(level)
+        if n < LEVEL_MIN_WIDTH * count.size:
+            return
+        perm = np.argsort(level, kind="stable")
+        pos = np.empty(n + 1, dtype=np.intp)
+        pos[perm], pos[n] = np.arange(n), n
+        # Level order, one row per offset: each coordinate's entry and the
+        # position of the delta it multiplies; a zero or outside entry points
+        # at slot n, whose delta stays 0.
+        cols = perm + np.array([offset for offset, _ in self.tri], dtype=np.intp)[:, None]
+        cols[(cols < 0) | (cols >= n)] = n
+        vals = np.reshape([np.append(values, 0.0) for _, values in self.tri], (-1, n + 1))
+        vals = np.take_along_axis(vals, cols, axis=1)
+        deps = pos[np.where(vals != 0.0, cols, n)]
+        edges = np.concatenate(([0], np.cumsum(count))).tolist()
+        self.perm, self.bp, self.wp = perm, self.b[perm], self.w[perm]
+        self.levels = [(slice(lo, hi), deps[:, lo:hi].copy(), vals[:, lo:hi].copy())
+                       for lo, hi in zip(edges[:-1], edges[1:])]
+        self.kernel = "levels"
+
+    def sweep(self, g, x):
+        """x after one sweep, given g = H1 x + q."""
+        if self.kernel == "loop" or not (np.isfinite(g).all() and np.isfinite(x).all()):
+            return self._loop(g, x)
+        return self._scan(g, x) if self.kernel == "scan" else self._levels(g, x)
+
+    def _loop(self, g, x):
+        n, eta, rest = self.n, self.eta, self.rest
+        bs, ws, tri = self.loop_data
+        g, xs = g.tolist(), x.tolist()
+        x_new = [0.0] * n
+        delta = [0.0] * n
+        for j in self._order():
+            corr = 0.0
+            for offset, values in tri:
+                l = j + offset
+                if 0 <= l < n:
+                    corr += values[l] * delta[l]
+            z = xs[j] - ws[j] * (g[j] + corr)
+            x_new[j] = eta * min(max(z, 0.0), bs[j]) + rest * xs[j]
+            delta[j] = x_new[j] - xs[j]
+        return np.array(x_new)
+
+    def _scan(self, g, x):
+        d, eta = self.dir, self.eta
+        xs, gs, bs = x[d], g[d], self.b[d]
+        # Step i's map is t -> clamp(A t + C, L, H); after the pass of span s
+        # it is steps i - 2s + 1 .. i composed. Once every slope is 0, every
+        # map is constant and further passes change no value.
+        A, C = self.a.copy(), -self.eta_w * gs
+        L, H = -eta * xs, eta * (bs - xs)
+        s = 1
+        while s < self.n and A.any():
+            a2, c2, l2, h2 = A[s:], C[s:], L[s:], H[s:]
+            # t -> a2 t + c2 is monotone: it maps [L, H] onto the interval
+            # between the two end images, whatever the sign of a2.
+            u, v = a2 * L[:-s] + c2, a2 * H[:-s] + c2
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            L[s:], H[s:] = (np.minimum(np.maximum(lo, l2), h2),
+                            np.minimum(np.maximum(hi, l2), h2))
+            C[s:] = a2 * C[:-s] + c2
+            A[s:] = a2 * A[:-s]
+            s *= 2
+        # Each coordinate by the loop's formula from its predecessor's delta.
+        delta = np.minimum(np.maximum(C, L), H)
+        corr = np.zeros(self.n)
+        corr[1:] = self.kv * delta[:-1]
+        z = xs - self.w[d] * (gs + corr)
+        return (eta * np.minimum(np.maximum(z, 0.0), bs) + self.rest * xs)[d]
+
+    def _levels(self, g, x):
+        perm, eta, bp, wp = self.perm, self.eta, self.bp, self.wp
+        gp, xp = g[perm], x[perm]
+        rest = self.rest * xp
+        xn = np.empty(self.n)
+        delta = np.zeros(self.n + 1)
+        for sl, deps, vals in self.levels:
+            # The loop's sum: 0.0, then each entry by rising column index, one
+            # row at a time (np.add.reduce may sum a one-column level pairwise).
+            corr = sum(vals * delta[deps], 0.0)
+            z = xp[sl] - wp[sl] * (gp[sl] + corr)
+            out = xn[sl]
+            np.maximum(z, 0.0, out=out)
+            np.minimum(out, bp[sl], out=out)
+            np.multiply(out, eta, out=out)
+            np.add(out, rest[sl], out=out)
+            np.subtract(out, xp[sl], out=delta[sl])
+        x_new = np.empty(self.n)
+        x_new[perm] = xn
+        return x_new
+
+
+def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     """One projection update with the implicit correction resolved by a sweep.
 
     K is the strictly lower (forward sweep) or strictly upper (backward sweep)
     triangular part of H1, so each coordinate only needs already-updated ones;
     the sweep is exact, no inner iteration. Each correction sums K's entries
-    by rising column index, on plain floats.
+    by rising column index.
+
+    ``plan`` is the sweep plan of these arguments; method33 builds it once per
+    solve, and a direct call builds one. It runs one of three kernels:
+    a doubling prefix scan of clamp-affine maps when K is the single diagonal
+    next to the main one (tridiagonal H1 with every |a_j| <= 1), vector steps
+    over levels of independent coordinates on other band stores with wide
+    enough levels (block tridiagonal H1: the anti-diagonals of the grid), and
+    the scalar loop otherwise (dense H1, narrow levels, non-finite data). The
+    level kernel gives the loop's result bit for bit. The scan evaluates each
+    coordinate with the loop's formula from its own predecessor, which can
+    differ from the loop's in the last bits: the loop's rounding adds up
+    along an unclamped chain with |a_j| near 1, the scan's does not.
     """
-    n = H1.n
-    lower = ktag == "lower"
-    g = (H1.matvec(x) + q).tolist()
-    # K[j, j + offset] = values[j + offset] for each strict-triangle diagonal.
-    tri = sorted((offset, memoryview(values)) for offset, values in H1.diagonals()
-                 if (offset < 0 if lower else offset > 0))
-    xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
-    x_new = [0.0] * n
-    delta = [0.0] * n
-    for j in (range(n) if lower else range(n - 1, -1, -1)):
-        corr = 0.0
-        for offset, values in tri:
-            l = j + offset
-            if 0 <= l < n:
-                corr += values[l] * delta[l]
-        z = xs[j] - omega_relax * es[j] * (g[j] + corr)
-        x_new[j] = eta * min(max(z, 0.0), bs[j]) + (1.0 - eta) * xs[j]
-        delta[j] = x_new[j] - xs[j]
-    return np.array(x_new)
+    if plan is None:
+        plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)
+    return plan.sweep(H1.matvec(x) + q, np.asarray(x, dtype=float))
 
 
 def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
@@ -267,8 +433,10 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
     x0 = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
     if np.any(x0 < 0) or np.any(x0 > b):
         raise InvalidParams("x10 must lie in [0, b]")
+    plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)
     x, status, iterations, steps = _iterate(
-        lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag), x0, cfg)
+        lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, plan=plan),
+        x0, cfg)
     # Recovery of (w, x2) from w = q + H1 x1 + x2 with x2 supported on {x1 = b}.
     base = q + H1.matvec(x)
     active = x >= b - cfg.tol

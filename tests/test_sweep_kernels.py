@@ -1,0 +1,248 @@
+"""The vectorised M3.3 sweep kernels against the scalar loop they replace.
+
+``reference_sweep`` is the one-coordinate-at-a-time projection sweep the
+kernels were written from. The level kernel and the loop must give its result
+bit for bit; the prefix scan evaluates each coordinate with the loop's formula
+from its own predecessor delta, which may differ from the loop's in the last
+bits. On the short chains drawn here it stays within 1e-15 of the iterate's
+size of the loop. Along a long unclamped chain with |a_j| near 1 either may
+drift further from the sweep in exact arithmetic, so there the scan is held to
+the bound of its own summation tree: about log2(n) roundings of each sum.
+A sweep whose g or x is non-finite takes the loop, so there every kernel gives
+the reference exactly.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from ehlcp import (DenseMatrix, IterationConfig, gen_example52, gen_example55,
+                   implicit_sweep, method33)
+from ehlcp import solvers
+from ehlcp.blockdata import BandMatrix, BlockTridiagonalMatrix, TridiagonalMatrix
+
+SCAN_TOL = 1e-15
+
+
+def reference_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
+    """The scalar sweep: K's entries summed by rising column index, on floats."""
+    n = H1.n
+    lower = ktag == "lower"
+    g = (H1.matvec(x) + q).tolist()
+    tri = sorted((offset, memoryview(values)) for offset, values in H1.diagonals()
+                 if (offset < 0 if lower else offset > 0))
+    xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
+    x_new = [0.0] * n
+    delta = [0.0] * n
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
+        corr = 0.0
+        for offset, values in tri:
+            l = j + offset
+            if 0 <= l < n:
+                corr += values[l] * delta[l]
+        z = xs[j] - omega_relax * es[j] * (g[j] + corr)
+        x_new[j] = eta * min(max(z, 0.0), bs[j]) + (1.0 - eta) * xs[j]
+        delta[j] = x_new[j] - xs[j]
+    return np.array(x_new)
+
+
+def exact_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
+    """reference_sweep in exact arithmetic on the same float g, omega e_j and
+    1 - eta, rounded to floats once at the end."""
+    n = H1.n
+    lower = ktag == "lower"
+    g = (H1.matvec(x) + q).tolist()
+    tri = sorted((offset, values.tolist()) for offset, values in H1.diagonals()
+                 if (offset < 0 if lower else offset > 0))
+    xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
+    eta, rest = Fraction(eta), Fraction(1.0 - eta)
+    x_new = [Fraction(0)] * n
+    delta = [Fraction(0)] * n
+    for j in (range(n) if lower else range(n - 1, -1, -1)):
+        corr = sum(Fraction(values[j + offset]) * delta[j + offset]
+                   for offset, values in tri if 0 <= j + offset < n)
+        z = xs[j] - Fraction(omega_relax * es[j]) * (Fraction(g[j]) + corr)
+        x_new[j] = eta * min(max(z, Fraction(0)), Fraction(bs[j])) + rest * Fraction(xs[j])
+        delta[j] = x_new[j] - Fraction(xs[j])
+    return np.array([float(v) for v in x_new])
+
+
+def assert_kernel_result(kernel, got, want, scale):
+    if kernel == "scan":
+        assert np.abs(got - want).max() <= SCAN_TOL * scale
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+def strict_triangle(H1, ktag):
+    dense = H1.to_dense()
+    return np.tril(dense, -1) if ktag == "lower" else np.triu(dense, 1)
+
+
+def reference_level_count(H1, ktag):
+    """Longest dependency chain through K's nonzero entries, plus one."""
+    k = strict_triangle(H1, ktag)
+    n = H1.n
+    level = [0] * n
+    for j in (range(n) if ktag == "lower" else range(n - 1, -1, -1)):
+        level[j] = max((level[l] + 1 for l in np.flatnonzero(k[j])), default=0)
+    return max(level) + 1
+
+
+def expected_kernel(H1, ktag, eta, omega_relax, e_diag):
+    """The kernel a plan must pick when the level width cut is off."""
+    if isinstance(H1, DenseMatrix):
+        return "loop"
+    k = strict_triangle(H1, ktag)
+    side = -1 if ktag == "lower" else 1
+    if [o for o, _ in H1.diagonals() if o * side > 0] != [side]:
+        return "levels"
+    # a_j = eta omega e_j K[j, j -+ 1] on the rows that have that entry
+    e_rows = e_diag[1:] if ktag == "lower" else e_diag[:-1]
+    slopes = eta * (omega_relax * e_rows) * np.abs(np.diagonal(k, side))
+    return "scan" if slopes.max(initial=0.0) <= 1.0 else "loop"
+
+
+@st.composite
+def stores(draw, rng):
+    """A store of one layout; about a quarter of its off-diagonal entries zero."""
+    kind = draw(st.sampled_from(["tridiagonal", "block", "band", "dense"]))
+    scale = draw(st.sampled_from([0.1, 0.3, 1.0, 3.0]))
+
+    def entries(*shape):
+        vals = rng.uniform(-scale, scale, shape)
+        vals[rng.random(shape) < 0.25] = 0.0
+        return vals
+
+    if kind == "block":
+        g = draw(st.integers(2, 6))
+        block = TridiagonalMatrix(entries(g - 1), np.full(g, 4.0 * scale), entries(g - 1))
+        return BlockTridiagonalMatrix(g, *entries(1), block, *entries(1))
+    n = draw(st.integers(2, 30))
+    if kind == "tridiagonal":
+        return TridiagonalMatrix(entries(n - 1), np.full(n, 4.0 * scale), entries(n - 1))
+    if kind == "dense":
+        return DenseMatrix(entries(n, n) + 4.0 * scale * np.eye(n))
+    # uneven band such as offsets (3, 0, -2), up to ten per triangle
+    offsets = [0] + sorted(draw(st.sets(st.sampled_from([o for o in range(-10, 11) if o]))))
+    data = entries(len(offsets), n)
+    data[0] = 4.0 * scale
+    return BandMatrix(offsets, data)
+
+
+@st.composite
+def sweeps(draw):
+    """Arguments of one sweep: x in [0, b], some of it on a bound; at times
+    one entry of q is NaN or infinite."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h1 = draw(stores(rng))
+    n = h1.n
+    b = rng.uniform(0.02, 2.0, n)
+    x = rng.uniform(0.0, 1.0, n) * b
+    x[rng.random(n) < 0.15] = 0.0
+    on_b = rng.random(n) < 0.15
+    x[on_b] = b[on_b]
+    q = rng.uniform(-4.0, 4.0, n)
+    bad = draw(st.sampled_from([None, None, None, np.nan, np.inf, -np.inf]))
+    if bad is not None:
+        q[draw(st.integers(0, n - 1))] = bad
+    e = rng.uniform(0.1, 3.0, n)
+    eta = draw(st.floats(0.01, 1.0))
+    omega = draw(st.floats(0.01, 3.0))
+    return h1, q, x, b, eta, omega, e, draw(st.sampled_from(["lower", "upper"]))
+
+
+def order_sensitive_sweep():
+    """Row 3 sums 2^53 + 1 - 2^53: 0 by rising column index, 1 in reverse."""
+    data = np.zeros((4, 4))
+    data[0] = 1.0
+    data[1, 2], data[2, 1], data[3, 0] = -2.0 ** 53, 1.0, 2.0 ** 53
+    return (BandMatrix((0, -1, -2, -3), data), np.array([-1.0, -1.0, -1.0, -10.0]),
+            np.zeros(4), np.full(4, 100.0), 1.0, 1.0, np.ones(4), "lower")
+
+
+def pairwise_sensitive_sweep():
+    """A one-coordinate level with nine terms: 2^53, seven 1s, -2^53. Summed
+    one by one they give 0; numpy's pairwise sum of nine gives 6."""
+    offsets = tuple(range(0, -10, -1))
+    data = np.zeros((10, 10))
+    data[0] = 1.0
+    data[1:, 0:9] = np.diag([2.0 ** 53] + [1.0] * 7 + [-2.0 ** 53])[::-1]
+    q = np.full(10, -1.0)
+    q[9] = -10.0
+    return (BandMatrix(offsets, data), q, np.zeros(10), np.full(10, 100.0), 1.0, 1.0,
+            np.ones(10), "lower")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps())
+@example(order_sensitive_sweep())
+@example(pairwise_sensitive_sweep())
+def test_kernels_match_scalar_reference(case):
+    h1, q, x, b, eta, omega, e, ktag = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)  # level kernel at any width
+        plan = solvers._SweepPlan(h1, b, eta, omega, e, ktag)
+        got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag)
+    want = reference_sweep(h1, q, x, b, eta, omega, e, ktag)
+    event(plan.kernel)
+    assert plan.kernel == expected_kernel(h1, ktag, eta, omega, e)
+    if plan.kernel == "levels":
+        assert len(plan.levels) == reference_level_count(h1, ktag)
+    kernel = plan.kernel if np.isfinite(q).all() else "loop"
+    assert_kernel_result(kernel, got, want, max(np.abs(x).max(), np.abs(want).max()))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+@pytest.mark.parametrize("slopes", ["one", "near-one", "mixed-sign"])
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+def test_scan_tracks_exact_sweep_on_long_chains(n, slopes, ktag):
+    """Unclamped stretches of a chain with a_j = -K[j, j -+ 1] at or near 1
+    (eta = omega = e = 1, so no input to the chain is rounded). Each composed
+    constant is a sum of the c_j = -g_j in a tree of depth log2(n), two
+    roundings per level; the clamps and slopes |a_j| <= 1 do not enlarge an
+    error."""
+    rng = np.random.default_rng(n)
+    k = -np.ones(n - 1)
+    if slopes != "one":
+        k *= rng.uniform(0.9, 1.0, n - 1)
+    if slopes == "mixed-sign":
+        k *= rng.choice([-1.0, 1.0], n - 1)
+    h1 = TridiagonalMatrix(k, np.zeros(n), k)
+    x = rng.uniform(0.0, 1e-3, n)
+    case = (h1, rng.normal(0.0, 10.0, n), x, np.full(n, 1e9), 1.0, 1.0, np.ones(n), ktag)
+    assert solvers._SweepPlan(h1, *case[3:]).kernel == "scan"
+    got, want = implicit_sweep(*case), exact_sweep(*case)
+    g = h1.matvec(x) + case[1]
+    depth = int(np.ceil(np.log2(n)))
+    tol = 2 * (depth + 2) * np.finfo(float).eps * (
+        np.abs(g).sum() + np.abs(x).max() + np.abs(want).max())
+    assert np.abs(got - want).max() <= tol
+
+
+def scalar_method33(monkeypatch, problem, ktag):
+    monkeypatch.setattr(solvers, "implicit_sweep",
+                        lambda *args, plan=None: reference_sweep(*args))
+    return method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
+                    cfg=IterationConfig(tol=1e-6))
+
+
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "scan"),
+                                          (lambda: gen_example55(40), "levels")],
+                         ids=["ex52-n2000", "ex55-g40"])
+def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch):
+    problem = make().problem
+    plan = solvers._SweepPlan(problem.H1, problem.b, 0.5, 0.25, np.ones(problem.n), ktag)
+    assert plan.kernel == kernel
+    if kernel == "levels":  # the 2g - 1 anti-diagonals of the grid
+        assert len(plan.levels) == 2 * 40 - 1
+    rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
+                   cfg=IterationConfig(tol=1e-6))
+    ref = scalar_method33(monkeypatch, problem, ktag)
+    assert rep.status == ref.status == "Converged"
+    assert rep.iterations == ref.iterations
+    assert_kernel_result(kernel, rep.y_final, ref.y_final, np.abs(ref.y_final).max())
