@@ -5,9 +5,22 @@ Matrices come in two stores. ``DenseMatrix`` stores a full array.
 two named band layouts are constructors over it: ``TridiagonalMatrix`` from
 three diagonals, and ``BlockTridiagonalMatrix`` from the uniform block
 pattern blktridiag(sub*I, B, super*I), where B is one tridiagonal block
-repeated down the block diagonal and n = g^2 for block order g. Both stores
-answer the same duck-typed interface (entry, matvec, dense form, entrywise
-transforms), and band stores return zero outside their band.
+repeated down the block diagonal and n = g^2 for block order g.
+
+Both stores answer the same eleven methods, and a new layout implements
+these eleven:
+
+- products: ``matvec``, ``rmatvec``
+- forms: ``to_dense``, ``transpose``, ``diagonal``, ``diagonals``
+- entrywise transforms: ``rebuilt(main, off)``, ``row_scaled``
+- reductions: ``abs_rowsums``, ``abs_colsums``, ``all_finite``
+
+``rebuilt(main, off)`` returns a store of the same kind with ``main`` as its
+diagonal and ``off`` applied to every other entry. ``off`` must return a new
+array and map 0 to 0, since a band store applies it to its stored diagonals
+only and a dense store to the whole array. The comparison matrix, the
+split A = Lambda - C and the shifted and scaled forms the conditions need
+are all one ``rebuilt`` call.
 
 Instances are treated as immutable after construction; nothing in this
 package writes into a stored array.
@@ -47,9 +60,6 @@ class DenseMatrix:
 
     layout = "dense"
 
-    def entry(self, i, j):
-        return float(self.data[i, j])
-
     def matvec(self, x):
         return self.data @ x
 
@@ -65,33 +75,10 @@ class DenseMatrix:
     def diagonal(self):
         return np.diag(self.data).copy()
 
-    def column(self, j):
-        return self.data[:, j].copy()
-
-    def scaled(self, c):
-        return DenseMatrix(c * self.data)
-
-    def shifted_diag(self, c):
-        out = self.data.copy()
-        out[np.diag_indices_from(out)] += c
-        return DenseMatrix(out)
-
-    def absolute(self):
-        return DenseMatrix(np.abs(self.data))
-
-    def comparison(self):
-        out = -np.abs(self.data)
-        out[np.diag_indices_from(out)] = np.abs(np.diag(self.data))
-        return DenseMatrix(out)
-
-    def offdiag_abs(self):
-        out = np.abs(self.data)
-        np.fill_diagonal(out, 0.0)
-        return DenseMatrix(out)
-
-    def offdiag_negated(self):
-        out = -self.data.copy()
-        np.fill_diagonal(out, 0.0)
+    def rebuilt(self, main, off):
+        """This store with main on the diagonal and off(entry) elsewhere."""
+        out = off(self.data)
+        np.fill_diagonal(out, main)
         return DenseMatrix(out)
 
     def row_scaled(self, s):
@@ -157,15 +144,6 @@ class BandMatrix:
                       slice(max(0, o), min(n, n + o)))
                      for o, row in self._rows.items() if o]
 
-    def _rebuilt(self, main, off):
-        """A band store with main as its main diagonal and off(data) as the others."""
-        start = 0 if self._main is None else 1
-        return BandMatrix((0,) + self.offsets[start:],
-                          np.vstack([main, off(self.data[start:])]))
-
-    def entry(self, i, j):
-        return float(self.column(j)[i])
-
     def matvec(self, x):
         y = np.zeros(self.n) if self._main is None else self._main * x
         for values, rows, cols in self._off:
@@ -179,7 +157,12 @@ class BandMatrix:
         return y
 
     def to_dense(self):
-        return np.column_stack([self.column(j) for j in range(self.n)])
+        out = np.zeros((self.n, self.n))
+        if self._main is not None:
+            np.fill_diagonal(out, self._main)
+        for values, rows, cols in self._off:
+            np.fill_diagonal(out[rows, cols], values)
+        return out
 
     def transpose(self):
         # A^T[j + o, j] = A[j, j + o]: each row shifts by its offset; what wraps
@@ -194,30 +177,11 @@ class BandMatrix:
         """(offset, values) of each stored diagonal, values[j] = A[j - offset, j]."""
         return list(self._rows.items())
 
-    def column(self, j):
-        col = np.zeros(self.n)
-        for o, row in self._rows.items():
-            if 0 <= j - o < self.n:
-                col[j - o] = row[j]
-        return col
-
-    def scaled(self, c):
-        return BandMatrix(self.offsets, c * self.data)
-
-    def shifted_diag(self, c):
-        return self._rebuilt(self.diagonal() + c, np.positive)
-
-    def absolute(self):
-        return BandMatrix(self.offsets, np.abs(self.data))
-
-    def comparison(self):
-        return self._rebuilt(np.abs(self.diagonal()), lambda d: -np.abs(d))
-
-    def offdiag_abs(self):
-        return self._rebuilt(np.zeros(self.n), np.abs)
-
-    def offdiag_negated(self):
-        return self._rebuilt(np.zeros(self.n), np.negative)
+    def rebuilt(self, main, off):
+        """This store with main on the diagonal and off(entry) elsewhere."""
+        start = 0 if self._main is None else 1
+        return BandMatrix((0,) + self.offsets[start:],
+                          np.vstack([main, off(self.data[start:])]))
 
     def row_scaled(self, s):
         # A[j - o, j] takes s[j - o] = np.roll(s, o)[j]; wrapped entries meet zeros.
@@ -225,7 +189,7 @@ class BandMatrix:
             [np.roll(s, o) for o in self.offsets], (-1, self.n)))
 
     def abs_rowsums(self):
-        return self.absolute().matvec(np.ones(self.n))
+        return BandMatrix(self.offsets, np.abs(self.data)).matvec(np.ones(self.n))
 
     def abs_colsums(self):  # data is column-aligned and zero outside the matrix
         return np.abs(self.data).sum(axis=0)
@@ -293,7 +257,7 @@ def identity_matrix(n):
 
 def is_identity(store):
     """True when every entry matches the identity exactly."""
-    return not store.shifted_diag(-1.0).abs_rowsums().any()
+    return not store.rebuilt(store.diagonal() - 1.0, np.positive).abs_rowsums().any()
 
 
 def entrywise(fn, stores):
@@ -348,8 +312,9 @@ class BlockMatrixSet:
 class BoundLadder:
     """Positive bound vectors d_1..d_{m-1} plus their prefix sums.
 
-    prefix_sums[i] = d_1 + ... + d_i with prefix_sums[0] = 0 (the d_0 = 0
-    convention); these are the breakpoints of the variable transformation.
+    prefix[i] = d_1 + ... + d_i with prefix[0] = 0 (the d_0 = 0 convention),
+    summed in ladder order; these are the breakpoints of the variable
+    transformation.
     """
 
     d: tuple
@@ -368,14 +333,10 @@ class BoundLadder:
     def m(self):
         return len(self.d) + 1
 
-    def prefix_sums(self):
-        """s_0..s_{m-1}; summed in ladder order with no reordering."""
-        return self.prefix[:self.m]
-
 
 def prefix_sums(ladder):
     """Breakpoint vectors s_0 = 0, s_i = s_{i-1} + d_i."""
-    return ladder.prefix_sums()
+    return ladder.prefix
 
 
 @dataclass(frozen=True)

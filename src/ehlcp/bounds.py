@@ -16,20 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
-from .convergence import (EIGVALS_FIRST_ORDER, induced_norm, inverse_norm,
-                          simplex_selections, spectral_radius_nonneg)
+from .convergence import (DENSE_LIMIT, EIGVALS_FIRST_ORDER, induced_norm,
+                          inverse_norm, simplex_selections, spectral_radius_nonneg)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
 from .wproperty import selection_combination, vertex_chunks
 
-DENSE_LIMIT = 4096
-
 
 def comparison_matrix(store):
     """|diagonal| on the diagonal, -|off-diagonal| elsewhere, same layout."""
-    return store.comparison()
+    return store.rebuilt(np.abs(store.diagonal()), lambda d: -np.abs(d))
 
 
 @dataclass
@@ -64,7 +62,7 @@ def split_diagonal(blocks):
         if not np.all(lam > 0):
             raise NonpositiveDiagonal("every block needs a positive diagonal")
         lambdas.append(lam)
-        cs.append(store.offdiag_negated())
+        cs.append(store.rebuilt(np.zeros(store.n), np.negative))
     return SplitParts(lambdas, cs)
 
 
@@ -104,9 +102,9 @@ def bound42(blocks, norm_tag="inf"):
         raise ValueError(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
     split = split_diagonal(blocks)
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
-    x = entrywise(np.maximum.reduce, [s.offdiag_abs().row_scaled(1.0 / lam)
+    x = entrywise(np.maximum.reduce, [s.rebuilt(np.zeros(n), np.abs).row_scaled(1.0 / lam)
                                       for lam, s in zip(split.Lambda, blocks.all())])
-    i_minus_x = x.scaled(-1.0).shifted_diag(1.0)
+    i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
     bracket = None
     try:
         factor = LinearOperatorFactor(i_minus_x)

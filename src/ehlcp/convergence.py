@@ -29,6 +29,7 @@ from .wproperty import selection_combination, vertex_chunks
 
 TWO_NORM_MAX_ORDER = 2000  # check_thm34 reports no 2-norm above this order
 DENSE_EIG_MAX_ORDER = 512
+DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
 # At or below this order the dense eigenvalues come first: on one AMD EPYC
 # core eigvals took about 4 ms at order 120 (11 ms at 160, 35 ms at 256),
 # less than a power iteration of a few hundred steps, and power iteration
@@ -61,7 +62,7 @@ class SpectralRadiusEstimate:
     method: str  # power | dense | zero
 
 
-def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
+def spectral_radius_nonneg(store, max_iter=5000):
     """Spectral radius of a nonnegative matrix store.
 
     At order EIGVALS_FIRST_ORDER or below, takes the eigenvalues of
@@ -86,7 +87,7 @@ def spectral_radius_nonneg(store, tol=1e-10, max_iter=5000):
         ratios = u / v
         lo = float(np.min(ratios))
         up = float(np.max(ratios))
-        if up - lo <= tol * max(1.0, up):
+        if up - lo <= 1e-10 * max(1.0, up):
             value = 0.5 * (lo + up) - shift
             return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
                                           k, True, "power")
@@ -103,24 +104,24 @@ def _dense_radius(store, iterations):
     return SpectralRadiusEstimate(value, value, value, iterations, True, "dense")
 
 
-def two_norm_estimate(matvec, rmatvec, n, tol=1e-12, max_iter=10000, seed=1234):
+def two_norm_estimate(matvec, rmatvec, n):
     """Largest singular value via power iteration on A^T A.
 
     Operator-based, so it also runs on a factorization's solves. Random seeded
     start avoids starts orthogonal to the dominant singular space.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam_prev = None
-    for k in range(1, max_iter + 1):
+    for _ in range(10000):
         u = rmatvec(matvec(v))
         lam = float(v @ u)
         norm_u = np.linalg.norm(u)
         if norm_u == 0.0:
             return 0.0
         v = u / norm_u
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        if lam_prev is not None and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
             return float(np.sqrt(max(lam, 0.0)))
         lam_prev = lam
     return float(np.sqrt(max(lam_prev, 0.0)))
@@ -141,14 +142,17 @@ def induced_norm(store, tag):
 
 
 def inverse_norm(store, tag):
-    """Induced norm of store^{-1}: exact for a dense store, estimated on the band LU.
+    """Induced norm of store^{-1}: exact for a dense store and up to order 512,
+    estimated on the band LU above it.
 
-    Raises SingularM when the store cannot be inverted.
+    The estimate is deterministic: Hager's method (``onenormest`` with t=1)
+    for norms 1 and inf, a seeded power iteration for the 2-norm. Raises
+    SingularM when the store cannot be inverted.
     """
     n = store.n
-    if isinstance(store, DenseMatrix):
+    if isinstance(store, DenseMatrix) or n <= DENSE_EIG_MAX_ORDER:
         try:
-            inv = np.linalg.inv(store.data)
+            inv = np.linalg.inv(store.to_dense())
         except np.linalg.LinAlgError as exc:
             raise SingularM(str(exc)) from exc
         if not np.isfinite(inv).all():
@@ -160,7 +164,7 @@ def inverse_norm(store, tag):
     # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
     solve, rsolve = ((factor.solve, factor.solve_transposed) if tag == "1"
                      else (factor.solve_transposed, factor.solve))
-    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve)))
+    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve), t=1))
 
 
 @dataclass
@@ -171,15 +175,15 @@ class Cor31Result:
     winner: Optional[str]
 
 
-def check_cor31(blocks, norm_tag="inf", dense_limit=4096):
+def check_cor31(blocks, norm_tag="inf"):
     """Both computable convergence conditions for the general fixed-point method.
 
     Checks the spectral radius of sum_i |I - M^{-1} H_i| and the norm sum
     sum_i ||I - M^{-1} H_i||; either below one suffices.
     """
     n = blocks.n
-    if n > dense_limit:
-        raise ValueError(f"check requires dense work, n <= {dense_limit}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"check requires dense work, n <= {DENSE_LIMIT}")
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
     abs_sum = np.zeros((n, n))
@@ -216,8 +220,9 @@ def check_thm34(H1, omega):
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
-    a = H1.scaled(1.0 / omega).shifted_diag(-1.0)
-    est = spectral_radius_nonneg(a.absolute())
+    c = 1.0 / omega
+    a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
+    est = spectral_radius_nonneg(a.rebuilt(np.abs(a.diagonal()), np.abs))
     norms = {}
     for tag in ("1", "inf"):
         norms[tag] = _report("Eq314Norm", induced_norm(a, tag))

@@ -29,8 +29,7 @@ class OracleResult:
     singular_regions: int
 
 
-def oracle_solve(problem, budget=2 ** 20, region_tol=REGION_TOL,
-                 dedup_tol=DEDUP_TOL):
+def oracle_solve(problem, budget=2 ** 20):
     """All piecewise-linear-system solutions found by region enumeration.
 
     Region membership uses closed intervals with slack on both sides, so
@@ -45,14 +44,14 @@ def oracle_solve(problem, budget=2 ** 20, region_tol=REGION_TOL,
     # system gains the constant column const[c, j] (zero for c = 0):
     # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
     cols = np.stack([s.to_dense().T for s in problem.blocks.all()])
-    s_breaks = np.array(problem.ladder.prefix_sums())
+    s_breaks = np.array(problem.ladder.prefix)
     d_cols = np.reshape(problem.ladder.d, (m - 1, n, 1)) * cols[1:m]
     below = np.cumsum(np.concatenate([np.zeros((1, n, n)), d_cols]), axis=0)
     const = np.concatenate([np.zeros((1, n, n)), below - s_breaks[:, :, None] * cols[1:]])
     # Region c admits y_j in [lower[c, j], upper[c, j]] (closed, with slack;
-    # s_0 = 0, so region 0 is y_j <= region_tol).
-    lower = np.vstack([np.full(n, -np.inf), s_breaks - region_tol])
-    upper = np.vstack([s_breaks + region_tol, np.full(n, np.inf)])
+    # s_0 = 0, so region 0 is y_j <= REGION_TOL).
+    lower = np.vstack([np.full(n, -np.inf), s_breaks - REGION_TOL])
+    upper = np.vstack([s_breaks + REGION_TOL, np.full(n, np.inf)])
     ys = []
     singular = 0
     coords = np.arange(n)
@@ -64,7 +63,7 @@ def oracle_solve(problem, budget=2 ** 20, region_tol=REGION_TOL,
         y = np.linalg.solve(stack[regular], -g[..., None])[..., 0]
         inside = ((lower[digits, coords] <= y) & (y <= upper[digits, coords])).all(axis=1)
         for yk in y[inside]:
-            if not any(np.max(np.abs(yk - prev)) <= dedup_tol for prev in ys):
+            if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):
                 ys.append(yk)
     solutions = [(y, recover_solution(y, problem.ladder)) for y in ys]
     return OracleResult(solutions, total, singular)

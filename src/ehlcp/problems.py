@@ -37,10 +37,10 @@ def alternating(n, first, second):
     return v
 
 
-def prescribe_q(blocks, ladder, solution, tol=FEASIBILITY_TOL):
+def prescribe_q(blocks, ladder, solution):
     """q making the given tuple an exact solution: q = M w - sum_i H_i x_i."""
     viol = feasibility_violations(solution, ladder)
-    bad = {k: v for k, v in viol.items() if v > tol}
+    bad = {k: v for k, v in viol.items() if v > FEASIBILITY_TOL}
     if bad:
         raise InfeasibleTuple(f"prescribed tuple violates feasibility: {bad}")
     q = blocks.M.matvec(solution.w)
@@ -97,11 +97,11 @@ def gen_example52(n):
     return _box_family(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0))
 
 
-def gen_example53(alpha, q=None):
+def gen_example53(alpha):
     """Two-by-two lower-triangular pair where the upper error bound is tight.
 
-    For alpha = 1 with the default q = (1, 0) the prescribed solution is
-    attached; the bound constant is 1 + alpha^2 in the inf-norm for any alpha.
+    q = (1, 0). For alpha = 1 the prescribed solution is attached; the bound
+    constant is 1 + alpha^2 in the inf-norm for any alpha.
     """
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
@@ -109,11 +109,9 @@ def gen_example53(alpha, q=None):
     h_mat = DenseMatrix(np.array([[1.0, 0.0], [alpha * alpha, 1.0]]))
     blocks = BlockMatrixSet(m_mat, (h_mat,))
     ladder = BoundLadder((), 2)
-    if q is None:
-        q = np.array([1.0, 0.0])
-    problem = EhlcpProblem(blocks, np.asarray(q, dtype=float), ladder)
+    problem = EhlcpProblem(blocks, np.array([1.0, 0.0]), ladder)
     prescribed = None
-    if alpha == 1 and np.array_equal(problem.q, [1.0, 0.0]):
+    if alpha == 1:
         sol = EhlcpSolution(np.array([1.0, 0.0]), (np.array([0.0, 1.0]),))
         prescribed = Prescribed(sol, np.array([-1.0, 1.0]))
     return GeneratedProblem(problem, prescribed)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -18,29 +17,25 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .blockdata import DenseMatrix, EhlcpSolution
 from .errors import InvalidParams, SingularM
-from .transform import NORM_ORD, recover_solution, residual_of_tuple
+from .transform import recover_solution, residual_of_tuple
 
 DIVERGENCE_LIMIT = 1e12
 
 
-def _vec_norm(v, tag):
-    return float(np.linalg.norm(v, NORM_ORD[tag]))
+def _inf_norm(v):
+    return float(np.linalg.norm(v, np.inf))
 
 
 @dataclass(frozen=True)
 class IterationConfig:
     tol: float = 1e-6
     max_iter: int = 10000
-    norm_tag: str = "inf"
-    record_history: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
             raise InvalidParams("tol must be positive")
         if self.max_iter < 1:
             raise InvalidParams("max_iter must be >= 1")
-        if self.norm_tag not in NORM_ORD:
-            raise InvalidParams(f"unknown norm tag {self.norm_tag!r}")
 
 
 @dataclass
@@ -50,7 +45,7 @@ class SolveReport:
     y_final: np.ndarray
     solution: object
     residual_norm: float
-    step_norms: Optional[list] = None
+    step_norms: list
 
     def to_json(self):
         return {
@@ -132,15 +127,15 @@ class LinearOperatorFactor:
         return self._impl.solve(rhs, transposed=True)
 
 
-def _finish(problem_blocks, q, ladder_sol, y, status, iterations, steps, cfg):
+def _finish(problem_blocks, q, ladder_sol, y, status, iterations, steps):
     residual = residual_of_tuple(problem_blocks, q, ladder_sol)
     return SolveReport(
         status=status,
         iterations=iterations,
         y_final=y,
         solution=ladder_sol,
-        residual_norm=_vec_norm(residual, cfg.norm_tag),
-        step_norms=steps if cfg.record_history else None,
+        residual_norm=_inf_norm(residual),
+        step_norms=steps,
     )
 
 
@@ -155,7 +150,7 @@ def _iterate(update, y0, cfg):
     steps = []
     for k in range(1, cfg.max_iter + 1):
         y_new = update(y)
-        step = _vec_norm(y_new - y, cfg.norm_tag)
+        step = _inf_norm(y_new - y)
         steps.append(step)
         y = y_new
         if step < cfg.tol:
@@ -185,7 +180,7 @@ def method31(problem, y0=None, cfg=None):
 
     y, status, iterations, steps = _iterate(update, y0, cfg)
     final = recover_solution(y, problem.ladder)
-    return _finish(problem.blocks, problem.q, final, y, status, iterations, steps, cfg)
+    return _finish(problem.blocks, problem.q, final, y, status, iterations, steps)
 
 
 def method32(problem, omega, y0=None, cfg=None):
@@ -213,7 +208,7 @@ def method32(problem, omega, y0=None, cfg=None):
     x2 = omega * np.maximum(0.0, y - b)
     general = problem.as_general()
     sol = EhlcpSolution(w, (x1, x2))
-    return _finish(general.blocks, q, sol, y, status, iterations, steps, cfg)
+    return _finish(general.blocks, q, sol, y, status, iterations, steps)
 
 
 # The level kernel costs a fixed number of numpy calls per level, so it pays
@@ -445,4 +440,4 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
     general = problem.as_general()
     sol = EhlcpSolution(w, (x, x2))
     y = x + x2 - w
-    return _finish(general.blocks, q, sol, y, status, iterations, steps, cfg)
+    return _finish(general.blocks, q, sol, y, status, iterations, steps)

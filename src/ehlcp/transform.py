@@ -56,7 +56,7 @@ class ResidualReport:
 def recover_solution(y, ladder):
     """Tuple (w, x_1..x_m) encoded by y; total and exact for any finite y."""
     y = np.asarray(y, dtype=float)
-    s = ladder.prefix_sums()
+    s = ladder.prefix
     m = ladder.m
     w = np.maximum(0.0, -y)
     xs = []
@@ -85,12 +85,12 @@ def feasibility_violations(sol, ladder):
     return viol
 
 
-def reconstruct_y(sol, ladder, tol=FEASIBILITY_TOL):
+def reconstruct_y(sol, ladder):
     """Invert the transformation on a feasible tuple via y = sum_i x_i - w."""
     viol = feasibility_violations(sol, ladder)
-    bad = {k: v for k, v in viol.items() if v > tol}
+    bad = {k: v for k, v in viol.items() if v > FEASIBILITY_TOL}
     if bad:
-        raise InfeasibleTuple(f"tuple violates feasibility beyond {tol}: {bad}")
+        raise InfeasibleTuple(f"tuple violates feasibility beyond {FEASIBILITY_TOL}: {bad}")
     y = -sol.w.copy()
     for x in sol.x:
         y += x
@@ -152,7 +152,7 @@ def selection_matrices(y, yref, ladder):
     """
     y = np.asarray(y, dtype=float)
     yref = np.asarray(yref, dtype=float)
-    s = ladder.prefix_sums()
+    s = ladder.prefix
     m = ladder.m
     nus = [_piece_slope(y, yref, s[i - 1]) for i in range(1, m + 1)]
     lambdas = np.empty((m + 1, y.shape[0]))

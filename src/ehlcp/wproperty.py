@@ -70,12 +70,8 @@ def vertex_chunks(blocks, start=0, stop=None):
 
 def representative(blocks, assign):
     """Column representative: column j taken from block assign[j] (0 means M)."""
-    stores = blocks.all()
-    n = blocks.n
-    cols = np.empty((n, n))
-    for j, c in enumerate(assign):
-        cols[:, j] = stores[c].column(j)
-    return DenseMatrix(cols)
+    dense = [s.to_dense() for s in blocks.all()]
+    return DenseMatrix(np.column_stack([dense[c][:, j] for j, c in enumerate(assign)]))
 
 
 @dataclass

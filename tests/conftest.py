@@ -1,6 +1,13 @@
 """Shared builders for randomized test instances and exact references."""
 
+import os
 from fractions import Fraction
+
+# One BLAS thread, as bench/run.py sets, before numpy loads: under OpenBLAS's
+# own threads the banded LU of Ex 5.1 (n = 10,000) can take seconds instead of
+# milliseconds on a loaded machine.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
-                   BoundLadder, DenseMatrix, EhlcpProblem, TridiagonalMatrix,
-                   identity_matrix, prefix_sums, problem_from_json,
-                   problem_to_json, validate)
+                   BoundLadder, DenseMatrix, EhlcpProblem, SingularM,
+                   TridiagonalMatrix, identity_matrix, prefix_sums,
+                   problem_from_json, problem_to_json, validate)
 from ehlcp.blockdata import is_identity
+from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
 
 
 def example_stores(rng):
@@ -23,15 +26,6 @@ def example_stores(rng):
     return [tri, blk, band, dense]
 
 
-def test_element_access_agrees_with_dense(rng):
-    for store in example_stores(rng):
-        dense = store.to_dense()
-        n = store.n
-        for i in range(n):
-            for j in range(n):
-                assert store.entry(i, j) == dense[i, j]
-
-
 def test_matvec_and_rmatvec_match_dense(rng):
     for store in example_stores(rng):
         x = rng.standard_normal(store.n)
@@ -44,32 +38,71 @@ def test_matvec_and_rmatvec_match_dense(rng):
 def test_entrywise_transforms_match_dense(rng):
     for store in example_stores(rng):
         dense = store.to_dense()
-        assert np.allclose(store.absolute().to_dense(), np.abs(dense))
-        comp = store.comparison().to_dense()
-        expected = -np.abs(dense)
-        expected[np.diag_indices_from(expected)] = np.abs(np.diag(dense))
-        assert np.allclose(comp, expected)
-        off = store.offdiag_abs().to_dense()
-        expected = np.abs(dense)
-        np.fill_diagonal(expected, 0.0)
-        assert np.allclose(off, expected)
-        # A = Lambda - C with C = offdiag_negated and Lambda the diagonal part
-        neg = store.offdiag_negated().to_dense()
-        assert np.allclose(np.diag(store.diagonal()) - neg, dense)
+        diag = np.diag(store.diagonal())
+        # the comparison matrix <A>: |diagonal| and -|off-diagonal|
+        comp = store.rebuilt(np.abs(store.diagonal()), lambda d: -np.abs(d)).to_dense()
+        assert np.array_equal(comp, np.abs(diag) - np.abs(dense - diag))
+        # A = Lambda - C with C the negated off-diagonal part
+        neg = store.rebuilt(np.zeros(store.n), np.negative).to_dense()
+        assert np.array_equal(diag - neg, dense)
+        # I - 1.5 A and |A|
+        shifted = store.rebuilt(1.0 - 1.5 * store.diagonal(), lambda d: -1.5 * d)
+        assert np.array_equal(shifted.to_dense(), np.eye(store.n) - 1.5 * dense)
+        absolute = store.rebuilt(np.abs(store.diagonal()), np.abs)
+        assert np.array_equal(absolute.to_dense(), np.abs(dense))
         assert np.allclose(store.abs_rowsums(), np.abs(dense).sum(axis=1))
         assert np.allclose(store.abs_colsums(), np.abs(dense).sum(axis=0))
-        assert np.allclose(store.scaled(1.5).to_dense(), 1.5 * dense)
-        assert np.allclose(store.shifted_diag(2.0).to_dense(),
-                           dense + 2.0 * np.eye(store.n))
         s = rng.uniform(0.5, 2.0, store.n)
         assert np.allclose(store.row_scaled(s).to_dense(), dense * s[:, None])
 
 
-def test_columns_match_dense(rng):
-    for store in example_stores(rng):
-        dense = store.to_dense()
-        for j in range(store.n):
-            assert np.array_equal(store.column(j), dense[:, j])
+@st.composite
+def store_with_reference(draw):
+    """(store, dense reference) for a drawn band or dense store.
+
+    Band stores take random offsets in -8..8, with or without a main
+    diagonal; both kinds may carry exact zeros and all-zero rows. The
+    reference is filled entry by entry from the constructor's input.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zero_rows = draw(st.lists(st.integers(0, n - 1), max_size=2))
+    if draw(st.booleans()):
+        ref = rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.7)
+        ref[zero_rows] = 0.0
+        return DenseMatrix(ref), ref.copy()
+    offsets = draw(st.lists(st.integers(-8, 8), unique=True, max_size=6))
+    data = rng.uniform(-2.0, 2.0, (len(offsets), n)) * (rng.random((len(offsets), n)) < 0.8)
+    ref = np.zeros((n, n))
+    for o, row in zip(offsets, data):
+        for j in range(n):
+            if j - o in zero_rows:
+                row[j] = 0.0
+            elif 0 <= j - o < n:
+                ref[j - o, j] = row[j]
+    return BandMatrix(offsets, data), ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(store_with_reference(), st.floats(-4.0, 4.0), st.integers(0, 2 ** 32 - 1))
+def test_rebuilt_and_to_dense_match_dense_arithmetic(drawn, c, seed):
+    store, ref = drawn
+    assert np.array_equal(store.to_dense(), ref)
+    main = np.random.default_rng(seed).uniform(-2.0, 2.0, store.n)
+    for off in (np.abs, np.negative, lambda d: -np.abs(d), lambda d: c * d):
+        want = off(ref)
+        np.fill_diagonal(want, main)
+        assert np.array_equal(store.rebuilt(main, off).to_dense(), want)
+    # below DENSE_EIG_MAX_ORDER every store takes the dense store's exact path
+    assert store.n <= DENSE_EIG_MAX_ORDER
+    for tag in ("1", "2", "inf"):
+        try:
+            want = inverse_norm(DenseMatrix(ref), tag)
+        except SingularM:
+            with pytest.raises(SingularM):
+                inverse_norm(store, tag)
+        else:
+            assert inverse_norm(store, tag) == want
 
 
 def test_band_roundtrip_and_ops(rng):

@@ -14,7 +14,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    sdd_classify, split_diagonal, underalpha_exact)
 from ehlcp import bounds
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
-from ehlcp.convergence import simplex_selections
+from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
 from ehlcp.errors import BudgetExceeded
 from ehlcp.wproperty import assignments, representative, selection_combination
 
@@ -319,9 +319,9 @@ def test_overalpha_dominated_by_bounds():
         assert est_1.value <= b43.constant + 1e-10
 
 
-def test_overalpha_dense_exact_band_estimated():
-    # a dense store takes the exact inverse norm of every selection
-    # combination; a band store estimates it on its banded LU
+def test_overalpha_band_equals_dense_below_the_cut():
+    # up to DENSE_EIG_MAX_ORDER a band store takes the dense store's exact
+    # inverse norm of every selection combination
     blocks = gen_example52(12).problem.as_general().blocks
     dense = BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
                            tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
@@ -329,10 +329,23 @@ def test_overalpha_dense_exact_band_estimated():
     for tag, order in (("1", 1), ("2", 2), ("inf", np.inf)):
         exact = max(np.linalg.norm(np.linalg.inv(
             selection_combination(dense, lam).to_dense()), order) for lam in lams)
-        est = overalpha_estimate(dense, tag, samples=6, seed=3, vertex_budget=0)
-        assert est.value == exact
-        est = overalpha_estimate(blocks, tag, samples=6, seed=3, vertex_budget=0)
-        assert est.value == pytest.approx(exact, rel=1e-6)
+        for b in (dense, blocks):
+            est = overalpha_estimate(b, tag, samples=6, seed=3, vertex_budget=0)
+            assert est.value == exact
+
+
+def test_overalpha_repeats_above_the_cut():
+    # above the cut the band estimate draws nothing from numpy's global state
+    blocks = gen_example52(DENSE_EIG_MAX_ORDER + 1).problem.as_general().blocks
+    values, saved = set(), np.random.get_state()
+    try:
+        for state in range(4):
+            np.random.seed(state)
+            values.add(overalpha_estimate(blocks, "inf", samples=3, seed=3,
+                                          vertex_budget=0).value)
+    finally:
+        np.random.set_state(saved)
+    assert len(values) == 1
 
 
 def test_overalpha_two_norm_on_band_blocks_above_order_2000():

@@ -109,7 +109,7 @@ def test_check_thm34_tridiagonal_closed_form():
 def test_check_thm34_scale_coherence():
     for c in (0.1, 3.0, 40.0):
         base = check_thm34(DENSE_P_MATRIX, 5.0)
-        scaled = check_thm34(DENSE_P_MATRIX.scaled(c), 5.0 * c)
+        scaled = check_thm34(DenseMatrix(c * DENSE_P_MATRIX.data), 5.0 * c)
         assert scaled.rho.value == pytest.approx(base.rho.value, abs=1e-10)
         for tag in ("1", "2", "inf"):
             assert scaled.norms[tag].value == pytest.approx(

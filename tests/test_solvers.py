@@ -272,9 +272,7 @@ def test_solvers_leave_data_unchanged():
 
 def test_step_history_recorded():
     gen = gen_example52(20)
-    rep = method32(gen.problem, 4.0, cfg=IterationConfig(record_history=True))
-    assert rep.step_norms is not None
+    rep = method32(gen.problem, 4.0)
     assert len(rep.step_norms) == rep.iterations
     assert rep.step_norms[-1] < 1e-6
-    rep = method32(gen.problem, 4.0)
-    assert rep.step_norms is None
+    assert rep.to_json()["stepNorms"] == rep.step_norms

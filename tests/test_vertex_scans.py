@@ -68,7 +68,7 @@ def ref_w_property(blocks):
 def ref_oracle(problem, tol=1e-9, dedup=1e-8):
     m = problem.m
     cols = [s.to_dense() for s in problem.blocks.all()]
-    s_breaks, d = problem.ladder.prefix_sums(), problem.ladder.d
+    s_breaks, d = problem.ladder.prefix, problem.ladder.d
     ys, singular = [], 0
     for assign, mat in reps(problem.blocks):
         g = np.array(problem.q, copy=True)
