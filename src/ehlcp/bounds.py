@@ -2,10 +2,11 @@
 
 For any y, ||r(y)|| / alpha_low <= ||y - y*|| <= alpha_up ||r(y)||, where the
 two alphas extremize the norm (resp. inverse norm) of diagonal selection
-combinations of the blocks. alpha_low is exact by vertex enumeration (the
-norm is convex over the selection simplex); alpha_up has no general algorithm
-and is replaced by the computable diagonal-dominance constants plus a
-non-certifying sampled lower estimate for tightness diagnostics.
+combinations of the blocks. alpha_low is exact at the vertices (the norm is
+convex over the selection simplex): in closed form from the blocks for norms
+1 and inf, by vertex enumeration for the 2-norm. alpha_up has no general
+algorithm and is replaced by the computable diagonal-dominance constants plus
+a non-certifying sampled lower estimate for tightness diagnostics.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from typing import Optional
 import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
-from .convergence import (DENSE_LIMIT, EIGVALS_FIRST_ORDER, induced_norm,
-                          inverse_norm, simplex_selections, spectral_radius_nonneg)
+from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
+                          induced_norm, inverse_norm, simplex_selections,
+                          spectral_radius_nonneg)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
-from .wproperty import selection_combination, vertex_chunks
+from .wproperty import selection_chunks, selection_combination, vertex_chunks
 
 
 def comparison_matrix(store):
@@ -198,6 +200,11 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     Exact when all (m+1)^n vertices fit the budget: the norm is convex in the
     selection weights over a product of simplices, so the max sits at a
     vertex, and vertex combinations are exactly the column representatives.
+    Each column of a representative comes from its own block, so for norms 1
+    and inf the vertex maximum has a closed form: the largest column abs-sum
+    of any block (1), and the largest row sum of the entrywise max over blocks
+    of |A_k| (inf). Floating-point addition is monotone, so both equal the
+    enumerated maximum bit for bit. The 2-norm enumerates every vertex.
     Otherwise a sampled lower estimate (flagged) when samples > 0.
     """
     if norm_tag not in NORM_ORD:
@@ -205,10 +212,14 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     n, m = blocks.n, blocks.m
     total = (m + 1) ** n
     if total <= budget:
-        worst = 0.0
-        for _, stack in vertex_chunks(blocks):
-            worst = max(worst, float(np.linalg.norm(stack, NORM_ORD[norm_tag],
-                                                    axis=(1, 2)).max()))
+        if norm_tag == "2":
+            worst = 0.0
+            for _, stack in vertex_chunks(blocks):
+                worst = max(worst, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+        else:
+            mags = np.abs(np.stack([s.to_dense() for s in blocks.all()]))
+            worst = float(mags.sum(axis=1).max() if norm_tag == "1"
+                          else mags.max(axis=0).sum(axis=1).max())
         return AlphaEstimate(worst, norm_tag, True, total)
     if samples > 0:
         worst = 0.0
@@ -220,13 +231,34 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
                          "pass samples > 0 for a sampled estimate")
 
 
+def _stack_inverses(stack):
+    """(inverses, index of the first singular or overflowing matrix or None).
+
+    One LU per matrix: the whole stack is inverted at once, and only when a
+    zero pivot makes that raise does ``slogdet`` pick out the singular
+    matrices (sign 0, from the same LU), whose inverses stay NaN.
+    """
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        inv = np.full(stack.shape, np.nan)
+        regular = np.linalg.slogdet(stack)[0] != 0
+        inv[regular] = np.linalg.inv(stack[regular])
+    bad = ~np.isfinite(inv).all(axis=(1, 2))
+    return inv, (int(np.argmax(bad)) if bad.any() else None)
+
+
 def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
                        vertex_budget=4096):
     """Max inverse norm over sampled plus vertex selections.
 
     Always a lower estimate of the true supremum and never certifying; used
     for tightness diagnostics against the computable upper bounds. A singular
-    selection is raised as a witness against the column W-property.
+    selection is raised as a witness against the column W-property: the first
+    one in counter order among the vertices, then in draw order among the
+    samples. Vertices, and samples at order DENSE_EIG_MAX_ORDER or below, are
+    inverted a chunk at a time; above that order each sample takes
+    ``inverse_norm``.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
@@ -239,26 +271,30 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
             "singular selection combination (column W-property violated)",
             selection=DiagonalSelection(np.asarray(lam, dtype=float)))
 
+    def one_hot(digits):
+        lam = np.zeros((m + 1, n))
+        lam[digits, np.arange(n)] = 1.0
+        return lam
+
+    scans = []  # (chunks, the selection of a chunk key)
     if (m + 1) ** n <= vertex_budget:
-        for digits, stack in vertex_chunks(blocks):
-            # A singular vertex (slogdet sign 0) keeps a NaN inverse, so the
-            # first non-finite inverse in counter order is the witness.
-            inv = np.full(stack.shape, np.nan)
-            regular = np.linalg.slogdet(stack)[0] != 0
-            inv[regular] = np.linalg.inv(stack[regular])
-            bad = ~np.isfinite(inv).all(axis=(1, 2))
-            if bad.any():
-                lam = np.zeros((m + 1, n))
-                lam[digits[np.argmax(bad)], np.arange(n)] = 1.0
-                raise singular(lam)
+        scans.append((vertex_chunks(blocks), one_hot))
+    if n <= DENSE_EIG_MAX_ORDER:
+        scans.append((selection_chunks(blocks, samples, seed), lambda lam: lam))
+    for chunks, selection in scans:
+        for keys, stack in chunks:
+            inv, bad = _stack_inverses(stack)
+            if bad is not None:
+                raise singular(selection(keys[bad]))
             worst = max(worst, float(np.linalg.norm(inv, NORM_ORD[norm_tag],
                                                     axis=(1, 2)).max()))
             count += len(stack)
-    for lam in simplex_selections(m, n, samples, seed):
-        try:
-            worst = max(worst, inverse_norm(selection_combination(blocks, lam),
-                                            norm_tag))
-        except SingularM as exc:
-            raise singular(lam) from exc
-        count += 1
+    if n > DENSE_EIG_MAX_ORDER:
+        for lam in simplex_selections(m, n, samples, seed):
+            try:
+                worst = max(worst, inverse_norm(selection_combination(blocks, lam),
+                                                norm_tag))
+            except SingularM as exc:
+                raise singular(lam) from exc
+            count += 1
     return AlphaEstimate(worst, norm_tag, False, count)

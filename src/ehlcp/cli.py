@@ -111,7 +111,10 @@ def _resolve_omega(args, e2):
     if args.omega is None or args.omega == "auto":
         suggestion = suggest_omega(e2.H1)
         return suggestion.value
-    return float(args.omega)
+    try:
+        return float(args.omega)
+    except ValueError:
+        _fail(EXIT_VALIDATION, f"--omega must be a positive real or 'auto', not {args.omega!r}")
 
 
 def cmd_solve(args):
@@ -143,22 +146,36 @@ def cmd_solve(args):
 
 
 def _parse_pattern(text, n):
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 2:
-        _fail(EXIT_VALIDATION, "pattern must be two comma-separated reals")
-    return alternating(n, parts[0], parts[1])
+    try:
+        first, second = (float(p) for p in text.split(","))
+    except ValueError:  # not two parts, or a part that is not a real
+        _fail(EXIT_VALIDATION, f"pattern must be two comma-separated reals, not {text!r}")
+    return alternating(n, first, second)
+
+
+def _read_probe(path, n):
+    try:
+        with open(path) as fh:
+            v = np.asarray(json.load(fh), dtype=float)
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot read probe file: {exc}")
+    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        _fail(EXIT_VALIDATION, f"cannot parse probe file: {exc}")
+    if v.shape != (n,):
+        _fail(EXIT_VALIDATION, f"probe shape {v.shape} != ({n},)")
+    return v
 
 
 def _probe_vector(args, n):
     if args.probe_file:
-        with open(args.probe_file) as fh:
-            v = np.asarray(json.load(fh), dtype=float)
-        if v.shape != (n,):
-            _fail(EXIT_VALIDATION, f"probe length {v.shape[0]} != n = {n}")
-        return v
-    if args.probe_pattern:
-        return _parse_pattern(args.probe_pattern, n)
-    _fail(EXIT_VALIDATION, "need --probe-pattern or --probe-file")
+        v = _read_probe(args.probe_file, n)
+    elif args.probe_pattern:
+        v = _parse_pattern(args.probe_pattern, n)
+    else:
+        _fail(EXIT_VALIDATION, "need --probe-pattern or --probe-file")
+    if not np.isfinite(v).all():
+        _fail(EXIT_VALIDATION, "probe vector has a non-finite entry")
+    return v
 
 
 def _y_star(args, problem, prescribed):

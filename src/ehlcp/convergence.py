@@ -15,6 +15,7 @@ already returns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +26,7 @@ from .blockdata import DenseMatrix, entrywise
 from .errors import NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
-from .wproperty import selection_combination, vertex_chunks
+from .wproperty import selection_chunks, vertex_chunks
 
 TWO_NORM_MAX_ORDER = 2000  # check_thm34 reports no 2-norm above this order
 DENSE_EIG_MAX_ORDER = 512
@@ -246,29 +247,24 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
 
     The exact condition quantifies over the whole selection set, which has no
     general algorithm; this samples it (plus all vertices when cheap) and is
-    explicitly non-certifying.
+    explicitly non-certifying. Vertices and samples go through M's one
+    factorization a chunk at a time.
     """
     n, m = blocks.n, blocks.m
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
-
-    def rho_of(lam):
-        l_mat = eye - factor.solve(selection_combination(blocks, lam).to_dense())
-        return float(np.max(np.abs(np.linalg.eigvals(l_mat))))
-
+    chunks = selection_chunks(blocks, trials, seed)
+    if (m + 1) ** n <= vertex_budget:
+        chunks = itertools.chain(vertex_chunks(blocks), chunks)
     worst = 0.0
     count = 0
-    if (m + 1) ** n <= vertex_budget:
-        for _, stack in vertex_chunks(blocks):
-            # One multi-RHS solve M X = [S_1 ... S_k] for the whole chunk.
-            k = len(stack)
-            sol = factor.solve(stack.transpose(1, 0, 2).reshape(n, k * n))
-            l_mats = eye - sol.reshape(n, k, n).transpose(1, 0, 2)
-            worst = max(worst, float(np.abs(np.linalg.eigvals(l_mats)).max()))
-            count += k
-    for lam in simplex_selections(m, n, trials, seed):
-        worst = max(worst, rho_of(lam))
-        count += 1
+    for _, stack in chunks:
+        # One multi-RHS solve M X = [S_1 ... S_k] for the whole chunk.
+        k = len(stack)
+        sol = factor.solve(stack.transpose(1, 0, 2).reshape(n, k * n))
+        l_mats = eye - sol.reshape(n, k, n).transpose(1, 0, 2)
+        worst = max(worst, float(np.abs(np.linalg.eigvals(l_mats)).max()))
+        count += k
     return _report("Eq35Sampled", worst, samples=count, certifying=False)
 
 

@@ -56,11 +56,16 @@ def oracle_solve(problem, budget=2 ** 20):
     singular = 0
     coords = np.arange(n)
     for digits, stack in vertex_chunks(problem.blocks):
-        regular = np.linalg.slogdet(stack)[0] != 0
-        singular += int(np.count_nonzero(~regular))
-        digits = digits[regular]
         g = problem.q + const[digits, coords].sum(axis=1)
-        y = np.linalg.solve(stack[regular], -g[..., None])[..., 0]
+        try:
+            y = np.linalg.solve(stack, -g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # A zero pivot somewhere in the chunk: slogdet's sign (same LU)
+            # picks out the singular regions, and the rest are solved again.
+            regular = np.linalg.slogdet(stack)[0] != 0
+            singular += int(np.count_nonzero(~regular))
+            digits, g = digits[regular], g[regular]
+            y = np.linalg.solve(stack[regular], -g[..., None])[..., 0]
         inside = ((lower[digits, coords] <= y) & (y <= upper[digits, coords])).all(axis=1)
         for yk in y[inside]:
             if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):

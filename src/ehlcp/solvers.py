@@ -186,15 +186,15 @@ def method31(problem, y0=None, cfg=None):
 def method32(problem, omega, y0=None, cfg=None):
     """Scaled fixed-point iteration for the m = 2, M = H_2 = I form.
 
-    omega is a positive scalar or a positive diagonal (vector). Recovery is
+    omega is a finite positive scalar or diagonal (vector). Recovery is
     scaled: w = Omega max{0,-y}, x1 = clip(y, 0, b), x2 = Omega max{0, y - b}.
     """
     cfg = cfg or IterationConfig()
     omega = np.asarray(omega, dtype=float)
     if omega.ndim == 0:
         omega = np.full(problem.n, float(omega))
-    if omega.shape != (problem.n,) or not np.all(omega > 0):
-        raise InvalidParams("omega must be a positive scalar or positive vector")
+    if omega.shape != (problem.n,) or not np.all((omega > 0) & np.isfinite(omega)):
+        raise InvalidParams("omega must be a finite positive scalar or vector")
     H1, q, b = problem.H1, problem.q, problem.b
     y0 = np.zeros(problem.n) if y0 is None else np.asarray(y0, dtype=float).copy()
 

@@ -6,11 +6,13 @@ desk scale behind a budget; beyond it, randomized selection probing can only
 falsify (a singular nonnegative-diagonal combination is a witness against the
 property; absence of a witness proves nothing). Every exhaustive scan in the
 package walks the representatives through ``vertex_chunks``, one stack of
-matrices at a time.
+matrices at a time, and the sampled scans walk their seeded selections through
+``selection_chunks`` the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,6 +28,11 @@ COND_WITNESS_LIMIT = 1e14
 CHUNK_BYTES = 2 ** 20  # cap on the representatives of one chunk, in bytes
 
 
+def _chunk_len(n):
+    """Matrices of order n per chunk: as many as fit CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // max(8 * n * n, 1))
+
+
 def _counter_chunks(n, m, start, stop):
     """(k, n) mixed-radix digit arrays of the counters [start, stop), in order.
 
@@ -36,7 +43,7 @@ def _counter_chunks(n, m, start, stop):
     base = m + 1
     total = base ** n
     stop = total if stop is None else min(stop, total)
-    step = max(1, CHUNK_BYTES // max(8 * n * n, 1))
+    step = _chunk_len(n)
     for lo in range(start, stop, step):
         val = np.arange(lo, min(lo + step, stop), dtype=np.int64)
         digits = np.empty((val.size, n), dtype=np.intp)
@@ -60,12 +67,36 @@ def vertex_chunks(blocks, start=0, stop=None):
 
     digits is a (k, n) block of assignments in the order of ``assignments``
     and stack[i] the (n, n) representative of digits[i]: column j taken from
-    block digits[i, j], gathered from one (m+1, n, n) table of the blocks.
+    block digits[i, j]. Columns are gathered as contiguous rows of the
+    transposed blocks, so each stack[i] is a Fortran-ordered view: a sum
+    along its axes may round differently from the same sum on a C-ordered
+    copy.
     """
-    table = np.stack([s.to_dense() for s in blocks.all()])
+    cols = np.stack([s.to_dense().T for s in blocks.all()])  # cols[c, j]: column j of block c
     idx = np.arange(blocks.n)
     for digits in _counter_chunks(blocks.n, blocks.m, start, stop):
-        yield digits, table[digits[:, None, :], idx[:, None], idx]
+        yield digits, cols[digits, idx].transpose(0, 2, 1)
+
+
+def selection_chunks(blocks, trials, seed):
+    """(lams, stack) chunks of the seeded simplex selections, in draw order.
+
+    lams is a (k, m+1, n) block of the draws of ``simplex_selections(m, n,
+    trials, seed)`` and stack[i] the dense combination of lams[i], summed block
+    by block like ``selection_combination``, so that it equals
+    ``selection_combination(blocks, lams[i]).to_dense()`` bit for bit. A chunk
+    holds at most CHUNK_BYTES of matrices (at least one), and no dense table
+    of the blocks is kept between chunks.
+    """
+    # local import avoids a cycle
+    from .convergence import simplex_selections
+
+    draws = simplex_selections(blocks.m, blocks.n, trials, seed)
+    step = _chunk_len(blocks.n)
+    for _ in range(0, trials, step):
+        lams = np.stack(list(itertools.islice(draws, step)))
+        yield lams, sum(s.to_dense() * lams[:, k, None, :]
+                        for k, s in enumerate(blocks.all()))
 
 
 def representative(blocks, assign):
@@ -92,11 +123,15 @@ def has_column_w_property(blocks, budget=2 ** 20):
     sign_min, sign_max = 2, -2
     first_sign = None
     checked = 0
+    # [c, j]: 2-norm of column j of block c, summed down the rows as on a
+    # C-ordered representative
+    col_norms = np.linalg.norm(np.stack([s.to_dense() for s in blocks.all()]), axis=1)
+    idx = np.arange(n)
     for digits, stack in vertex_chunks(blocks):
         # |det| below 1e-10 * (max column 2-norm)^n counts as zero; strict sign
         # is required by the property, so floating point needs the explicit band.
         sign, logabs = np.linalg.slogdet(stack)
-        max_col = np.linalg.norm(stack, axis=1).max(axis=1)
+        max_col = col_norms[digits, idx].max(axis=1)
         with np.errstate(divide="ignore"):
             zero_log = math.log(DET_ZERO_COEFF) + n * np.log(max_col)
         signs = np.where(logabs < zero_log, 0, sign).astype(int)

@@ -168,6 +168,48 @@ def test_bounds_missing_ystar(tmp_path):
                     str(problem)]) == 0
 
 
+def _example53(tmp_path):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.3", "--alpha", "1", "--out", str(problem)])
+    return problem
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read probe file"),
+    ("[3.0, -7", "cannot parse probe file"),
+    ("3", "probe shape () != (2,)"),
+    ("[1.0, 2.0, 3.0]", "probe shape (3,) != (2,)"),
+    ('["a", "b"]', "cannot parse probe file"),
+    ('{"y": [1, 2]}', "cannot parse probe file"),
+    ("[NaN, 1.0]", "non-finite"),
+], ids=["missing", "malformed", "scalar", "length", "strings", "object", "nan"])
+def test_bounds_bad_probe_file_exit_code(tmp_path, capsys, text, message):
+    problem, probe = _example53(tmp_path), tmp_path / "y.json"
+    if text is not None:
+        probe.write_text(text)
+    capsys.readouterr()
+    assert run_cli(["bounds", "--probe-file", str(probe), str(problem)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("pattern", ["a,b", "1", "1,2,3", "nan,1", "1,inf"])
+def test_bounds_bad_probe_pattern_exit_code(tmp_path, capsys, pattern):
+    problem = _example53(tmp_path)
+    capsys.readouterr()
+    assert run_cli(["bounds", "--probe-pattern", pattern, str(problem)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("omega", ["abc", "inf", "nan", "0"])
+def test_solve_bad_omega_exit_code(tmp_path, capsys, omega):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.2", "--n", "10", "--out", str(problem)])
+    capsys.readouterr()
+    assert run_cli(["solve", "--method", "omega32", "--omega", omega, str(problem)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_checkw(tmp_path, capsys):
     problem = tmp_path / "p.json"
     run_cli(["gen", "--example", "5.3", "--alpha", "1", "--out", str(problem)])

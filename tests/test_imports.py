@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+function defined inside a function is read there.
 
 No linter ships with the project's dependencies, so this walks the syntax
 tree with the standard library. ``__init__.py`` is skipped: its imports are
@@ -29,6 +30,23 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_nested_functions(source):
+    """Functions defined in a function's body that nothing in that function reads."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        read = {node.id for node in ast.walk(outer)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found.update((node.lineno, node.name) for node in ast.walk(outer)
+                     if node is not outer and isinstance(node, FUNCTIONS)
+                     and node.name not in read)
+    return sorted(found)
+
+
 def test_unused_imports_detects_an_unused_name():
     source = ("from __future__ import annotations\n"
               "import math\nimport numpy as np\nfrom os import path, sep\n"
@@ -36,6 +54,24 @@ def test_unused_imports_detects_an_unused_name():
     assert unused_imports(source) == [(2, "math"), (4, "path"), (6, "dumps")]
 
 
+def test_unused_nested_functions_detects_a_dead_helper():
+    source = ("def scan(xs):\n"
+              "    def rho_of(x):\n        return abs(x)\n"
+              "    def key(x):\n        def inner():\n            return x\n"
+              "        return -x\n"
+              "    async def fetch():\n        return 1\n"
+              "    rho_of = None\n"
+              "    return max(xs, key=key)\n"
+              "def top():\n    return 0\n")
+    assert unused_nested_functions(source) == [(2, "rho_of"), (5, "inner"),
+                                               (8, "fetch")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_nested_functions_are_read(path):
+    assert unused_nested_functions(path.read_text()) == []

@@ -5,6 +5,8 @@ representative with ``representative`` and applies plain numpy, the way the
 scans worked before they were batched. The chunk cap is shrunk so that every
 scan spans several chunks, and the small integer blocks drawn here give zero
 determinants, sign changes, singular regions and 0, 1 or several solutions.
+The closed-form norms of ``underalpha_exact`` are checked on float-valued
+dense and band blocks too, where a wrong summation would show in the bits.
 """
 
 import math
@@ -20,6 +22,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    oracle_solve, overalpha_estimate, representative,
                    sample_rho_L, underalpha_exact)
 from ehlcp import wproperty
+from ehlcp.blockdata import BandMatrix
 from ehlcp.solvers import LinearOperatorFactor
 from ehlcp.wproperty import assignments, vertex_chunks
 
@@ -37,6 +40,24 @@ def integer_problems(draw):
     problem = EhlcpProblem(blocks, q.astype(float),
                            BoundLadder(tuple(d.astype(float)), n))
     return problem, draw(st.integers(1, 7))
+
+
+@st.composite
+def float_blocks(draw):
+    """Dense or band blocks with float entries of either sign, n 1-6, m 1-3."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    if draw(st.booleans()):
+        mats = draw(hnp.arrays(np.float64, (m + 1, n, n), elements=reals))
+        stores = [DenseMatrix(a) for a in mats]
+    else:
+        stores = []
+        for _ in range(m + 1):
+            offsets = draw(st.lists(st.integers(1 - n, n - 1), min_size=1, unique=True))
+            stores.append(BandMatrix(offsets, draw(
+                hnp.arrays(np.float64, (len(offsets), n), elements=reals))))
+    return BlockMatrixSet(stores[0], tuple(stores[1:]))
 
 
 def small_chunks(mp, n, per_chunk):
@@ -156,6 +177,16 @@ def test_chunked_scans_match_per_assignment_reference(case):
                 sample_rho_L(blocks, trials=0)
         else:
             assert sample_rho_L(blocks, trials=0).value == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_blocks())
+def test_closed_form_underalpha_is_the_vertex_maximum(blocks):
+    for tag, order in (("1", 1), ("inf", np.inf)):
+        want = max(float(np.linalg.norm(r, order)) for _, r in reps(blocks))
+        est = underalpha_exact(blocks, tag)
+        assert est.value.hex() == want.hex()
+        assert (est.exact, est.count) == (True, (blocks.m + 1) ** blocks.n)
 
 
 # M = I and H1 = diag(1, 1, h): a representative is singular or negative
