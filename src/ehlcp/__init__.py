@@ -7,9 +7,9 @@ from .blockdata import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                         identity_matrix, prefix_sums, problem_from_json,
                         problem_to_json, validate)
 from .bounds import (AlphaEstimate, BoundReport, SddReport, SplitParts,
-                     bound42, bound43, comparison_matrix, overalpha_estimate,
-                     residual_error_interval, sdd_classify, split_diagonal,
-                     underalpha_exact)
+                     bound42, bound43, comparison_matrix, falsify_random,
+                     overalpha_estimate, residual_error_interval, sdd_classify,
+                     split_diagonal, underalpha_exact)
 from .convergence import (ConvergenceReport, Cor31Result, OmegaSuggestion,
                           Thm34Result, check_cor31, check_thm34, sample_rho_L,
                           suggest_omega)
@@ -25,7 +25,6 @@ from .solvers import (IterationConfig, LinearOperatorFactor, SolveReport,
 from .transform import (DiagonalSelection, ResidualReport,
                         feasibility_violations, pls_residual, recover_solution,
                         reconstruct_y, selection_matrices, sum_identity)
-from .wproperty import (WPropertyReport, falsify_random,
-                        has_column_w_property, representative)
+from .wproperty import WPropertyReport, has_column_w_property, representative
 
 __version__ = "0.1.0"

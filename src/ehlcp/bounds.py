@@ -6,11 +6,14 @@ combinations of the blocks. alpha_low is exact at the vertices (the norm is
 convex over the selection simplex): in closed form from the blocks for norms
 1 and inf, by vertex enumeration for the 2-norm. alpha_up has no general
 algorithm and is replaced by the computable diagonal-dominance constants plus
-a non-certifying sampled lower estimate for tightness diagnostics.
+a non-certifying sampled lower estimate for tightness diagnostics. Where
+alpha_up is infinite some selection combination is singular, which breaks the
+column W-property; ``falsify_random`` searches sampled selections for one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,13 +21,15 @@ import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                          induced_norm, inverse_norm, simplex_selections,
-                          spectral_radius_nonneg)
+                          _stack_inverses, induced_norm, inverse_norm,
+                          simplex_selections, spectral_radius_nonneg)
 from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
                      SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
 from .wproperty import selection_chunks, selection_combination, vertex_chunks
+
+COND_WITNESS_LIMIT = 1e14
 
 
 def comparison_matrix(store):
@@ -231,23 +236,6 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
                          "pass samples > 0 for a sampled estimate")
 
 
-def _stack_inverses(stack):
-    """(inverses, index of the first singular or overflowing matrix or None).
-
-    One LU per matrix: the whole stack is inverted at once, and only when a
-    zero pivot makes that raise does ``slogdet`` pick out the singular
-    matrices (sign 0, from the same LU), whose inverses stay NaN.
-    """
-    try:
-        inv = np.linalg.inv(stack)
-    except np.linalg.LinAlgError:
-        inv = np.full(stack.shape, np.nan)
-        regular = np.linalg.slogdet(stack)[0] != 0
-        inv[regular] = np.linalg.inv(stack[regular])
-    bad = ~np.isfinite(inv).all(axis=(1, 2))
-    return inv, (int(np.argmax(bad)) if bad.any() else None)
-
-
 def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
                        vertex_budget=4096):
     """Max inverse norm over sampled plus vertex selections.
@@ -280,7 +268,8 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
     if (m + 1) ** n <= vertex_budget:
         scans.append((vertex_chunks(blocks), one_hot))
     if n <= DENSE_EIG_MAX_ORDER:
-        scans.append((selection_chunks(blocks, samples, seed), lambda lam: lam))
+        scans.append((selection_chunks(blocks, simplex_selections(m, n, samples, seed)),
+                      lambda lam: lam))
     for chunks, selection in scans:
         for keys, stack in chunks:
             inv, bad = _stack_inverses(stack)
@@ -298,3 +287,34 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
                 raise singular(lam) from exc
             count += 1
     return AlphaEstimate(worst, norm_tag, False, count)
+
+
+def _midpoint_selections(m, n):
+    """Even two-block splits; these catch exact cancellations like M = -H1."""
+    for a in range(m + 1):
+        for b in range(a + 1, m + 1):
+            lam = np.zeros((m + 1, n))
+            lam[a, :] = 0.5
+            lam[b, :] = 0.5
+            yield lam
+
+
+def falsify_random(blocks, trials=200, seed=0):
+    """Search for a numerically singular selection combination.
+
+    Deterministic midpoint probes run first, then seeded random simplex
+    selections. A combination is a witness when it is singular or its
+    inf-norm condition number exceeds COND_WITNESS_LIMIT. Returns the witness
+    selection or None; None proves nothing.
+    """
+    n, m = blocks.n, blocks.m
+    for lam in itertools.chain(_midpoint_selections(m, n),
+                               simplex_selections(m, n, trials, seed)):
+        combo = selection_combination(blocks, lam)
+        try:
+            cond = induced_norm(combo, "inf") * inverse_norm(combo, "inf")
+        except SingularM:
+            return DiagonalSelection(lam)
+        if cond > COND_WITNESS_LIMIT:
+            return DiagonalSelection(lam)
+    return None

@@ -82,7 +82,7 @@ def _write_csv(path, comment, header, rows):
 
 
 def cmd_gen(args):
-    if args.example in ("5.1",):
+    if args.example == "5.1":
         if args.grid is None:
             _fail(EXIT_VALIDATION, "example 5.1 needs --grid")
         gen = problems.gen_example51(args.grid, args.mu, args.nu)
@@ -96,8 +96,6 @@ def cmd_gen(args):
         if args.grid is None:
             _fail(EXIT_VALIDATION, "example 5.5 needs --grid")
         gen = problems.gen_example55(args.grid)
-    else:
-        _fail(EXIT_VALIDATION, f"unknown example id {args.example!r}")
     problem = gen.problem
     if isinstance(problem, Ehlcp2Problem):
         problem = problem.as_general()
@@ -133,8 +131,6 @@ def cmd_solve(args):
         else:
             report = solvers.method33(e2, eta=args.eta, omega_relax=args.relax,
                                       ktag=args.ktag, cfg=cfg)
-    else:
-        _fail(EXIT_VALIDATION, f"unknown method {args.method!r}")
     cpu = time.perf_counter() - t0
     if args.out:
         _write_json(args.out, report.to_json())
@@ -221,8 +217,8 @@ def cmd_checkw(args):
         report = wproperty.has_column_w_property(problem.blocks, budget=args.budget)
     except BudgetExceeded:
         if args.falsify:
-            witness = wproperty.falsify_random(problem.blocks, trials=args.falsify,
-                                               seed=args.seed)
+            witness = bounds_mod.falsify_random(problem.blocks, trials=args.falsify,
+                                                seed=args.seed)
             if witness is None:
                 print(f"no witness found in {args.falsify} random selections "
                       "(property NOT certified)")
@@ -324,8 +320,6 @@ def cmd_repro(args):
                 ["M3", "CPU"] + [f"{m3[n][1]:.4f}" for n in sizes]]
         _write_csv(out, "CPU column is machine dependent",
                    ["method", "quantity"] + [f"n={n}" for n in sizes], rows)
-    else:
-        _fail(EXIT_VALIDATION, f"unknown table id {table}")
     return 0
 
 
@@ -336,8 +330,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a benchmark problem file")
-    p.add_argument("--example", required=True,
-                   help="one of 5.1, 5.2, 5.3, 5.5")
+    p.add_argument("--example", required=True, choices=["5.1", "5.2", "5.3", "5.5"])
     p.add_argument("--grid", type=int, help="grid order (n = grid^2)")
     p.add_argument("--n", type=int, help="problem size for example 5.2")
     p.add_argument("--mu", type=float, default=0.0)

@@ -36,6 +36,7 @@ DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
 # less than a power iteration of a few hundred steps, and power iteration
 # stalls on 2-cyclic matrices (5,000 steps, 44-57 ms, on Ex 5.2 at 60-120).
 EIGVALS_FIRST_ORDER = 128
+POWER_MAX_ITER = 5000  # power steps before the bracket counts as stalled
 
 
 @dataclass
@@ -63,13 +64,14 @@ class SpectralRadiusEstimate:
     method: str  # power | dense | zero
 
 
-def spectral_radius_nonneg(store, max_iter=5000):
+def spectral_radius_nonneg(store):
     """Spectral radius of a nonnegative matrix store.
 
     At order EIGVALS_FIRST_ORDER or below, takes the eigenvalues of
     ``store.to_dense()`` directly. Above it, runs shifted power iteration with
-    Collatz-Wielandt brackets; if the bracket does not close and the order is
-    at most 512, falls back to the dense eigenvalues.
+    Collatz-Wielandt brackets; if the bracket does not close within
+    POWER_MAX_ITER steps and the order is at most 512, falls back to the dense
+    eigenvalues.
     """
     n = store.n
     v = np.ones(n)
@@ -83,7 +85,7 @@ def spectral_radius_nonneg(store, max_iter=5000):
         return _dense_radius(store, 0)
     shift = 0.01 * scale
     lo = up = np.nan
-    for k in range(1, max_iter + 1):
+    for k in range(1, POWER_MAX_ITER + 1):
         u = store.matvec(v) + shift * v
         ratios = u / v
         lo = float(np.min(ratios))
@@ -94,10 +96,10 @@ def spectral_radius_nonneg(store, max_iter=5000):
                                           k, True, "power")
         v = u / np.max(u)
     if n <= DENSE_EIG_MAX_ORDER:
-        return _dense_radius(store, max_iter)
+        return _dense_radius(store, POWER_MAX_ITER)
     value = 0.5 * (lo + up) - shift
     return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
-                                  max_iter, False, "power")
+                                  POWER_MAX_ITER, False, "power")
 
 
 def _dense_radius(store, iterations):
@@ -142,6 +144,23 @@ def induced_norm(store, tag):
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
+def _stack_inverses(stack):
+    """(inverses, index of the first singular or overflowing matrix or None).
+
+    One LU per matrix: the whole stack is inverted at once, and only when a
+    zero pivot makes that raise does ``slogdet`` pick out the singular
+    matrices (sign 0, from the same LU), whose inverses stay NaN.
+    """
+    try:
+        inv = np.linalg.inv(stack)
+    except np.linalg.LinAlgError:
+        inv = np.full(stack.shape, np.nan)
+        regular = np.linalg.slogdet(stack)[0] != 0
+        inv[regular] = np.linalg.inv(stack[regular])
+    bad = ~np.isfinite(inv).all(axis=(1, 2))
+    return inv, (int(np.argmax(bad)) if bad.any() else None)
+
+
 def inverse_norm(store, tag):
     """Induced norm of store^{-1}: exact for a dense store and up to order 512,
     estimated on the band LU above it.
@@ -152,13 +171,10 @@ def inverse_norm(store, tag):
     """
     n = store.n
     if isinstance(store, DenseMatrix) or n <= DENSE_EIG_MAX_ORDER:
-        try:
-            inv = np.linalg.inv(store.to_dense())
-        except np.linalg.LinAlgError as exc:
-            raise SingularM(str(exc)) from exc
-        if not np.isfinite(inv).all():
-            raise SingularM("inverse overflowed")
-        return float(np.linalg.norm(inv, NORM_ORD[tag]))
+        inv, bad = _stack_inverses(store.to_dense()[None])
+        if bad is not None:
+            raise SingularM("singular matrix or overflowing inverse")
+        return float(np.linalg.norm(inv[0], NORM_ORD[tag]))
     factor = LinearOperatorFactor(store)  # raises SingularM
     if tag == "2":
         return two_norm_estimate(factor.solve, factor.solve_transposed, n)
@@ -253,7 +269,7 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     n, m = blocks.n, blocks.m
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
-    chunks = selection_chunks(blocks, trials, seed)
+    chunks = selection_chunks(blocks, simplex_selections(m, n, trials, seed))
     if (m + 1) ** n <= vertex_budget:
         chunks = itertools.chain(vertex_chunks(blocks), chunks)
     worst = 0.0

@@ -13,9 +13,8 @@ import numpy as np
 
 from .blockdata import (BlockMatrixSet, BlockTridiagonalMatrix, BoundLadder,
                         DenseMatrix, Ehlcp2Problem, EhlcpProblem,
-                        EhlcpSolution, TridiagonalMatrix)
-from .errors import InfeasibleTuple
-from .transform import FEASIBILITY_TOL, feasibility_violations
+                        EhlcpSolution, TridiagonalMatrix, identity_matrix)
+from .transform import require_feasible
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,7 @@ def alternating(n, first, second):
 
 def prescribe_q(blocks, ladder, solution):
     """q making the given tuple an exact solution: q = M w - sum_i H_i x_i."""
-    viol = feasibility_violations(solution, ladder)
-    bad = {k: v for k, v in viol.items() if v > FEASIBILITY_TOL}
-    if bad:
-        raise InfeasibleTuple(f"prescribed tuple violates feasibility: {bad}")
+    require_feasible(solution, ladder)
     q = blocks.M.matvec(solution.w)
     for h, x in zip(blocks.H, solution.x):
         q = q - h.matvec(x)
@@ -84,7 +80,7 @@ def _box_family(h1):
     x1 = alternating(n, 0.0, 0.1)
     x2 = x1.copy()
     sol = EhlcpSolution(w, (x1, x2))
-    eye = TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)
+    eye = identity_matrix(n)
     blocks = BlockMatrixSet(eye, (h1, eye))
     q = prescribe_q(blocks, BoundLadder((b,), n), sol)
     return GeneratedProblem(Ehlcp2Problem(h1, q, b), Prescribed(sol, x1 + x2 - w))

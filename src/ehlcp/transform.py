@@ -85,12 +85,17 @@ def feasibility_violations(sol, ladder):
     return viol
 
 
-def reconstruct_y(sol, ladder):
-    """Invert the transformation on a feasible tuple via y = sum_i x_i - w."""
+def require_feasible(sol, ladder):
+    """Raise InfeasibleTuple when a violation of sol exceeds FEASIBILITY_TOL."""
     viol = feasibility_violations(sol, ladder)
     bad = {k: v for k, v in viol.items() if v > FEASIBILITY_TOL}
     if bad:
         raise InfeasibleTuple(f"tuple violates feasibility beyond {FEASIBILITY_TOL}: {bad}")
+
+
+def reconstruct_y(sol, ladder):
+    """Invert the transformation on a feasible tuple via y = sum_i x_i - w."""
+    require_feasible(sol, ladder)
     y = -sol.w.copy()
     for x in sol.x:
         y += x

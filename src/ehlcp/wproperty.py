@@ -1,13 +1,13 @@
-"""Column representative enumeration and column W-property verification.
+"""Selection combinations: enumeration, stacking and the column W-property.
 
 The property asks every column representative determinant to carry one strict
 sign. Exhaustive verification costs (m+1)^n determinants and is offered at
-desk scale behind a budget; beyond it, randomized selection probing can only
-falsify (a singular nonnegative-diagonal combination is a witness against the
-property; absence of a witness proves nothing). Every exhaustive scan in the
-package walks the representatives through ``vertex_chunks``, one stack of
-matrices at a time, and the sampled scans walk their seeded selections through
-``selection_chunks`` the same way.
+desk scale behind a budget; beyond it, ``bounds.falsify_random`` probes
+sampled selections and can only falsify. Every exhaustive scan in the package
+walks the representatives through ``vertex_chunks``, one stack of matrices at
+a time, and the sampled scans pass their selections to ``selection_chunks``
+the same way. The module imports only ``blockdata`` and ``errors``; the
+estimators that consume the stacks live in ``convergence`` and ``bounds``.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
-from .errors import BudgetExceeded, SingularM
-from .transform import DiagonalSelection
+from .errors import BudgetExceeded
 
 DET_ZERO_COEFF = 1e-10
-COND_WITNESS_LIMIT = 1e14
 CHUNK_BYTES = 2 ** 20  # cap on the representatives of one chunk, in bytes
 
 
@@ -33,68 +31,43 @@ def _chunk_len(n):
     return max(1, CHUNK_BYTES // max(8 * n * n, 1))
 
 
-def _counter_chunks(n, m, start, stop):
-    """(k, n) mixed-radix digit arrays of the counters [start, stop), in order.
+def vertex_chunks(blocks):
+    """(digits, stack) chunks of all (m+1)^n column representatives.
 
-    Coordinate 0 is the fastest digit. A chunk holds at most CHUNK_BYTES of
-    n x n representatives (at least one). Counters are int64, so they stay
-    below 2**63.
+    digits is a (k, n) block of assignments in mixed-radix counter order
+    (coordinate 0 fastest; counters are int64, so they stay below 2**63) and
+    stack[i] the (n, n) representative of digits[i]: column j taken from block
+    digits[i, j]. Columns are gathered as contiguous rows of the transposed
+    blocks, so each stack[i] is a Fortran-ordered view: a sum along its axes
+    may round differently from the same sum on a C-ordered copy.
     """
-    base = m + 1
+    n, base = blocks.n, blocks.m + 1
+    cols = np.stack([s.to_dense().T for s in blocks.all()])  # cols[c, j]: column j of block c
+    idx = np.arange(n)
     total = base ** n
-    stop = total if stop is None else min(stop, total)
     step = _chunk_len(n)
-    for lo in range(start, stop, step):
-        val = np.arange(lo, min(lo + step, stop), dtype=np.int64)
+    for lo in range(0, total, step):
+        val = np.arange(lo, min(lo + step, total), dtype=np.int64)
         digits = np.empty((val.size, n), dtype=np.intp)
         for j in range(n):
             val, digits[:, j] = np.divmod(val, base)
-        yield digits
-
-
-def assignments(n, m, start=0, stop=None):
-    """Column assignments in mixed-radix counter order (coordinate 0 fastest).
-
-    Decoding by index keeps scans resumable and partitionable: worker ranges
-    [start, stop) are disjoint and their union covers all (m+1)^n assignments.
-    """
-    for digits in _counter_chunks(n, m, start, stop):
-        yield from map(tuple, digits.tolist())
-
-
-def vertex_chunks(blocks, start=0, stop=None):
-    """(digits, stack) chunks of the column representatives of [start, stop).
-
-    digits is a (k, n) block of assignments in the order of ``assignments``
-    and stack[i] the (n, n) representative of digits[i]: column j taken from
-    block digits[i, j]. Columns are gathered as contiguous rows of the
-    transposed blocks, so each stack[i] is a Fortran-ordered view: a sum
-    along its axes may round differently from the same sum on a C-ordered
-    copy.
-    """
-    cols = np.stack([s.to_dense().T for s in blocks.all()])  # cols[c, j]: column j of block c
-    idx = np.arange(blocks.n)
-    for digits in _counter_chunks(blocks.n, blocks.m, start, stop):
         yield digits, cols[digits, idx].transpose(0, 2, 1)
 
 
-def selection_chunks(blocks, trials, seed):
-    """(lams, stack) chunks of the seeded simplex selections, in draw order.
+def selection_chunks(blocks, lams):
+    """(lams, stack) chunks of the given (m+1, n) selections, in their order.
 
-    lams is a (k, m+1, n) block of the draws of ``simplex_selections(m, n,
-    trials, seed)`` and stack[i] the dense combination of lams[i], summed block
-    by block like ``selection_combination``, so that it equals
+    lams is a (k, m+1, n) block of the selections and stack[i] the dense
+    combination of lams[i], summed block by block like
+    ``selection_combination``, so that it equals
     ``selection_combination(blocks, lams[i]).to_dense()`` bit for bit. A chunk
     holds at most CHUNK_BYTES of matrices (at least one), and no dense table
     of the blocks is kept between chunks.
     """
-    # local import avoids a cycle
-    from .convergence import simplex_selections
-
-    draws = simplex_selections(blocks.m, blocks.n, trials, seed)
+    selections = iter(lams)
     step = _chunk_len(blocks.n)
-    for _ in range(0, trials, step):
-        lams = np.stack(list(itertools.islice(draws, step)))
+    while batch := list(itertools.islice(selections, step)):
+        lams = np.stack(batch)
         yield lams, sum(s.to_dense() * lams[:, k, None, :]
                         for k, s in enumerate(blocks.all()))
 
@@ -157,44 +130,3 @@ def selection_combination(blocks, lambdas):
     return entrywise(lambda arrays: sum(a * np.asarray(lam)[None, :]
                                         for a, lam in zip(arrays, lambdas)),
                      blocks.all())
-
-
-def _midpoint_selections(m, n):
-    """Even two-block splits; these catch exact cancellations like M = -H1."""
-    for a in range(m + 1):
-        for b in range(a + 1, m + 1):
-            lam = np.zeros((m + 1, n))
-            lam[a, :] = 0.5
-            lam[b, :] = 0.5
-            yield lam
-
-
-def falsify_random(blocks, trials=200, seed=0):
-    """Search for a numerically singular selection combination.
-
-    Deterministic midpoint probes run first, then seeded random simplex
-    selections. A combination is a witness when it is singular or its
-    inf-norm condition number exceeds COND_WITNESS_LIMIT. Returns the witness
-    selection or None; None proves nothing.
-    """
-    # local import avoids a cycle
-    from .convergence import induced_norm, inverse_norm, simplex_selections
-
-    n, m = blocks.n, blocks.m
-    probes = list(_midpoint_selections(m, n))
-
-    def check(lam):
-        combo = selection_combination(blocks, lam)
-        try:
-            cond = induced_norm(combo, "inf") * inverse_norm(combo, "inf")
-        except SingularM:
-            return True
-        return cond > COND_WITNESS_LIMIT
-
-    for lam in probes:
-        if check(lam):
-            return DiagonalSelection(lam)
-    for lam in simplex_selections(m, n, trials, seed):
-        if check(lam):
-            return DiagonalSelection(lam)
-    return None

@@ -1,5 +1,6 @@
 """Shared builders for randomized test instances and exact references."""
 
+import itertools
 import os
 from fractions import Fraction
 
@@ -82,6 +83,11 @@ def example52_bound42_constant(n):
     for ci, di in zip(reversed(c[:-1]), reversed(d[:-1])):
         z.append(di - ci * z[-1])
     return max(z)
+
+
+def counter_order(n, m):
+    """The (m+1)^n column assignments in counter order (coordinate 0 fastest)."""
+    return [t[::-1] for t in itertools.product(range(m + 1), repeat=n)]
 
 
 def random_ladder(rng, n, max_m=4):

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import example52_bound42_constant, random_dominant_problem
+from conftest import (counter_order, example52_bound42_constant,
+                      random_dominant_problem)
 from ehlcp import (DenseMatrix, IterationConfig, bound42, bound43,
                    check_thm34, gen_example51, gen_example52, gen_example53,
                    gen_example55, has_column_w_property, method31, method32,
@@ -18,7 +19,7 @@ from ehlcp import (DenseMatrix, IterationConfig, bound42, bound43,
                    selection_matrices, sum_identity, underalpha_exact)
 from ehlcp.problems import alternating
 from ehlcp.transform import (feasibility_violations, transformation_pieces)
-from ehlcp.wproperty import assignments, representative
+from ehlcp.wproperty import representative
 
 
 def _criterion(num, description, failures):
@@ -312,7 +313,7 @@ def test_criterion_11_w_property_chain():
         if not report.holds:
             failures.append(f"seed {seed}: W-property fails despite condition")
             continue
-        for assign in assignments(problem.n, problem.m):
+        for assign in counter_order(problem.n, problem.m):
             r = representative(problem.blocks, assign)
             sign, logabs = np.linalg.slogdet(r.data)
             if sign == 0.0:

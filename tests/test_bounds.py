@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_dominant_problem
+from conftest import counter_order, random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    NonpositiveDiagonal, NormMismatch, SingularSelection,
                    bound42, bound43, comparison_matrix, gen_example51,
@@ -16,7 +16,7 @@ from ehlcp import bounds
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
 from ehlcp.errors import BudgetExceeded
-from ehlcp.wproperty import assignments, representative, selection_combination
+from ehlcp.wproperty import representative, selection_combination
 
 UNIT_TRIANGULAR_PAIR = BlockMatrixSet(DenseMatrix([[1.0, 0.0], [-1.0, 1.0]]),
                                 (DenseMatrix([[1.0, 0.0], [2.0, 1.0]]),))
@@ -233,7 +233,7 @@ def test_bound43_certifies_vertices():
         assert rep.condition_satisfied
         # the column-dominance hypothesis implies the column W-property
         assert has_column_w_property(problem.blocks).holds
-        for assign in assignments(problem.n, problem.m):
+        for assign in counter_order(problem.n, problem.m):
             r = representative(problem.blocks, assign)
             inv_norm = np.linalg.norm(np.linalg.inv(r.data), 1)
             assert inv_norm <= rep.constant + 1e-10
@@ -273,7 +273,7 @@ def test_underalpha_examples():
     assert est.value == pytest.approx(2.0)  # max row sum over the 4 vertices
     est1 = underalpha_exact(UNIT_TRIANGULAR_PAIR, "1", budget=16)
     vertex_max = max(np.linalg.norm(representative(UNIT_TRIANGULAR_PAIR, a).data, 1)
-                     for a in assignments(2, 1))
+                     for a in counter_order(2, 1))
     assert est1.value == pytest.approx(vertex_max)
 
 

@@ -53,6 +53,13 @@ def test_gen_example51_minimal(tmp_path):
     assert obj["n"] == 4 and obj["m"] == 1 and obj["d"] == []
 
 
+def test_gen_unknown_example_exit_code(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_cli(["gen", "--example", "9.9", "--out", str(out)]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_omega32(tmp_path, capsys):
     problem = tmp_path / "p.json"
     report = tmp_path / "r.json"

@@ -6,7 +6,7 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, NoRuleApplies, check_cor31,
                    check_thm34, gen_example51, gen_example52, gen_example55,
                    identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp.blockdata import TridiagonalMatrix
-from ehlcp.convergence import (EIGVALS_FIRST_ORDER, induced_norm,
+from ehlcp.convergence import (EIGVALS_FIRST_ORDER, POWER_MAX_ITER, induced_norm,
                                spectral_radius_nonneg, two_norm_estimate)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
@@ -49,8 +49,8 @@ def test_spectral_radius_above_cut_runs_power_iteration(rng):
     assert est.lower <= truth + 1e-12 and truth <= est.upper + 1e-12
     # 2-cyclic: the bracket stalls and the dense fallback ends the run.
     cyclic = TridiagonalMatrix.constant(n, 0.25, 0.0, 0.5)
-    est = spectral_radius_nonneg(cyclic, max_iter=200)
-    assert est.method == "dense" and est.iterations == 200
+    est = spectral_radius_nonneg(cyclic)
+    assert est.method == "dense" and est.iterations == POWER_MAX_ITER
     # eigvals of this nonnormal matrix is accurate to about 1e-8
     assert est.value == pytest.approx(2.0 * np.sqrt(0.125) * np.cos(np.pi / (n + 1)),
                                       abs=1e-7)

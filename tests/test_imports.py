@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-function defined inside a function is read there.
+"""Every name a package module imports is used in that module, no module
+imports inside a function body, and every function defined inside a function
+is read there.
 
 No linter ships with the project's dependencies, so this walks the syntax
 tree with the standard library. ``__init__.py`` is skipped: its imports are
@@ -47,11 +48,34 @@ def unused_nested_functions(source):
     return sorted(found)
 
 
+def function_local_imports(source):
+    """Import statements inside a function body, as (line, statement)."""
+    found = set()
+    for outer in ast.walk(ast.parse(source)):
+        if isinstance(outer, FUNCTIONS):
+            found.update((node.lineno, ast.unparse(node)) for node in ast.walk(outer)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
 def test_unused_imports_detects_an_unused_name():
     source = ("from __future__ import annotations\n"
               "import math\nimport numpy as np\nfrom os import path, sep\n"
               "def f():\n    from json import dumps\n    return np.pi + len(sep)\n")
     assert unused_imports(source) == [(2, "math"), (4, "path"), (6, "dumps")]
+
+
+def test_function_local_imports_detects_an_import_in_a_body():
+    source = ("import math\n"
+              "if math:\n    import os\n"
+              "def f():\n    from .convergence import simplex_selections\n"
+              "    return simplex_selections\n"
+              "class C:\n    def g(self):\n        def h():\n"
+              "            import json, os.path as p\n"
+              "        return h\n")
+    assert function_local_imports(source) == [
+        (5, "from .convergence import simplex_selections"),
+        (10, "import json, os.path as p")]
 
 
 def test_unused_nested_functions_detects_a_dead_helper():
@@ -70,6 +94,11 @@ def test_unused_nested_functions_detects_a_dead_helper():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_at_top_level(path):
+    assert function_local_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

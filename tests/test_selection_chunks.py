@@ -1,6 +1,6 @@
 """The batched sampled scans against per-selection references.
 
-``selection_chunks`` stacks the seeded simplex selections a chunk at a time;
+``selection_chunks`` stacks the selections it is given a chunk at a time;
 ``sample_rho_L`` and ``overalpha_estimate`` scan those stacks instead of one
 selection per call. The chunk cap is shrunk so that the samples span several
 chunks, and each result is compared with the selection-by-selection
@@ -12,7 +12,7 @@ import pytest
 
 from ehlcp import (BlockMatrixSet, DenseMatrix, SingularSelection,
                    TridiagonalMatrix, overalpha_estimate, sample_rho_L)
-from ehlcp import convergence, wproperty
+from ehlcp import bounds, wproperty
 from ehlcp.blockdata import BandMatrix
 from ehlcp.convergence import simplex_selections
 from ehlcp.solvers import LinearOperatorFactor
@@ -46,12 +46,12 @@ def per_chunk_cap(monkeypatch, n, per_chunk):
 def test_stacks_equal_selection_combination_bitwise(layout, per_chunk, monkeypatch):
     blocks = float_blocks(layout)
     per_chunk_cap(monkeypatch, blocks.n, per_chunk)
-    chunks = list(selection_chunks(blocks, TRIALS, seed=4))
+    draws = list(simplex_selections(blocks.m, blocks.n, TRIALS, 4))
+    chunks = list(selection_chunks(blocks, iter(draws)))
     assert [len(lams) for lams, _ in chunks] == \
         [min(per_chunk, TRIALS - lo) for lo in range(0, TRIALS, per_chunk)]
     lams = np.concatenate([lams for lams, _ in chunks])
     stack = np.concatenate([stack for _, stack in chunks])
-    draws = list(simplex_selections(blocks.m, blocks.n, TRIALS, 4))
     assert lams.tobytes() == np.array(draws).tobytes()
     for lam, mat in zip(draws, stack):
         assert mat.tobytes() == selection_combination(blocks, lam).to_dense().tobytes()
@@ -98,7 +98,7 @@ def test_first_singular_sample_is_the_witness(first, per_chunk, monkeypatch):
     def fixed(m, n, trials, seed):
         yield from draws[:trials]
 
-    monkeypatch.setattr(convergence, "simplex_selections", fixed)
+    monkeypatch.setattr(bounds, "simplex_selections", fixed)
     per_chunk_cap(monkeypatch, 2, per_chunk)
     blocks = BlockMatrixSet(DenseMatrix(np.eye(2)), (DenseMatrix(np.diag([-1.0, 1.0])),))
     with pytest.raises(SingularSelection) as info:
@@ -113,12 +113,14 @@ def test_stacks_stay_under_the_cap_at_order_400():
     blocks = BlockMatrixSet(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0),
                             (TridiagonalMatrix.constant(n, -1.0, 3.0, 0.5),
                              TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)))
-    sizes = [len(stack) for _, stack in selection_chunks(blocks, 200, seed=1)]
+    sizes = [len(stack) for _, stack in
+             selection_chunks(blocks, simplex_selections(blocks.m, n, 200, 1))]
     assert len(sizes) > 1 and sum(sizes) == 200
     assert all(k == 1 for k in sizes)  # one 1.28 MB matrix exceeds the 1 MiB cap
     n = 100
     small = BlockMatrixSet(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0),
                            (TridiagonalMatrix.constant(n, -1.0, 3.0, 0.5),))
-    chunks = [stack for _, stack in selection_chunks(small, 200, seed=1)]
+    chunks = [stack for _, stack in
+              selection_chunks(small, simplex_selections(small.m, n, 200, 1))]
     assert len(chunks) > 1 and sum(map(len, chunks)) == 200
     assert all(stack.nbytes <= wproperty.CHUNK_BYTES for stack in chunks)

@@ -1,6 +1,6 @@
 """The chunked exhaustive scans against per-assignment references.
 
-Each reference walks ``assignments`` one tuple at a time, builds the
+Each reference walks ``counter_order`` one tuple at a time, builds the
 representative with ``representative`` and applies plain numpy, the way the
 scans worked before they were batched. The chunk cap is shrunk so that every
 scan spans several chunks, and the small integer blocks drawn here give zero
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import counter_order
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    SingularM, SingularSelection, has_column_w_property,
                    oracle_solve, overalpha_estimate, representative,
@@ -24,7 +25,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
 from ehlcp import wproperty
 from ehlcp.blockdata import BandMatrix
 from ehlcp.solvers import LinearOperatorFactor
-from ehlcp.wproperty import assignments, vertex_chunks
+from ehlcp.wproperty import vertex_chunks
 
 
 @st.composite
@@ -65,7 +66,7 @@ def small_chunks(mp, n, per_chunk):
 
 
 def reps(blocks):
-    for assign in assignments(blocks.n, blocks.m):
+    for assign in counter_order(blocks.n, blocks.m):
         yield assign, representative(blocks, assign).data
 
 

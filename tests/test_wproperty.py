@@ -1,15 +1,13 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import random_dominant_problem
+from conftest import counter_order, random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
                    EhlcpProblem, falsify_random, gen_example51, gen_example53,
                    has_column_w_property, identity_matrix, oracle_solve,
                    representative)
 from ehlcp import wproperty
-from ehlcp.wproperty import assignments, vertex_chunks
+from ehlcp.wproperty import vertex_chunks
 
 FIRST_PAIR = BlockMatrixSet(DenseMatrix([[1.0, 0.0], [-1.0, 1.0]]),
                             (DenseMatrix([[1.0, 0.0], [2.0, 1.0]]),))
@@ -33,29 +31,25 @@ def test_representative_mixed_columns():
 
 
 def test_assignments_mixed_radix_partition(monkeypatch):
-    full = list(assignments(3, 2))
+    full = counter_order(3, 2)
     assert len(full) == 27
     assert full[0] == (0, 0, 0)
     assert full[1] == (1, 0, 0)  # coordinate 0 moves fastest
-    split = list(assignments(3, 2, 0, 10)) + list(assignments(3, 2, 10, 27))
-    assert split == full
-    assert full == [t[::-1] for t in itertools.product(range(3), repeat=3)]
-    # Chunks of 4 counters: every cut, on a chunk edge or inside a chunk,
-    # still partitions the range, and the chunks gather the representatives.
+    # Chunks of 4 matrices of order 3 (2 of order 4): the digits follow the
+    # counter order across every chunk edge, and the chunks gather the
+    # representatives.
     monkeypatch.setattr(wproperty, "CHUNK_BYTES", 4 * 8 * 3 * 3)
-    assert list(assignments(3, 2)) == full
-    for cut in range(28):
-        assert list(assignments(3, 2, 0, cut)) + list(assignments(3, 2, cut)) == full
-    assert list(assignments(3, 2, 5, 100)) == full[5:]
-    rng = np.random.default_rng(4)  # n = 4, m = 2: 81 vertices, chunks of 2
-    blocks = BlockMatrixSet(DenseMatrix(rng.standard_normal((4, 4))),
-                            tuple(DenseMatrix(rng.standard_normal((4, 4))) for _ in "ab"))
-    chunks = list(vertex_chunks(blocks, 7, 30))
-    assert [len(d) for d, _ in chunks] == [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 1]
-    got = [(tuple(a), r) for d, st in chunks for a, r in zip(d.tolist(), st)]
-    assert [a for a, _ in got] == list(assignments(4, 2, 7, 30))
-    for a, r in got:
-        assert np.array_equal(r, representative(blocks, a).data)
+    rng = np.random.default_rng(4)
+    for n, sizes in ((3, [4] * 6 + [3]), (4, [2] * 40 + [1])):
+        blocks = BlockMatrixSet(DenseMatrix(rng.standard_normal((n, n))),
+                                tuple(DenseMatrix(rng.standard_normal((n, n)))
+                                      for _ in "ab"))
+        chunks = list(vertex_chunks(blocks))
+        assert [len(d) for d, _ in chunks] == sizes
+        got = [(tuple(a), r) for d, st in chunks for a, r in zip(d.tolist(), st)]
+        assert [a for a, _ in got] == counter_order(n, 2)
+        for a, r in got:
+            assert np.array_equal(r, representative(blocks, a).data)
 
 
 def test_w_property_mixed_signs_fails():
