@@ -134,15 +134,13 @@ def bound42(blocks, norm_tag="inf"):
         value = (bracket[1] if n > EIGVALS_FIRST_ORDER
                  else spectral_radius_nonneg(x).value)
         return BoundReport("Thm42Eta", constant, norm_tag, True, value, bracket)
-    # Condition violated: report the true norm when feasible, flag it.
+    # Condition violated: report the true norm when feasible (inf when I - X
+    # is singular or its inverse overflows), flag it.
     est = spectral_radius_nonneg(x)
     if n <= DENSE_LIMIT:
-        try:
-            inv = np.linalg.inv(i_minus_x.to_dense())
-            mat = inv * d_max[None, :]
-            constant = float(np.linalg.norm(mat, NORM_ORD[norm_tag]))
-        except np.linalg.LinAlgError:
-            constant = float("inf")
+        inv, bad = _stack_inverses(i_minus_x.to_dense()[None])
+        constant = (float("inf") if bad is not None else
+                    float(np.linalg.norm(inv[0] * d_max[None, :], NORM_ORD[norm_tag])))
     else:
         constant = float("nan")
     return BoundReport("Thm42Eta", constant, norm_tag, False, est.value,

@@ -1,8 +1,10 @@
 """Command-line surface: gen | solve | bounds | checkw | repro.
 
 Problem files follow the JSON schema of blockdata; reports are JSON; tables
-are CSV with 17 significant digits. Exit codes: 0 success, 2 validation
-failure, 3 solver non-convergence, 4 budget exceeded.
+are CSV with 17 significant digits. ``bounds`` and ``repro --table 1``-``4``
+print one bound row per norm tag. Exit codes: 0 success, 2 validation
+failure (a bad file or any out-of-range argument, with one ``error:`` line),
+3 solver non-convergence, 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -38,15 +40,19 @@ def _fail(code, message):
     raise SystemExit(code)
 
 
-def _load_problem(path):
+def _read_json(path, what, parse):
+    """parse(the JSON value in path), failing with exit 2 on a read or parse error."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-        problem, prescribed = problem_from_json(obj)
+            return parse(json.load(fh))
     except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot read problem file: {exc}")
+        _fail(EXIT_VALIDATION, f"cannot read {what} file: {exc}")
     except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        _fail(EXIT_VALIDATION, f"cannot parse problem file: {exc}")
+        _fail(EXIT_VALIDATION, f"cannot parse {what} file: {exc}")
+
+
+def _load_problem(path):
+    problem, prescribed = _read_json(path, "problem", problem_from_json)
     report = validate(problem)
     if not report.ok:
         _fail(EXIT_VALIDATION, "invalid problem: " + "; ".join(report.issues))
@@ -149,26 +155,15 @@ def _parse_pattern(text, n):
     return alternating(n, first, second)
 
 
-def _read_probe(path, n):
-    try:
-        with open(path) as fh:
-            v = np.asarray(json.load(fh), dtype=float)
-    except OSError as exc:
-        _fail(EXIT_VALIDATION, f"cannot read probe file: {exc}")
-    except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        _fail(EXIT_VALIDATION, f"cannot parse probe file: {exc}")
-    if v.shape != (n,):
-        _fail(EXIT_VALIDATION, f"probe shape {v.shape} != ({n},)")
-    return v
-
-
 def _probe_vector(args, n):
     if args.probe_file:
-        v = _read_probe(args.probe_file, n)
+        v = _read_json(args.probe_file, "probe", lambda obj: np.asarray(obj, dtype=float))
     elif args.probe_pattern:
         v = _parse_pattern(args.probe_pattern, n)
     else:
         _fail(EXIT_VALIDATION, "need --probe-pattern or --probe-file")
+    if v.shape != (n,):
+        _fail(EXIT_VALIDATION, f"probe shape {v.shape} != ({n},)")
     if not np.isfinite(v).all():
         _fail(EXIT_VALIDATION, "probe vector has a non-finite entry")
     return v
@@ -191,23 +186,31 @@ def _y_star(args, problem, prescribed):
                            "(pass --solve-ystar to compute one)")
 
 
-def cmd_bounds(args):
-    problem, prescribed = _load_problem(args.problem)
-    y = _probe_vector(args, problem.n)
-    y_star = _y_star(args, problem, prescribed)
+def _bound_rows(problem, y, y_star, tags):
+    """Per norm tag, the residual error bounds at probe y: (true error, ||r||,
+    eta = bound42 constant * ||r||, tau = bound43 constant * ||r||, bound42's
+    condition flag, bound43's condition flag)."""
     rep = pls_residual(problem, y)
     b43 = bounds_mod.bound43(problem.blocks)
     rows = []
-    for tag in ("1", "inf"):
+    for tag in tags:
         b42 = bounds_mod.bound42(problem.blocks, tag)
-        true_err = float(np.linalg.norm(y - y_star, NORM_ORD[tag]))
-        rows.append([tag, _fmt(true_err), _fmt(rep.norms[tag]),
-                     _fmt(b42.constant * rep.norms[tag]),
-                     _fmt(b43.constant * rep.norms[tag]),
-                     b42.condition_satisfied, b43.condition_satisfied])
+        r = rep.norms[tag]
+        rows.append((float(np.linalg.norm(y - y_star, NORM_ORD[tag])), r,
+                     b42.constant * r, b43.constant * r,
+                     b42.condition_satisfied, b43.condition_satisfied))
+    return rows
+
+
+def cmd_bounds(args):
+    problem, prescribed = _load_problem(args.problem)
+    y = _probe_vector(args, problem.n)
+    rows = _bound_rows(problem, y, _y_star(args, problem, prescribed), ("1", "inf"))
     _write_csv(args.out, None,
                ["norm", "trueError", "residualNorm", "eta", "tau",
-                "eq44Satisfied", "colSddSameSign"], rows)
+                "eq44Satisfied", "colSddSameSign"],
+               [[tag] + [_fmt(v) for v in row[:4]] + list(row[4:])
+                for tag, row in zip(("1", "inf"), rows)])
     return 0
 
 
@@ -236,20 +239,13 @@ def cmd_checkw(args):
     return 0
 
 
-def _table12_cells(grid_m, mus):
-    probe_first, probe_second = -0.15, 0.056
-    cells = {}
-    for mu in mus:
-        gen = problems.gen_example51(grid_m, mu, mu)
-        problem = gen.problem
-        n = problem.n
-        y = alternating(n, probe_first, probe_second)
-        rep = pls_residual(problem, y)
-        r_inf = float(np.max(np.abs(y - gen.prescribed.y_star)))
-        eta = bounds_mod.bound42(problem.blocks, "inf").constant * rep.norms["inf"]
-        tau = bounds_mod.bound43(problem.blocks).constant * rep.norms["inf"]
-        cells[mu] = (r_inf, eta, tau)
-    return cells
+def _table_row(gen, probe, tag):
+    """The bound row of a generated example at the alternating probe."""
+    problem = gen.problem
+    if isinstance(problem, Ehlcp2Problem):
+        problem = problem.as_general()
+    y = alternating(problem.n, *probe)
+    return _bound_rows(problem, y, gen.prescribed.y_star, (tag,))[0]
 
 
 def cmd_repro(args):
@@ -257,39 +253,29 @@ def cmd_repro(args):
     out = args.out
     if table == 1:
         mus = (4, 6, 8, 10, 12, 14)
-        cells = _table12_cells(100, mus)
-        rows = [["r_inf"] + [_fmt(cells[mu][0]) for mu in mus],
-                ["eta_inf"] + [_fmt(cells[mu][1]) for mu in mus],
-                ["tau_inf"] + [_fmt(cells[mu][2]) for mu in mus]]
+        cells = [_table_row(problems.gen_example51(100, mu, mu), (-0.15, 0.056), "inf")
+                 for mu in mus]
+        rows = [[name] + [_fmt(cell[k]) for cell in cells]
+                for name, k in (("r_inf", 0), ("eta_inf", 2), ("tau_inf", 3))]
         _write_csv(out, "probe y alternates (-0.15, 0.056); n = 10000",
                    ["quantity"] + [f"mu={mu}" for mu in mus], rows)
     elif table == 2:
         mus, grids = (5, 7, 9), (20, 40, 60)
-        per_grid = {g: _table12_cells(g, mus) for g in grids}
         rows = []
         for mu in mus:
-            rows.append([mu, "eta_inf"] + [_fmt(per_grid[g][mu][1]) for g in grids])
-            rows.append([mu, "tau_inf"] + [_fmt(per_grid[g][mu][2]) for g in grids])
+            cells = [_table_row(problems.gen_example51(g, mu, mu), (-0.15, 0.056), "inf")
+                     for g in grids]
+            rows.append([mu, "eta_inf"] + [_fmt(cell[2]) for cell in cells])
+            rows.append([mu, "tau_inf"] + [_fmt(cell[3]) for cell in cells])
         _write_csv(out, "probe y alternates (-0.15, 0.056) at every size",
                    ["mu", "quantity"] + [f"n={g * g}" for g in grids], rows)
     elif table in (3, 4):
         sizes = (30, 60, 90, 120)
-        cols = {}
-        for n in sizes:
-            gen = problems.gen_example52(n)
-            general = gen.problem.as_general()
-            y = alternating(n, -0.1, 0.1)
-            rep = pls_residual(general, y)
-            diff = y - gen.prescribed.y_star
-            if table == 3:
-                tau = bounds_mod.bound43(general.blocks).constant
-                cols[n] = (float(np.sum(np.abs(diff))), tau * rep.norms["1"])
-            else:
-                eta = bounds_mod.bound42(general.blocks, "inf").constant
-                cols[n] = (float(np.max(np.abs(diff))), eta * rep.norms["inf"])
-        names = ("r_1", "tau_1") if table == 3 else ("r_inf", "eta_inf")
-        rows = [[names[0]] + [_fmt(cols[n][0]) for n in sizes],
-                [names[1]] + [_fmt(cols[n][1]) for n in sizes]]
+        tag, names, k = (("1", ("r_1", "tau_1"), 3) if table == 3
+                         else ("inf", ("r_inf", "eta_inf"), 2))
+        cells = [_table_row(problems.gen_example52(n), (-0.1, 0.1), tag) for n in sizes]
+        rows = [[names[0]] + [_fmt(cell[0]) for cell in cells],
+                [names[1]] + [_fmt(cell[k]) for cell in cells]]
         _write_csv(out, "probe y alternates (-0.1, 0.1)",
                    ["quantity"] + [f"n={n}" for n in sizes], rows)
     elif table in (5, 6):

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, entrywise
-from .errors import NoRuleApplies, SingularM
+from .errors import InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
 from .wproperty import selection_chunks, vertex_chunks
@@ -144,19 +144,28 @@ def induced_norm(store, tag):
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
-def _stack_inverses(stack):
-    """(inverses, index of the first singular or overflowing matrix or None).
+def _stacked_lu(op, stack, *rhs):
+    """(op(stack, *rhs), mask of the regular matrices) for a batched LU op
+    such as ``np.linalg.inv`` or ``np.linalg.solve``.
 
-    One LU per matrix: the whole stack is inverted at once, and only when a
-    zero pivot makes that raise does ``slogdet`` pick out the singular
-    matrices (sign 0, from the same LU), whose inverses stay NaN.
+    One LU per matrix: the whole stack goes through op at once, and only when
+    a zero pivot makes that raise does ``slogdet`` pick out the singular
+    matrices (sign 0, from the same LU). op then runs on the regular ones with
+    their right-hand sides, and the results of the singular ones are NaN.
     """
     try:
-        inv = np.linalg.inv(stack)
+        return op(stack, *rhs), np.ones(len(stack), dtype=bool)
     except np.linalg.LinAlgError:
-        inv = np.full(stack.shape, np.nan)
         regular = np.linalg.slogdet(stack)[0] != 0
-        inv[regular] = np.linalg.inv(stack[regular])
+        part = op(stack[regular], *(b[regular] for b in rhs))
+        out = np.full((len(stack),) + part.shape[1:], np.nan)
+        out[regular] = part
+        return out, regular
+
+
+def _stack_inverses(stack):
+    """(inverses, index of the first singular or overflowing matrix or None)."""
+    inv, _ = _stacked_lu(np.linalg.inv, stack)
     bad = ~np.isfinite(inv).all(axis=(1, 2))
     return inv, (int(np.argmax(bad)) if bad.any() else None)
 
@@ -251,11 +260,14 @@ def check_thm34(H1, omega):
 
 
 def simplex_selections(m, n, trials, seed):
-    """Per-coordinate uniform draws from the (m+1)-simplex (normalized exponentials)."""
+    """Per-coordinate uniform draws from the (m+1)-simplex (normalized
+    exponentials), drawn lazily. A negative count or seed raises
+    InvalidParams here, at the call."""
+    if trials < 0 or seed < 0:
+        raise InvalidParams(f"selection count and seed must be >= 0, not {trials}, {seed}")
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        e = rng.exponential(size=(m + 1, n))
-        yield e / e.sum(axis=0)
+    draws = (rng.exponential(size=(m + 1, n)) for _ in range(trials))
+    return (e / e.sum(axis=0) for e in draws)
 
 
 def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):

@@ -13,8 +13,9 @@ class InfeasibleTuple(EhlcpError):
     """A solution tuple violates the box/complementarity constraints."""
 
 
-class InvalidParams(EhlcpError):
-    """Iteration parameters outside their admissible range."""
+class InvalidParams(EhlcpError, ValueError):
+    """A parameter outside its admissible range: an iteration setting, a
+    generator's size or shape parameter, or a selection count."""
 
 
 class BudgetExceeded(EhlcpError):

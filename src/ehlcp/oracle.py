@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import overalpha_estimate, underalpha_exact
+from .convergence import _stacked_lu
 from .errors import BudgetExceeded
 from .transform import recover_solution
 from .wproperty import vertex_chunks
@@ -57,15 +58,9 @@ def oracle_solve(problem, budget=2 ** 20):
     coords = np.arange(n)
     for digits, stack in vertex_chunks(problem.blocks):
         g = problem.q + const[digits, coords].sum(axis=1)
-        try:
-            y = np.linalg.solve(stack, -g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # A zero pivot somewhere in the chunk: slogdet's sign (same LU)
-            # picks out the singular regions, and the rest are solved again.
-            regular = np.linalg.slogdet(stack)[0] != 0
-            singular += int(np.count_nonzero(~regular))
-            digits, g = digits[regular], g[regular]
-            y = np.linalg.solve(stack[regular], -g[..., None])[..., 0]
+        y, regular = _stacked_lu(np.linalg.solve, stack, -g[..., None])
+        y = y[..., 0]  # NaN on a singular region, which fails every test below
+        singular += int(np.count_nonzero(~regular))
         inside = ((lower[digits, coords] <= y) & (y <= upper[digits, coords])).all(axis=1)
         for yk in y[inside]:
             if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):

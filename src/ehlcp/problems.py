@@ -14,6 +14,7 @@ import numpy as np
 from .blockdata import (BlockMatrixSet, BlockTridiagonalMatrix, BoundLadder,
                         DenseMatrix, Ehlcp2Problem, EhlcpProblem,
                         EhlcpSolution, TridiagonalMatrix, identity_matrix)
+from .errors import InvalidParams
 from .transform import require_feasible
 
 
@@ -56,8 +57,8 @@ def gen_example51(grid_m, mu, nu):
     M is the shifted five-point block pattern, H_1 the shifted in-row pattern;
     q is set so the alternating (w*, x1*) pair solves the problem exactly.
     """
-    if grid_m < 2:
-        raise ValueError("grid order must be >= 2")
+    if grid_m < 2 or not np.isfinite([mu, nu]).all():
+        raise InvalidParams("grid order must be >= 2 and the shifts finite")
     n = grid_m * grid_m
     m_mat = BlockTridiagonalMatrix(grid_m, -1.0, _laplacian_block(grid_m, mu), -1.0)
     h_mat = BlockTridiagonalMatrix(grid_m, 0.0, _laplacian_block(grid_m, nu), 0.0)
@@ -89,7 +90,7 @@ def _box_family(h1):
 def gen_example52(n):
     """Market-equilibrium test family: H1 = tridiag(1, 4, -2), b = 0.1e."""
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise InvalidParams("n must be >= 2")
     return _box_family(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0))
 
 
@@ -99,8 +100,8 @@ def gen_example53(alpha):
     q = (1, 0). For alpha = 1 the prescribed solution is attached; the bound
     constant is 1 + alpha^2 in the inf-norm for any alpha.
     """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
+    if not alpha >= 1:
+        raise InvalidParams("alpha must be >= 1")
     m_mat = DenseMatrix(np.array([[1.0, 0.0], [alpha, 1.0]]))
     h_mat = DenseMatrix(np.array([[1.0, 0.0], [alpha * alpha, 1.0]]))
     blocks = BlockMatrixSet(m_mat, (h_mat,))
@@ -120,6 +121,6 @@ def gen_example55(grid_m):
     n = grid_m^2.
     """
     if grid_m < 2:
-        raise ValueError("grid order must be >= 2")
+        raise InvalidParams("grid order must be >= 2")
     return _box_family(BlockTridiagonalMatrix(grid_m, -1.0,
                                               _laplacian_block(grid_m, 0.0), -1.0))

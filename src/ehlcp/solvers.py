@@ -32,10 +32,10 @@ class IterationConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidParams("tol must be positive")
-        if self.max_iter < 1:
-            raise InvalidParams("max_iter must be >= 1")
+        if not 0.0 < self.tol < np.inf:
+            raise InvalidParams("tol must be finite and positive")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidParams("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -128,13 +128,14 @@ class LinearOperatorFactor:
 
 
 def _finish(problem_blocks, q, ladder_sol, y, status, iterations, steps):
-    residual = residual_of_tuple(problem_blocks, q, ladder_sol)
+    """The run's report; a run whose residual is not finite is Diverged."""
+    residual = _inf_norm(residual_of_tuple(problem_blocks, q, ladder_sol))
     return SolveReport(
-        status=status,
+        status=status if np.isfinite(residual) else "Diverged",
         iterations=iterations,
         y_final=y,
         solution=ladder_sol,
-        residual_norm=_inf_norm(residual),
+        residual_norm=residual,
         step_norms=steps,
     )
 
@@ -416,7 +417,7 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
     cfg = cfg or IterationConfig()
     if not (0.0 < eta <= 1.0):
         raise InvalidParams("eta must lie in (0, 1]")
-    if omega_relax <= 0:
+    if not omega_relax > 0:
         raise InvalidParams("omega must be positive")
     if ktag not in ("lower", "upper"):
         raise InvalidParams(f"unknown ktag {ktag!r}")

@@ -202,6 +202,9 @@ def test_validate_flags_dimension_mismatch():
     # the ladder's n (a problem file's "n") must match the blocks' order too
     p = EhlcpProblem(blocks, np.zeros(n), BoundLadder((), n + 1))
     assert [msg for msg in validate(p).issues if "dimension mismatch" in msg]
+    # m - 1 = 1 ladder step for (M, H1, H2), none given
+    p = EhlcpProblem(BlockMatrixSet(eye, (eye, eye)), np.zeros(n), BoundLadder((), n))
+    assert validate(p).issues == ["ladder length 0 does not match m - 1 = 1"]
 
 
 def test_validate_flags_nonfinite():
@@ -212,6 +215,10 @@ def test_validate_flags_nonfinite():
     report = validate(p)
     assert not report.ok
     assert any("non-finite" in msg for msg in report.issues)
+    p = _well_formed(n)
+    p = EhlcpProblem(p.blocks, np.array([np.inf, 0.0]),
+                     BoundLadder((np.array([1.0, np.nan]),), n))
+    assert validate(p).issues == ["non-finite entries in q", "non-finite entries in d1"]
 
 
 def test_json_roundtrip(rng):

@@ -11,11 +11,11 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    bound42, bound43, comparison_matrix, gen_example51,
                    gen_example52, gen_example53, identity_matrix,
                    overalpha_estimate, pls_residual, residual_error_interval,
-                   sdd_classify, split_diagonal, underalpha_exact)
+                   sample_rho_L, sdd_classify, split_diagonal, underalpha_exact)
 from ehlcp import bounds
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
-from ehlcp.errors import BudgetExceeded
+from ehlcp.errors import BudgetExceeded, InvalidParams
 from ehlcp.wproperty import representative, selection_combination
 
 UNIT_TRIANGULAR_PAIR = BlockMatrixSet(DenseMatrix([[1.0, 0.0], [-1.0, 1.0]]),
@@ -361,6 +361,42 @@ def test_overalpha_singular_selection_witness():
     with pytest.raises(SingularSelection) as info:
         overalpha_estimate(blocks, "inf", samples=5, seed=0)
     assert info.value.selection is not None
+
+
+def test_overalpha_singular_witness_above_the_cut():
+    # a zero row in both band blocks: the first sample is singular, and the
+    # witness is that draw
+    n = DENSE_EIG_MAX_ORDER + 1
+    diag = np.ones(n)
+    diag[5] = 0.0
+    store = TridiagonalMatrix(np.zeros(n - 1), diag, np.zeros(n - 1))
+    blocks = BlockMatrixSet(store, (store,))
+    with pytest.raises(SingularSelection) as info:
+        overalpha_estimate(blocks, "inf", samples=2, seed=4, vertex_budget=0)
+    first = next(simplex_selections(1, n, 1, 4))
+    assert np.array_equal(info.value.selection.lambdas, first)
+
+
+def test_falsify_random_condition_number_witness():
+    # every combination is diag(1, 1e-16): regular, with condition number 1e16
+    a = DenseMatrix(np.diag([1.0, 1e-16]))
+    witness = bounds.falsify_random(BlockMatrixSet(a, (a,)), trials=0)
+    assert np.array_equal(witness.lambdas, np.full((2, 2), 0.5))
+
+
+def test_negative_selection_count_or_seed_raises_at_the_call():
+    for call in (lambda: simplex_selections(1, 2, -1, 0),
+                 lambda: simplex_selections(1, 2, 1, -1),
+                 lambda: bounds.falsify_random(UNIT_TRIANGULAR_PAIR, trials=-3),
+                 lambda: overalpha_estimate(UNIT_TRIANGULAR_PAIR, "inf", samples=-1),
+                 lambda: sample_rho_L(UNIT_TRIANGULAR_PAIR, trials=-1)):
+        with pytest.raises(InvalidParams):
+            call()
+    # the draws: one exponential (m + 1) x n array per selection, normalized
+    rng = np.random.default_rng(7)
+    for lam in simplex_selections(2, 3, 4, 7):
+        e = rng.exponential(size=(3, 3))
+        assert np.array_equal(lam, e / e.sum(axis=0))
 
 
 def test_banded_combination_norms_match_dense(rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import example52_bound42_constant
+from ehlcp import solvers
 from ehlcp.cli import main
 
 
@@ -57,6 +58,46 @@ def test_gen_unknown_example_exit_code(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert run_cli(["gen", "--example", "9.9", "--out", str(out)]) == 2
     assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_example55_schema(tmp_path):
+    out = tmp_path / "p.json"
+    assert run_cli(["gen", "--example", "5.5", "--grid", "3", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["n"] == 9 and obj["m"] == 2
+    assert "blocktridiag" in obj["H"][0]
+    assert np.allclose(obj["prescribed"]["y"][:2], [-0.2, 0.2])
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--example", "5.1"],
+    ["gen", "--example", "5.1", "--grid", "1"],
+    ["gen", "--example", "5.1", "--grid", "3", "--mu", "nan"],
+    ["gen", "--example", "5.2"],
+    ["gen", "--example", "5.2", "--n", "1"],
+    ["gen", "--example", "5.3", "--alpha", "0.5"],
+    ["gen", "--example", "5.3", "--alpha", "nan"],
+    ["gen", "--example", "5.5", "--grid", "1"],
+    ["gen", "--example", "5.5"],
+    ["solve", "--method", "fp31", "--tol", "inf"],
+    ["solve", "--method", "fp31", "--tol", "nan"],
+    ["solve", "--method", "proj33", "--relax", "nan"],
+    ["checkw", "--budget", "10", "--falsify", "-3"],
+    ["checkw", "--budget", "10", "--falsify", "5", "--seed", "-1"],
+    ["bounds"],
+], ids=["no-grid51", "grid51", "nan-mu51", "no-n52", "n52", "alpha53", "nan-alpha53",
+        "grid55", "no-grid55", "tol-inf", "tol-nan", "relax-nan", "falsify-negative",
+        "seed-negative", "no-probe"])
+def test_bad_argument_exit_code(tmp_path, capsys, args):
+    problem, out = tmp_path / "p.json", tmp_path / "new.json"
+    run_cli(["gen", "--example", "5.2", "--n", "12", "--out", str(problem)])
+    capsys.readouterr()
+    tail = ["--out", str(out)] if args[0] == "gen" else [str(problem)]
+    assert run_cli(args + tail) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
 
 
@@ -175,6 +216,26 @@ def test_bounds_missing_ystar(tmp_path):
                     str(problem)]) == 0
 
 
+def test_bounds_solve_ystar_on_identity_form(tmp_path, monkeypatch):
+    # an m = 2 file with identity leading and trailing blocks takes method32
+    problem, bare = tmp_path / "p.json", tmp_path / "bare.json"
+    run_cli(["gen", "--example", "5.2", "--n", "10", "--out", str(problem)])
+    obj = json.loads(problem.read_text())
+    del obj["prescribed"]
+    bare.write_text(json.dumps(obj))
+    monkeypatch.setattr(solvers, "method31", None)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert run_cli(["bounds", "--probe-pattern=-0.1,0.1", "--out", str(want),
+                    str(problem)]) == 0
+    assert run_cli(["bounds", "--probe-pattern=-0.1,0.1", "--solve-ystar",
+                    "--out", str(got), str(bare)]) == 0
+    want, got = read_csv(want), read_csv(got)
+    assert got[0] == want[0] and len(got) == len(want) == 3
+    for a, b in zip(want[1:], got[1:]):
+        assert float(b[1]) == pytest.approx(float(a[1]), abs=1e-10)
+        assert b[2:] == a[2:]
+
+
 def _example53(tmp_path):
     problem = tmp_path / "p.json"
     run_cli(["gen", "--example", "5.3", "--alpha", "1", "--out", str(problem)])
@@ -239,6 +300,33 @@ def test_checkw_budget_and_falsify(tmp_path, capsys):
     assert run_cli(["checkw", "--budget", "100", "--falsify", "50",
                     str(problem)]) == 0
     assert "no witness" in capsys.readouterr().out
+
+
+def test_checkw_falsify_prints_witness(tmp_path, capsys):
+    # M = I, H1 = -I: the midpoint selection combination is the zero matrix
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "m": 1, "M": {"dense": [[1.0, 0.0], [0.0, 1.0]]},
+                               "H": [{"dense": [[-1.0, 0.0], [0.0, -1.0]]}],
+                               "q": [0.0, 0.0], "d": []}))
+    assert run_cli(["checkw", "--budget", "1", "--falsify", "5", str(bad)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("witness selection found")
+    assert json.loads(lines[1]) == [[0.5, 0.5], [0.5, 0.5]]
+
+
+def test_repro_table1(tmp_path):
+    # the CLI's Table 1 against the values criterion 1 checks
+    out = tmp_path / "t1.csv"
+    assert run_cli(["repro", "--table", "1", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    mus = (4, 6, 8, 10, 12, 14)
+    assert rows[0] == ["quantity"] + [f"mu={mu}" for mu in mus]
+    assert [r[0] for r in rows[1:]] == ["r_inf", "eta_inf", "tau_inf"]
+    r_inf, eta, tau = ([float(v) for v in r[1:]] for r in rows[1:])
+    assert r_inf == pytest.approx([0.05] * 6, rel=0, abs=1e-12)
+    paper = [0.07650, 0.06767, 0.06325, 0.06060, 0.05883, 0.05757]
+    assert eta == pytest.approx(paper, rel=0, abs=5e-6)
+    assert tau == pytest.approx(eta, rel=0, abs=1e-12)
 
 
 def test_repro_tables_3_4(tmp_path):

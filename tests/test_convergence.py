@@ -94,6 +94,8 @@ def test_check_thm34_dense_p_matrix():
     assert not res.rho.satisfied
     assert res.norms["2"].value == pytest.approx(0.90, abs=1e-10)
     assert res.norms["2"].satisfied  # the two conditions are incomparable
+    assert res.satisfied
+    assert not check_thm34(DENSE_P_MATRIX, 0.5).satisfied
 
 
 def test_check_thm34_tridiagonal_closed_form():
@@ -121,6 +123,7 @@ def test_check_thm34_two_norm_unavailable_for_large():
     res = check_thm34(h1, 4.0)
     assert res.norms["2"] is None
     assert res.norms["inf"].value == pytest.approx(0.75, abs=1e-12)
+    assert res.satisfied
 
 
 def test_column_sdd_tau_rule_gives_one_norm_below_one():

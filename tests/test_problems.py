@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ehlcp import (BlockMatrixSet, BoundLadder, EhlcpSolution, InfeasibleTuple,
-                   gen_example51, gen_example52, gen_example53, gen_example55,
-                   identity_matrix, oracle_solve, pls_residual, prescribe_q,
-                   sdd_classify, validate)
+                   InvalidParams, gen_example51, gen_example52, gen_example53,
+                   gen_example55, identity_matrix, oracle_solve, pls_residual,
+                   prescribe_q, sdd_classify, validate)
 from ehlcp.convergence import is_symmetric
 
 
@@ -119,3 +119,16 @@ def test_generator_input_validation():
         gen_example52(1)
     with pytest.raises(ValueError):
         gen_example55(1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_example51(1, 0.0, 0.0),
+    lambda: gen_example51(3, 0.0, np.inf),
+    lambda: gen_example52(1),
+    lambda: gen_example53(0.5),
+    lambda: gen_example53(np.nan),
+    lambda: gen_example55(1),
+], ids=["grid51", "inf-nu51", "n52", "alpha53", "nan-alpha53", "grid55"])
+def test_generators_raise_invalid_params(make):
+    with pytest.raises(InvalidParams):
+        make()

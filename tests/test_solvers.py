@@ -174,6 +174,8 @@ def test_method33_param_validation():
     with pytest.raises(InvalidParams):
         method33(problem, eta=0.5, omega_relax=0.0)
     with pytest.raises(InvalidParams):
+        method33(problem, eta=0.5, omega_relax=np.nan)
+    with pytest.raises(InvalidParams):
         method33(problem, eta=0.5, omega_relax=0.25, x10=np.array([2.0]))
 
 
@@ -276,3 +278,22 @@ def test_step_history_recorded():
     assert len(rep.step_norms) == rep.iterations
     assert rep.step_norms[-1] < 1e-6
     assert rep.to_json()["stepNorms"] == rep.step_norms
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": 0.0}, {"tol": np.inf}, {"tol": np.nan}, {"max_iter": 0}, {"max_iter": 2.5},
+], ids=["tol-zero", "tol-inf", "tol-nan", "max-iter-zero", "max-iter-fraction"])
+def test_iteration_config_rejects_bad_values(kwargs):
+    with pytest.raises(InvalidParams):
+        IterationConfig(**kwargs)
+
+
+def test_nonfinite_residual_is_diverged():
+    # an infinite q entry leaves the projected iterate finite but not the residual
+    gen = gen_example52(10)
+    q = gen.problem.q.copy()
+    q[3] = np.inf
+    problem = Ehlcp2Problem(gen.problem.H1, q, gen.problem.b)
+    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+        rep = method33(problem, eta=0.5, omega_relax=0.25)
+    assert rep.status == "Diverged" and not np.isfinite(rep.residual_norm)
