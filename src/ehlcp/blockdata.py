@@ -260,6 +260,21 @@ def is_identity(store):
     return not store.rebuilt(store.diagonal() - 1.0, np.positive).abs_rowsums().any()
 
 
+def is_symmetric(store):
+    """True when the store equals its transpose entry by entry.
+
+    A band store compares each stored diagonal at offset o with its partner
+    at -o shifted by o: A[j - o, j] against A[j, j - o]. A diagonal without a
+    stored partner breaks symmetry, since only diagonals holding a nonzero
+    are stored.
+    """
+    if isinstance(store, DenseMatrix):
+        return bool(np.array_equal(store.data, store.data.T))
+    rows = dict(store.diagonals())
+    return all(-o in rows and np.array_equal(values, np.roll(rows[-o], o))
+               for o, values in rows.items() if o)
+
+
 def entrywise(fn, stores):
     """One store holding fn(arrays) for the stores' entry arrays, aligned entry by entry.
 

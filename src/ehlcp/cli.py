@@ -365,8 +365,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        _fail(EXIT_BUDGET, str(exc))
     except EhlcpError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .blockdata import DenseMatrix, entrywise
+from .blockdata import DenseMatrix, is_symmetric
 from .errors import InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
@@ -172,7 +172,7 @@ def _stack_inverses(stack):
 
 def inverse_norm(store, tag):
     """Induced norm of store^{-1}: exact for a dense store and up to order 512,
-    estimated on the band LU above it.
+    estimated on the band factorization above it.
 
     The estimate is deterministic: Hager's method (``onenormest`` with t=1)
     for norms 1 and inf, a seeded power iteration for the 2-norm. Raises
@@ -294,12 +294,6 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
         worst = max(worst, float(np.abs(np.linalg.eigvals(l_mats)).max()))
         count += k
     return _report("Eq35Sampled", worst, samples=count, certifying=False)
-
-
-def is_symmetric(store):
-    """True when the store equals its transpose entry by entry."""
-    differs = entrywise(lambda a: a[0] != a[1], [store, store.transpose()])
-    return not differs.abs_rowsums().any()
 
 
 def is_diagonal(store):

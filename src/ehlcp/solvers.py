@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
-from .blockdata import DenseMatrix, EhlcpSolution
+from .blockdata import DenseMatrix, EhlcpSolution, is_symmetric
 from .errors import InvalidParams, SingularM
 from .transform import recover_solution, residual_of_tuple
 
@@ -60,10 +60,29 @@ class SolveReport:
 
 
 class BandedFactor:
-    """LAPACK banded LU (gbtrf/gbtrs) of a band store, on kl = ku = max(bandwidth, 1)."""
+    """LAPACK factorization of a band store.
+
+    An exactly symmetric store (``is_symmetric``) goes through banded
+    Cholesky (pbtrf/pbtrs) on its bandwidth + 1 upper diagonals. When that
+    finds the store not positive definite, and for every other store, it is
+    banded LU (gbtrf/gbtrs) on kl = ku = max(bandwidth, 1).
+    """
 
     def __init__(self, store):
         self.n = store.n
+        self._chol = None
+        if is_symmetric(store):
+            # The upper band is column-aligned like the store: A[i, j] sits in
+            # row kd + i - j, so each diagonal at offset o >= 0 is one row.
+            kd = store.bandwidth
+            ab = np.zeros((kd + 1, self.n))
+            for offset, values in store.diagonals():
+                if offset >= 0:
+                    ab[kd - offset] = values
+            chol, info = dpbtrf(ab)
+            if info == 0:
+                self._chol = chol
+                return
         self.kl = self.ku = kl = max(store.bandwidth, 1)
         # LAPACK's band is column-aligned like the store: A[i, j] sits in row
         # 2 kl + i - j, so each stored diagonal is one row of it.
@@ -79,8 +98,11 @@ class BandedFactor:
 
     def solve(self, rhs, transposed=False):
         rhs = np.asarray(rhs, dtype=float)
-        x, info = dgbtrs(self._lub, self.kl, self.ku, rhs, self._ipiv,
-                         trans=1 if transposed else 0)
+        if self._chol is not None:  # A = A^T: the transposed solve is the same
+            x, info = dpbtrs(self._chol, rhs)
+        else:
+            x, info = dgbtrs(self._lub, self.kl, self.ku, rhs, self._ipiv,
+                             trans=1 if transposed else 0)
         if info != 0:
             raise SingularM(f"banded solve failed with info={info}")
         return x
@@ -109,8 +131,9 @@ class DenseFactor:
 class LinearOperatorFactor:
     """One-time factorization of a matrix store supporting repeated solves.
 
-    Band stores go through LAPACK's banded LU; dense uses partial-pivoted
-    LU. The factorization is immutable and shareable.
+    A band store goes through LAPACK's banded Cholesky when it is exactly
+    symmetric and positive definite, else through its banded LU; dense uses
+    partial-pivoted LU. The factorization is immutable and shareable.
     """
 
     def __init__(self, store):
@@ -129,7 +152,8 @@ class LinearOperatorFactor:
 
 def _finish(problem_blocks, q, ladder_sol, y, status, iterations, steps):
     """The run's report; a run whose residual is not finite is Diverged."""
-    residual = _inf_norm(residual_of_tuple(problem_blocks, q, ladder_sol))
+    with np.errstate(invalid="ignore", over="ignore"):  # reported as Diverged
+        residual = _inf_norm(residual_of_tuple(problem_blocks, q, ladder_sol))
     return SolveReport(
         status=status if np.isfinite(residual) else "Diverged",
         iterations=iterations,

@@ -9,7 +9,7 @@ from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                    BoundLadder, DenseMatrix, EhlcpProblem, SingularM,
                    TridiagonalMatrix, identity_matrix, prefix_sums,
                    problem_from_json, problem_to_json, validate)
-from ehlcp.blockdata import is_identity
+from ehlcp.blockdata import is_identity, is_symmetric
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
 
 
@@ -141,6 +141,27 @@ def test_identity_store():
     assert not is_identity(TridiagonalMatrix.constant(5, 0.0, 2.0, 0.0))
     assert is_identity(DenseMatrix(np.eye(3)))
     assert not is_identity(BandMatrix((0, 1), [np.ones(3), [0.0, 0.0, 1e-300]]))
+
+
+def test_is_symmetric_pairs_each_band_diagonal_with_its_partner(rng):
+    sym = TridiagonalMatrix([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [1.0, 2.0, 3.0])
+    one_ulp = TridiagonalMatrix([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0],
+                                [1.0, np.nextafter(2.0, 3.0), 3.0])
+    shifted = TridiagonalMatrix([1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0], [2.0, 3.0, 1.0])
+    unpaired = BandMatrix((0, 2), [np.ones(5), [0.0, 0.0, 1.0, 1.0, 1.0]])
+    block = BlockTridiagonalMatrix(3, -1.0, TridiagonalMatrix.constant(3, -1.0, 4.0, -1.0),
+                                   -1.0)
+    a = rng.uniform(-1, 1, (6, 6))
+    wide = BandMatrix((0, -3, 3), [[1.0] * 6, [2.0, 3.0, 4.0, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0, 2.0, 3.0, 4.0]])
+    cases = [(sym, True), (one_ulp, False), (shifted, False), (unpaired, False),
+             (block, True), (wide, True), (DenseMatrix(a + a.T), True),
+             (DenseMatrix(a), False), (identity_matrix(4), True)]
+    for store, symmetric in cases:
+        dense = store.to_dense()
+        assert np.array_equal(dense, dense.T) == symmetric
+        assert is_symmetric(store) == symmetric
+        assert is_symmetric(DenseMatrix(dense)) == symmetric
 
 
 def test_prefix_sums_examples():

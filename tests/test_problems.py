@@ -5,7 +5,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, EhlcpSolution, InfeasibleTuple,
                    InvalidParams, gen_example51, gen_example52, gen_example53,
                    gen_example55, identity_matrix, oracle_solve, pls_residual,
                    prescribe_q, sdd_classify, validate)
-from ehlcp.convergence import is_symmetric
+from ehlcp.blockdata import is_symmetric
 
 
 def _general(gen):

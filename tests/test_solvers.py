@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
@@ -8,7 +12,9 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
                    gen_example52, gen_example55, identity_matrix,
                    implicit_sweep, method31, method32, method33,
                    recover_solution)
-from ehlcp.blockdata import BlockTridiagonalMatrix, TridiagonalMatrix
+from ehlcp.blockdata import (BandMatrix, BlockTridiagonalMatrix, TridiagonalMatrix,
+                             entrywise)
+from ehlcp.bounds import split_diagonal
 from ehlcp.transform import feasibility_violations
 
 
@@ -36,6 +42,93 @@ def test_factor_rejects_singular():
         LinearOperatorFactor(DenseMatrix(np.zeros((3, 3))))
     with pytest.raises(SingularM):
         LinearOperatorFactor(TridiagonalMatrix.constant(4, 0.0, 0.0, 0.0))
+    # the path graph's Laplacian: symmetric, positive semidefinite, A 1 = 0
+    diag = np.full(6, 2.0)
+    diag[[0, -1]] = 1.0
+    with pytest.raises(SingularM):
+        LinearOperatorFactor(TridiagonalMatrix(-np.ones(5), diag, -np.ones(5)))
+
+
+def _cholesky_route(factor):
+    return factor._impl._chol is not None
+
+
+def _assert_solves_match_dense(store, factor, rhs, rel):
+    want = np.linalg.solve(store.to_dense(), rhs)
+    want_t = np.linalg.solve(store.to_dense().T, rhs)
+    assert np.max(np.abs(factor.solve(rhs) - want)) <= rel * np.max(np.abs(want))
+    assert np.max(np.abs(factor.solve_transposed(rhs) - want_t)) <= rel * np.max(np.abs(want_t))
+
+
+def _i_minus_x(blocks):
+    """bound42's I - X: X is the entrywise max of Lambda_i^{-1} |C_i|."""
+    split = split_diagonal(blocks)
+    x = entrywise(np.maximum.reduce,
+                  [s.rebuilt(np.zeros(blocks.n), np.abs).row_scaled(1.0 / lam)
+                   for lam, s in zip(split.Lambda, blocks.all())])
+    return x.rebuilt(1.0 - x.diagonal(), np.negative)
+
+
+def test_spd_band_stores_take_the_cholesky_route(rng):
+    m_fp31 = gen_example51(20, 4.0, 4.0).problem.blocks.M
+    table2 = _i_minus_x(gen_example51(20, 5.0, 5.0).problem.blocks)  # mu = 5, n = 400
+    for store in (m_fp31, table2, identity_matrix(3)):
+        factor = LinearOperatorFactor(store)
+        assert _cholesky_route(factor)
+        _assert_solves_match_dense(store, factor, rng.standard_normal(store.n), 1e-12)
+        _assert_solves_match_dense(store, factor, rng.standard_normal((store.n, 3)), 1e-12)
+
+
+def test_symmetric_indefinite_or_one_ulp_off_band_stores_take_lu(rng):
+    # tridiag(1, 0.5, 1): eigenvalues 0.5 + 2 cos(k pi / 41), both signs, none 0
+    indefinite = TridiagonalMatrix.constant(40, 1.0, 0.5, 1.0)
+    # Ex 5.1's M with one entry of its +g diagonal one ulp off its mirror
+    offsets, data = zip(*gen_example51(6, 4.0, 4.0).problem.blocks.M.diagonals())
+    data = np.array(data)
+    k = offsets.index(6)
+    data[k, 10] = np.nextafter(data[k, 10], 0.0)
+    for store in (indefinite, BandMatrix(offsets, data)):
+        factor = LinearOperatorFactor(store)
+        assert not _cholesky_route(factor)
+        _assert_solves_match_dense(store, factor, rng.standard_normal(store.n), 1e-12)
+
+
+@st.composite
+def symmetric_band_stores(draw):
+    """(store, dominant): a random symmetric band store; the indefinite ones
+    have a negative diagonal entry, so they are never positive definite."""
+    n = draw(st.integers(2, 30))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    dominant = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    for o in sorted(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False)):
+        a += np.diag(rng.uniform(-1.0, 1.0, n - o), o)
+    a += a.T
+    if dominant:
+        diag = np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n)
+    else:
+        diag = rng.uniform(-2.0, 2.0, n)
+        diag[rng.integers(n)] = -rng.uniform(0.1, 2.0)
+    np.fill_diagonal(a, diag)
+    offsets = [o for o in range(1 - n, n) if np.any(np.diagonal(a, o))]
+    data = [np.pad(np.diagonal(a, o), (max(o, 0), max(-o, 0))) for o in offsets]
+    return BandMatrix(offsets, data), dominant
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_band_stores(), st.integers(0, 2 ** 32 - 1))
+def test_symmetric_band_store_routes_and_solves(drawn, seed):
+    store, dominant = drawn
+    factor = LinearOperatorFactor(store)  # random entries: singular with probability 0
+    assert _cholesky_route(factor) == dominant
+    a = store.to_dense()
+    rhs = np.random.default_rng(seed).standard_normal(store.n)
+    scale = np.abs(a).sum(axis=1).max()
+    for x in (factor.solve(rhs), factor.solve_transposed(rhs)):
+        # backward error: both factorizations are backward stable here
+        residual = np.max(np.abs(a @ x - rhs))
+        assert residual <= 1e-12 * (scale * np.max(np.abs(x)) + np.max(np.abs(rhs)))
 
 
 def test_method31_identity_collapses():
@@ -294,6 +387,7 @@ def test_nonfinite_residual_is_diverged():
     q = gen.problem.q.copy()
     q[3] = np.inf
     problem = Ehlcp2Problem(gen.problem.H1, q, gen.problem.b)
-    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the residual warns nothing
         rep = method33(problem, eta=0.5, omega_relax=0.25)
     assert rep.status == "Diverged" and not np.isfinite(rep.residual_norm)
