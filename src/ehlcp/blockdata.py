@@ -7,13 +7,17 @@ three diagonals, and ``BlockTridiagonalMatrix`` from the uniform block
 pattern blktridiag(sub*I, B, super*I), where B is one tridiagonal block
 repeated down the block diagonal and n = g^2 for block order g.
 
-Both stores answer the same eleven methods, and a new layout implements
-these eleven:
+Both stores answer the same eight methods, and a new layout implements
+these eight:
 
 - products: ``matvec``, ``rmatvec``
-- forms: ``to_dense``, ``transpose``, ``diagonal``, ``diagonals``
+- forms: ``to_dense``, ``diagonal``, ``diagonals``
 - entrywise transforms: ``rebuilt(main, off)``, ``row_scaled``
-- reductions: ``abs_rowsums``, ``abs_colsums``, ``all_finite``
+- reduction: ``abs_rowsums``
+
+Both stores also keep a column-aligned ``data`` array, zero outside the
+matrix: the dense array, and the band diagonals with data[k, j] in column j.
+The functions ``abs_colsums`` and ``all_finite`` read it directly.
 
 ``rebuilt(main, off)`` returns a store of the same kind with ``main`` as its
 diagonal and ``off`` applied to every other entry. ``off`` must return a new
@@ -69,9 +73,6 @@ class DenseMatrix:
     def to_dense(self):
         return self.data.copy()
 
-    def transpose(self):
-        return DenseMatrix(self.data.T.copy())
-
     def diagonal(self):
         return np.diag(self.data).copy()
 
@@ -86,12 +87,6 @@ class DenseMatrix:
 
     def abs_rowsums(self):
         return np.abs(self.data).sum(axis=1)
-
-    def abs_colsums(self):
-        return np.abs(self.data).sum(axis=0)
-
-    def all_finite(self):
-        return bool(np.isfinite(self.data).all())
 
     def diagonals(self):
         """(offset, values) of each nonzero diagonal, values[j] = A[j - offset, j]."""
@@ -164,12 +159,6 @@ class BandMatrix:
             np.fill_diagonal(out[rows, cols], values)
         return out
 
-    def transpose(self):
-        # A^T[j + o, j] = A[j, j + o]: each row shifts by its offset; what wraps
-        # around lands outside the matrix, which the constructor zeroes.
-        return BandMatrix([-o for o in self.offsets], np.reshape(
-            [np.roll(row, -o) for o, row in self._rows.items()], (-1, self.n)))
-
     def diagonal(self):
         return np.zeros(self.n) if self._main is None else self._main.copy()
 
@@ -190,12 +179,6 @@ class BandMatrix:
 
     def abs_rowsums(self):
         return BandMatrix(self.offsets, np.abs(self.data)).matvec(np.ones(self.n))
-
-    def abs_colsums(self):  # data is column-aligned and zero outside the matrix
-        return np.abs(self.data).sum(axis=0)
-
-    def all_finite(self):
-        return bool(np.isfinite(self.data).all())
 
 
 class TridiagonalMatrix(BandMatrix):
@@ -253,6 +236,15 @@ class BlockTridiagonalMatrix(BandMatrix):
 def identity_matrix(n):
     """Identity in tridiagonal storage (the cheapest band layout)."""
     return TridiagonalMatrix.constant(n, 0.0, 1.0, 0.0)
+
+
+def abs_colsums(store):
+    """Column sums of |A|: data is column-aligned and zero outside the matrix."""
+    return np.abs(store.data).sum(axis=0)
+
+
+def all_finite(store):
+    return bool(np.isfinite(store.data).all())
 
 
 def is_identity(store):
@@ -411,10 +403,6 @@ class EhlcpSolution:
         object.__setattr__(self, "x", tuple(_as_vector(v, self.w.shape[0], "x")
                                             for v in self.x))
 
-    @property
-    def m(self):
-        return len(self.x)
-
 
 @dataclass
 class ValidationReport:
@@ -434,7 +422,7 @@ def validate(problem):
         issues.append("order n must be >= 1")
     for label, store in [("M", blocks.M)] + [(f"H{k}", h) for k, h in
                                              enumerate(blocks.H, start=1)]:
-        if not store.all_finite():
+        if not all_finite(store):
             issues.append(f"non-finite entries in {label}")
     if problem.ladder.n != n:
         issues.append(f"dimension mismatch: n = {problem.ladder.n}, but the blocks "

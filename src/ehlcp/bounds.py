@@ -19,12 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, entrywise
+from .blockdata import DenseMatrix, abs_colsums, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
                           _stack_inverses, induced_norm, inverse_norm,
                           simplex_selections, spectral_radius_nonneg)
-from .errors import (BudgetExceeded, NonpositiveDiagonal, NormMismatch,
-                     SingularM, SingularSelection)
+from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
+                     NormMismatch, SingularM, SingularSelection)
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
 from .wproperty import selection_chunks, selection_combination, vertex_chunks
@@ -49,7 +49,7 @@ def sdd_classify(store):
     """Strict diagonal dominance by rows and by columns, with margins."""
     d = np.abs(store.diagonal())
     row_margins = 2.0 * d - store.abs_rowsums()
-    col_margins = 2.0 * d - store.abs_colsums()
+    col_margins = 2.0 * d - abs_colsums(store)
     return SddReport(bool(np.all(row_margins > 0)), bool(np.all(col_margins > 0)),
                      row_margins, col_margins)
 
@@ -106,11 +106,11 @@ def bound42(blocks, norm_tag="inf"):
         raise ValueError("bound supports norm tags '1' and 'inf'")
     n = blocks.n
     if n > DENSE_LIMIT and any(isinstance(s, DenseMatrix) for s in blocks.all()):
-        raise ValueError(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
+        raise InvalidParams(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
     split = split_diagonal(blocks)
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
-    x = entrywise(np.maximum.reduce, [s.rebuilt(np.zeros(n), np.abs).row_scaled(1.0 / lam)
-                                      for lam, s in zip(split.Lambda, blocks.all())])
+    x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
+                  [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
     i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
     bracket = None
     try:
@@ -156,7 +156,7 @@ def bound43(blocks):
     """
     margins = []
     for store in blocks.all():
-        margins.append(2.0 * np.abs(store.diagonal()) - store.abs_colsums())
+        margins.append(2.0 * np.abs(store.diagonal()) - abs_colsums(store))
     all_col_sdd = all(bool(np.all(m > 0)) for m in margins)
     diags = [store.diagonal() for store in blocks.all()]
     signs = np.sign(diags[0])

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .blockdata import DenseMatrix, is_symmetric
+from .blockdata import DenseMatrix, abs_colsums, is_symmetric
 from .errors import InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
@@ -43,7 +43,6 @@ POWER_MAX_ITER = 5000  # power steps before the bracket counts as stalled
 class ConvergenceReport:
     condition_tag: str  # Eq35Sampled | Eq38Rho | Eq38NormSum | Eq313Rho | Eq314Norm
     value: float
-    threshold: float
     satisfied: bool
     samples_used: int = 0
     certifying: bool = True
@@ -51,7 +50,7 @@ class ConvergenceReport:
 
 def _report(tag, value, samples=0, certifying=True):
     value = float(value)
-    return ConvergenceReport(tag, value, 1.0, bool(value < 1.0), samples, certifying)
+    return ConvergenceReport(tag, value, bool(value < 1.0), samples, certifying)
 
 
 @dataclass
@@ -134,7 +133,7 @@ def induced_norm(store, tag):
     """Induced matrix norm of a store; the 2-norm is exact up to order 512, then
     estimated."""
     if tag == "1":
-        return float(np.max(store.abs_colsums()))
+        return float(np.max(abs_colsums(store)))
     if tag == "inf":
         return float(np.max(store.abs_rowsums()))
     if tag == "2":
@@ -209,7 +208,7 @@ def check_cor31(blocks, norm_tag="inf"):
     """
     n = blocks.n
     if n > DENSE_LIMIT:
-        raise ValueError(f"check requires dense work, n <= {DENSE_LIMIT}")
+        raise InvalidParams(f"check requires dense work, n <= {DENSE_LIMIT}")
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
     abs_sum = np.zeros((n, n))
@@ -244,8 +243,8 @@ def check_thm34(H1, omega):
     Reports rho(|omega^{-1} H1 - I|) and ||omega^{-1} H1 - I|| for norms
     {1, 2, inf}; the two families do not contain each other.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < np.inf:
+        raise InvalidParams("omega must be finite and positive")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
     est = spectral_radius_nonneg(a.rebuilt(np.abs(a.diagonal()), np.abs))
@@ -316,7 +315,7 @@ def suggest_omega(H1):
     otherwise.
     """
     diag = H1.diagonal()
-    col_margins = 2.0 * np.abs(diag) - H1.abs_colsums()
+    col_margins = 2.0 * np.abs(diag) - abs_colsums(H1)
     col_sdd = bool(np.all(col_margins > 0))
     scalar_diag = diag.size > 0 and float(np.ptp(diag)) == 0.0
     if col_sdd and scalar_diag and diag[0] > 0:

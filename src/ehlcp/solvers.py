@@ -246,7 +246,10 @@ class _SweepPlan:
     """How implicit_sweep runs for one (H1, b, eta, omega, E, direction).
 
     Built once per method33 solve from H1's strict-triangle diagonals (K) and
-    reused by every sweep. ``kernel`` names the one it picked:
+    reused by every sweep. An upper sweep is the lower sweep of the reversed
+    coordinates: the plan reverses K's diagonals (offset o to -o, terms kept in
+    rising original column order), b and omega E once, and a sweep reverses g,
+    x and its result. ``kernel`` names the one it picked:
 
     - ``scan``: K is the one diagonal next to the main one and every slope
       |a_j| <= 1. The sweep is then the chain
@@ -262,18 +265,22 @@ class _SweepPlan:
 
     def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
         self.n = H1.n
-        self.lower = ktag == "lower"
+        self.reversed = ktag != "lower"
         self.eta, self.rest = eta, 1.0 - eta
         self.b = np.asarray(b, dtype=float)
         self.w = omega_relax * np.asarray(e_diag, dtype=float)
-        # K[j, j + offset] = values[j + offset], offsets by rising column index.
+        # K[j, j + offset] = values[j + offset] in the plan's coordinates,
+        # terms by rising original column index.
         self.tri = sorted((offset, values) for offset, values in H1.diagonals()
-                          if (offset < 0 if self.lower else offset > 0))
+                          if (offset > 0 if self.reversed else offset < 0))
+        if self.reversed:
+            self.tri = [(-offset, values[::-1]) for offset, values in self.tri]
+            self.b, self.w = self.b[::-1], self.w[::-1]
         self.kernel = "loop"
         finite = np.isfinite(self.b).all() and np.isfinite(self.w).all()
         if isinstance(H1, DenseMatrix) or not finite:
             return
-        if [offset for offset, _ in self.tri] == [-1 if self.lower else 1]:
+        if [offset for offset, _ in self.tri] == [-1]:
             self._plan_scan()
         else:
             self._plan_levels()
@@ -284,15 +291,10 @@ class _SweepPlan:
         return (self.b.tolist(), self.w.tolist(),
                 [(offset, memoryview(values)) for offset, values in self.tri])
 
-    def _order(self):
-        return range(self.n) if self.lower else range(self.n - 1, -1, -1)
-
     def _plan_scan(self):
-        # In sweep order (reversed for upper) step i reads step i - 1 through
-        # kv[i - 1]: K[j, j - 1] = values[j - 1], K[j, j + 1] = values[j + 1].
-        d = self.dir = slice(None) if self.lower else slice(None, None, -1)
-        self.kv = self.tri[0][1][d][:-1]
-        self.eta_w = self.eta * self.w[d]
+        # Step j reads step j - 1 through kv[j - 1] = K[j, j - 1].
+        self.kv = self.tri[0][1][:-1]
+        self.eta_w = self.eta * self.w
         a = np.zeros(self.n)
         a[1:] = -self.eta_w[1:] * self.kv
         # With |a| <= 1 no composed slope overflows; past it one can, and
@@ -306,7 +308,7 @@ class _SweepPlan:
         # zeros at block edges would otherwise chain all n coordinates.
         nonzero = [(offset, (values != 0.0).tolist()) for offset, values in self.tri]
         level = [0] * n
-        for j in self._order():
+        for j in range(n):
             lev = 0
             for offset, nz in nonzero:
                 l = j + offset
@@ -335,9 +337,13 @@ class _SweepPlan:
 
     def sweep(self, g, x):
         """x after one sweep, given g = H1 x + q."""
+        if self.reversed:
+            g, x = g[::-1], x[::-1]
         if self.kernel == "loop" or not (np.isfinite(g).all() and np.isfinite(x).all()):
-            return self._loop(g, x)
-        return self._scan(g, x) if self.kernel == "scan" else self._levels(g, x)
+            x_new = self._loop(g, x)
+        else:
+            x_new = self._scan(g, x) if self.kernel == "scan" else self._levels(g, x)
+        return x_new[::-1].copy() if self.reversed else x_new
 
     def _loop(self, g, x):
         n, eta, rest = self.n, self.eta, self.rest
@@ -345,7 +351,7 @@ class _SweepPlan:
         g, xs = g.tolist(), x.tolist()
         x_new = [0.0] * n
         delta = [0.0] * n
-        for j in self._order():
+        for j in range(n):
             corr = 0.0
             for offset, values in tri:
                 l = j + offset
@@ -357,13 +363,12 @@ class _SweepPlan:
         return np.array(x_new)
 
     def _scan(self, g, x):
-        d, eta = self.dir, self.eta
-        xs, gs, bs = x[d], g[d], self.b[d]
+        eta, b = self.eta, self.b
         # Step i's map is t -> clamp(A t + C, L, H); after the pass of span s
         # it is steps i - 2s + 1 .. i composed. Once every slope is 0, every
         # map is constant and further passes change no value.
-        A, C = self.a.copy(), -self.eta_w * gs
-        L, H = -eta * xs, eta * (bs - xs)
+        A, C = self.a.copy(), -self.eta_w * g
+        L, H = -eta * x, eta * (b - x)
         s = 1
         while s < self.n and A.any():
             a2, c2, l2, h2 = A[s:], C[s:], L[s:], H[s:]
@@ -380,8 +385,8 @@ class _SweepPlan:
         delta = np.minimum(np.maximum(C, L), H)
         corr = np.zeros(self.n)
         corr[1:] = self.kv * delta[:-1]
-        z = xs - self.w[d] * (gs + corr)
-        return (eta * np.minimum(np.maximum(z, 0.0), bs) + self.rest * xs)[d]
+        z = x - self.w * (g + corr)
+        return eta * np.minimum(np.maximum(z, 0.0), b) + self.rest * x
 
     def _levels(self, g, x):
         perm, eta, bp, wp = self.perm, self.eta, self.bp, self.wp
@@ -411,7 +416,8 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     K is the strictly lower (forward sweep) or strictly upper (backward sweep)
     triangular part of H1, so each coordinate only needs already-updated ones;
     the sweep is exact, no inner iteration. Each correction sums K's entries
-    by rising column index.
+    by rising column index. The backward sweep runs as the forward sweep of
+    the reversed coordinates.
 
     ``plan`` is the sweep plan of these arguments; method33 builds it once per
     solve, and a direct call builds one. It runs one of three kernels:
@@ -430,9 +436,9 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     return plan.sweep(H1.matvec(x) + q, np.asarray(x, dtype=float))
 
 
-def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
-             cfg=None):
-    """Projection baseline on x1 in [0, b] with relaxation eta and step omega.
+def method33(problem, eta, omega_relax, ktag="lower", x10=None, cfg=None):
+    """Projection baseline on x1 in [0, b] with relaxation eta and step omega
+    (E = I).
 
     Returns x1 from the iteration; w and x2 are recovered afterwards from the
     m = 2 identity-block equation (active-set recovery, reporting plumbing
@@ -446,16 +452,14 @@ def method33(problem, eta, omega_relax, e_diag=None, ktag="lower", x10=None,
     if ktag not in ("lower", "upper"):
         raise InvalidParams(f"unknown ktag {ktag!r}")
     n = problem.n
-    e_diag = np.ones(n) if e_diag is None else np.asarray(e_diag, dtype=float)
-    if e_diag.shape != (n,) or not np.all(e_diag > 0):
-        raise InvalidParams("E must be a positive diagonal (vector)")
+    e = np.ones(n)
     b, q, H1 = problem.b, problem.q, problem.H1
     x0 = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
     if np.any(x0 < 0) or np.any(x0 > b):
         raise InvalidParams("x10 must lie in [0, b]")
-    plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)
+    plan = _SweepPlan(H1, b, eta, omega_relax, e, ktag)
     x, status, iterations, steps = _iterate(
-        lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, plan=plan),
+        lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e, ktag, plan=plan),
         x0, cfg)
     # Recovery of (w, x2) from w = q + H1 x1 + x2 with x2 supported on {x1 = b}.
     base = q + H1.matvec(x)

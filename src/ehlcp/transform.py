@@ -35,14 +35,6 @@ class DiagonalSelection:
             raise ValueError("lambdas must be a (m+1, n) array")
         object.__setattr__(self, "lambdas", lam)
 
-    @property
-    def m(self):
-        return self.lambdas.shape[0] - 1
-
-    @property
-    def n(self):
-        return self.lambdas.shape[1]
-
 
 @dataclass
 class ResidualReport:

@@ -101,6 +101,18 @@ def test_bad_argument_exit_code(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_bounds_on_too_large_dense_file_exit_code(tmp_path, capsys, monkeypatch):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.3", "--alpha", "1", "--out", str(problem)])
+    capsys.readouterr()
+    monkeypatch.setattr("ehlcp.bounds.DENSE_LIMIT", 1)
+    assert run_cli(["bounds", str(problem), "--probe-pattern", "0.1,0.2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: dense layout too large")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_solve_omega32(tmp_path, capsys):
     problem = tmp_path / "p.json"
     report = tmp_path / "r.json"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import dominant_block, random_dominant_problem
-from ehlcp import (BlockMatrixSet, DenseMatrix, NoRuleApplies, check_cor31,
-                   check_thm34, gen_example51, gen_example52, gen_example55,
-                   identity_matrix, sample_rho_L, suggest_omega)
+from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
+                   check_cor31, check_thm34, gen_example51, gen_example52,
+                   gen_example55, identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp.blockdata import TridiagonalMatrix
 from ehlcp.convergence import (EIGVALS_FIRST_ORDER, POWER_MAX_ITER, induced_norm,
                                spectral_radius_nonneg, two_norm_estimate)
@@ -80,6 +80,18 @@ def test_check_cor31_dense_p_matrix():
     assert res2.rho.value == pytest.approx(1.1, abs=1e-10)
     assert not res2.rho.satisfied
     assert res2.satisfied and res2.winner == "Eq38NormSum"
+
+
+def test_check_cor31_dense_size_guard_raises_invalid_params(monkeypatch):
+    monkeypatch.setattr("ehlcp.convergence.DENSE_LIMIT", 3)
+    with pytest.raises(InvalidParams, match="n <= 3"):
+        check_cor31(BlockMatrixSet(identity_matrix(4), (identity_matrix(4),)))
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
+def test_check_thm34_rejects_bad_omega(omega):
+    with pytest.raises(InvalidParams, match="omega"):
+        check_thm34(DENSE_P_MATRIX, omega)
 
 
 def test_check_thm34_identity_scaling():

@@ -155,13 +155,22 @@ def sweeps(draw):
     return h1, q, x, b, eta, omega, e, draw(st.sampled_from(["lower", "upper"]))
 
 
-def order_sensitive_sweep():
-    """Row 3 sums 2^53 + 1 - 2^53: 0 by rising column index, 1 in reverse."""
+def order_sensitive_sweep(ktag):
+    """Three strict diagonals whose terms in the last row swept, row 3 of a
+    lower sweep or row 0 of an upper one, are 2^53, 1 and -2^53 by rising
+    column index: 0 summed in that order, 1 in reverse."""
     data = np.zeros((4, 4))
     data[0] = 1.0
-    data[1, 2], data[2, 1], data[3, 0] = -2.0 ** 53, 1.0, 2.0 ** 53
-    return (BandMatrix((0, -1, -2, -3), data), np.array([-1.0, -1.0, -1.0, -10.0]),
-            np.zeros(4), np.full(4, 100.0), 1.0, 1.0, np.ones(4), "lower")
+    if ktag == "lower":  # K[3, 0], K[3, 1], K[3, 2]
+        offsets, row = (0, -1, -2, -3), 3
+        data[3, 0], data[2, 1], data[1, 2] = 2.0 ** 53, 1.0, -2.0 ** 53
+    else:  # K[0, 1], K[0, 2], K[0, 3]
+        offsets, row = (0, 1, 2, 3), 0
+        data[1, 1], data[2, 2], data[3, 3] = 2.0 ** 53, 1.0, -2.0 ** 53
+    q = np.full(4, -1.0)
+    q[row] = -10.0
+    return (BandMatrix(offsets, data), q, np.zeros(4), np.full(4, 100.0), 1.0, 1.0,
+            np.ones(4), ktag)
 
 
 def pairwise_sensitive_sweep():
@@ -179,7 +188,8 @@ def pairwise_sensitive_sweep():
 
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
-@example(order_sensitive_sweep())
+@example(order_sensitive_sweep("lower"))
+@example(order_sensitive_sweep("upper"))
 @example(pairwise_sensitive_sweep())
 def test_kernels_match_scalar_reference(case):
     h1, q, x, b, eta, omega, e, ktag = case
