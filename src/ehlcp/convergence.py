@@ -28,7 +28,6 @@ from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
 from .wproperty import selection_chunks, vertex_chunks
 
-TWO_NORM_MAX_ORDER = 2000  # check_thm34 reports no 2-norm above this order
 DENSE_EIG_MAX_ORDER = 512
 DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
 # At or below this order the dense eigenvalues come first: on one AMD EPYC
@@ -130,14 +129,14 @@ def two_norm_estimate(matvec, rmatvec, n):
 
 
 def induced_norm(store, tag):
-    """Induced matrix norm of a store; the 2-norm is exact up to order 512, then
-    estimated."""
+    """Induced matrix norm of a store; the 2-norm is exact for a dense store and
+    up to order DENSE_EIG_MAX_ORDER, estimated (from below) above it."""
     if tag == "1":
         return float(np.max(abs_colsums(store)))
     if tag == "inf":
         return float(np.max(store.abs_rowsums()))
     if tag == "2":
-        if store.n <= DENSE_EIG_MAX_ORDER:
+        if isinstance(store, DenseMatrix) or store.n <= DENSE_EIG_MAX_ORDER:
             return float(np.linalg.norm(store.to_dense(), 2))
         return two_norm_estimate(store.matvec, store.rmatvec, store.n)
     raise ValueError(f"unknown norm tag {tag!r}")
@@ -175,8 +174,10 @@ def inverse_norm(store, tag):
 
     The estimate is deterministic: Hager's method (``onenormest`` with t=1)
     for norms 1 and inf, a seeded power iteration for the 2-norm. Raises
-    SingularM when the store cannot be inverted.
+    SingularM when the store cannot be inverted, ValueError on an unknown tag.
     """
+    if tag not in NORM_ORD:
+        raise ValueError(f"unknown norm tag {tag!r}")
     n = store.n
     if isinstance(store, DenseMatrix) or n <= DENSE_EIG_MAX_ORDER:
         inv, bad = _stack_inverses(store.to_dense()[None])
@@ -241,20 +242,17 @@ def check_thm34(H1, omega):
     """Spectral-radius and norm conditions for the scaled m=2 iteration.
 
     Reports rho(|omega^{-1} H1 - I|) and ||omega^{-1} H1 - I|| for norms
-    {1, 2, inf}; the two families do not contain each other.
+    {1, 2, inf}; the two families do not contain each other. The 2-norm
+    is exact, and None above order DENSE_EIG_MAX_ORDER.
     """
     if not 0.0 < omega < np.inf:
         raise InvalidParams("omega must be finite and positive")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
     est = spectral_radius_nonneg(a.rebuilt(np.abs(a.diagonal()), np.abs))
-    norms = {}
-    for tag in ("1", "inf"):
-        norms[tag] = _report("Eq314Norm", induced_norm(a, tag))
-    if a.n <= TWO_NORM_MAX_ORDER:
-        norms["2"] = _report("Eq314Norm", induced_norm(a, "2"))
-    else:
-        norms["2"] = None
+    norms = {tag: _report("Eq314Norm", induced_norm(a, tag)) for tag in ("1", "inf")}
+    norms["2"] = (_report("Eq314Norm", induced_norm(a, "2"))
+                  if a.n <= DENSE_EIG_MAX_ORDER else None)
     return Thm34Result(_report("Eq313Rho", est.value), norms)
 
 

@@ -7,15 +7,13 @@ the leading block once and reuse the factorization every sweep.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dpbtrs
 
-from .blockdata import DenseMatrix, EhlcpSolution, is_symmetric
+from .blockdata import DenseMatrix, EhlcpSolution, all_finite, is_symmetric
 from .errors import InvalidParams, SingularM
 from .transform import recover_solution, residual_of_tuple
 
@@ -104,40 +102,41 @@ class BandedFactor:
             x, info = dgbtrs(self._lub, self.kl, self.ku, rhs, self._ipiv,
                              trans=1 if transposed else 0)
         if info != 0:
-            raise SingularM(f"banded solve failed with info={info}")
+            raise ValueError(f"illegal argument {-info} to the banded solve")
         return x
 
 
 class DenseFactor:
-    """Partial-pivoted LU of a dense matrix."""
+    """Partial-pivoted LU of a dense matrix by LAPACK's getrf/getrs."""
 
     def __init__(self, a):
-        self.n = a.shape[0]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                lu, piv = lu_factor(a)
-        except Exception as exc:  # LinAlgError on hard failure
-            raise SingularM(f"dense factorization failed: {exc}") from exc
-        if np.any(np.diag(lu) == 0.0):
-            raise SingularM("matrix is singular (zero pivot)")
-        self._lu = (lu, piv)
+        lu, piv, info = dgetrf(a)  # factors a copy: a is left as it is
+        if info > 0:
+            raise SingularM(f"dense factorization hit a zero pivot at {info}")
+        if info < 0:
+            raise ValueError(f"illegal argument {-info} to getrf")
+        self._lu, self._piv = lu, piv
 
     def solve(self, rhs, transposed=False):
-        return lu_solve(self._lu, np.asarray(rhs, dtype=float),
-                        trans=1 if transposed else 0)
+        x, info = dgetrs(self._lu, self._piv, np.asarray(rhs, dtype=float),
+                         trans=1 if transposed else 0)
+        if info != 0:
+            raise ValueError(f"illegal argument {-info} to getrs")
+        return x
 
 
 class LinearOperatorFactor:
     """One-time factorization of a matrix store supporting repeated solves.
 
-    A band store goes through LAPACK's banded Cholesky when it is exactly
-    symmetric and positive definite, else through its banded LU; dense uses
-    partial-pivoted LU. The factorization is immutable and shareable.
+    Both layouts call LAPACK (BandedFactor, DenseFactor). A zero pivot or a
+    non-finite entry in the store raises SingularM; a non-finite right-hand
+    side comes back as NaN. The factorization is immutable and shareable.
     """
 
     def __init__(self, store):
         self.n = store.n
+        if not all_finite(store):
+            raise SingularM("matrix has a non-finite entry")
         if isinstance(store, DenseMatrix):
             self._impl = DenseFactor(store.data)
         else:
@@ -264,8 +263,14 @@ class _SweepPlan:
     """
 
     def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
+        if not (0.0 < eta <= 1.0):
+            raise InvalidParams("eta must lie in (0, 1]")
+        if not omega_relax > 0:
+            raise InvalidParams("omega must be positive")
+        if ktag not in ("lower", "upper"):
+            raise InvalidParams(f"unknown ktag {ktag!r}")
         self.n = H1.n
-        self.reversed = ktag != "lower"
+        self.reversed = ktag == "upper"
         self.eta, self.rest = eta, 1.0 - eta
         self.b = np.asarray(b, dtype=float)
         self.w = omega_relax * np.asarray(e_diag, dtype=float)
@@ -419,17 +424,18 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     by rising column index. The backward sweep runs as the forward sweep of
     the reversed coordinates.
 
-    ``plan`` is the sweep plan of these arguments; method33 builds it once per
-    solve, and a direct call builds one. It runs one of three kernels:
-    a doubling prefix scan of clamp-affine maps when K is the single diagonal
-    next to the main one (tridiagonal H1 with every |a_j| <= 1), vector steps
-    over levels of independent coordinates on other band stores with wide
-    enough levels (block tridiagonal H1: the anti-diagonals of the grid), and
-    the scalar loop otherwise (dense H1, narrow levels, non-finite data). The
-    level kernel gives the loop's result bit for bit. The scan evaluates each
-    coordinate with the loop's formula from its own predecessor, which can
-    differ from the loop's in the last bits: the loop's rounding adds up
-    along an unclamped chain with |a_j| near 1, the scan's does not.
+    ``plan`` is the sweep plan of these arguments, which checks eta, omega_relax
+    and ktag; method33 builds it once per solve, a direct call builds one. It
+    runs one of three kernels: a doubling prefix scan of clamp-affine maps
+    when K is the single diagonal next to the main one (tridiagonal H1 with
+    every |a_j| <= 1), vector steps over levels of independent coordinates on
+    other band stores with wide enough levels (block tridiagonal H1: the
+    anti-diagonals of the grid), and the scalar loop otherwise (dense H1,
+    narrow levels, non-finite data). The level kernel gives the loop's result
+    bit for bit. The scan evaluates each coordinate with the loop's formula
+    from its own predecessor, which can differ from the loop's in the last
+    bits: the loop's rounding adds up along an unclamped chain with |a_j|
+    near 1, the scan's does not.
     """
     if plan is None:
         plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)
@@ -445,19 +451,13 @@ def method33(problem, eta, omega_relax, ktag="lower", x10=None, cfg=None):
     only, not part of the iteration itself).
     """
     cfg = cfg or IterationConfig()
-    if not (0.0 < eta <= 1.0):
-        raise InvalidParams("eta must lie in (0, 1]")
-    if not omega_relax > 0:
-        raise InvalidParams("omega must be positive")
-    if ktag not in ("lower", "upper"):
-        raise InvalidParams(f"unknown ktag {ktag!r}")
     n = problem.n
     e = np.ones(n)
     b, q, H1 = problem.b, problem.q, problem.H1
+    plan = _SweepPlan(H1, b, eta, omega_relax, e, ktag)  # checks eta, omega, ktag
     x0 = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
     if np.any(x0 < 0) or np.any(x0 > b):
         raise InvalidParams("x10 must lie in [0, b]")
-    plan = _SweepPlan(H1, b, eta, omega_relax, e, ktag)
     x, status, iterations, steps = _iterate(
         lambda x: implicit_sweep(H1, q, x, b, eta, omega_relax, e, ktag, plan=plan),
         x0, cfg)

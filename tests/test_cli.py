@@ -380,6 +380,17 @@ def test_repro_table5(tmp_path):
     assert all(15 <= int(v) <= 17 for v in m3_it[2:])
 
 
+def test_repro_table6(tmp_path):
+    out = tmp_path / "t6.csv"
+    assert run_cli(["repro", "--table", "6", "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0][2:] == ["n=6400", "n=10000", "n=16900", "n=22500"]
+    m2_it = next(r for r in rows[1:] if r[0] == "M2" and r[1] == "IT")
+    m3_it = next(r for r in rows[1:] if r[0] == "M3" and r[1] == "IT")
+    assert all(4 <= int(v) <= 6 for v in m2_it[2:])
+    assert all(15 <= int(v) <= 17 for v in m3_it[2:])
+
+
 def test_repro_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -6,8 +6,9 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
                    check_cor31, check_thm34, gen_example51, gen_example52,
                    gen_example55, identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp.blockdata import TridiagonalMatrix
-from ehlcp.convergence import (EIGVALS_FIRST_ORDER, POWER_MAX_ITER, induced_norm,
-                               spectral_radius_nonneg, two_norm_estimate)
+from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, EIGVALS_FIRST_ORDER, POWER_MAX_ITER,
+                               induced_norm, inverse_norm, spectral_radius_nonneg,
+                               two_norm_estimate)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -138,6 +139,20 @@ def test_check_thm34_two_norm_unavailable_for_large():
     assert res.satisfied
 
 
+def test_check_thm34_two_norm_exact_up_to_the_cut_and_none_above():
+    n = DENSE_EIG_MAX_ORDER
+    h1 = gen_example52(n).problem.H1
+    want = np.linalg.norm(h1.to_dense() / 4.0 - np.eye(n), 2)
+    assert check_thm34(h1, 4.0).norms["2"].value == want
+    assert check_thm34(gen_example52(n + 1).problem.H1, 4.0).norms["2"] is None
+
+
+@pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_ORDER + 1])
+def test_inverse_norm_rejects_unknown_norm_tag(n):
+    with pytest.raises(ValueError, match="unknown norm tag"):
+        inverse_norm(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0), "Inf")
+
+
 def test_column_sdd_tau_rule_gives_one_norm_below_one():
     gen = gen_example52(40)
     sug = suggest_omega(gen.problem.H1)
@@ -210,3 +225,12 @@ def test_induced_norms_match_numpy(rng):
     assert induced_norm(d, "1") == pytest.approx(np.linalg.norm(a, 1))
     assert induced_norm(d, "inf") == pytest.approx(np.linalg.norm(a, np.inf))
     assert induced_norm(d, "2") == pytest.approx(np.linalg.norm(a, 2), abs=1e-9)
+    # a dense store's 2-norm is exact above the band cut too
+    big = rng.standard_normal((DENSE_EIG_MAX_ORDER + 1,) * 2)
+    assert induced_norm(DenseMatrix(big), "2") == np.linalg.norm(big, 2)
+    # above the cut a band store takes a power-iteration estimate, from below
+    band = TridiagonalMatrix.constant(DENSE_EIG_MAX_ORDER + 1, 1.0, 4.0, -2.0)
+    exact = np.linalg.norm(band.to_dense(), 2)
+    assert exact * (1 - 1e-4) <= induced_norm(band, "2") <= exact * (1 + 1e-14)
+    with pytest.raises(ValueError, match="unknown norm tag"):
+        induced_norm(d, "Inf")

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from conftest import random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
                    EhlcpProblem, InvalidParams, IterationConfig,
                    LinearOperatorFactor, SingularM, gen_example51,
-                   gen_example52, gen_example55, identity_matrix,
+                   gen_example52, gen_example53, gen_example55, identity_matrix,
                    implicit_sweep, method31, method32, method33,
                    recover_solution)
 from ehlcp.blockdata import (BandMatrix, BlockTridiagonalMatrix, TridiagonalMatrix,
@@ -47,6 +48,27 @@ def test_factor_rejects_singular():
     diag[[0, -1]] = 1.0
     with pytest.raises(SingularM):
         LinearOperatorFactor(TridiagonalMatrix(-np.ones(5), diag, -np.ones(5)))
+    # a non-finite entry, in either layout
+    diag[2] = np.nan
+    for store in (DenseMatrix(np.diag(diag)), TridiagonalMatrix(-np.ones(5), diag, -np.ones(5))):
+        with pytest.raises(SingularM):
+            LinearOperatorFactor(store)
+
+
+def test_dense_factor_matches_scipy_lu_bit_for_bit(rng):
+    # scipy's checked wrappers call the same getrf/getrs: they are the reference
+    for n in (1, 2, 3, 5, 8, 40):
+        store = DenseMatrix(rng.standard_normal((n, n)))
+        before = store.data.copy()
+        factor = LinearOperatorFactor(store)
+        lu, piv = lu_factor(before)
+        assert np.array_equal(factor._impl._lu, lu)
+        assert np.array_equal(factor._impl._piv, piv)
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(factor.solve(rhs), lu_solve((lu, piv), rhs))
+            assert np.array_equal(factor.solve_transposed(rhs),
+                                  lu_solve((lu, piv), rhs, trans=1))
+        assert np.array_equal(store.data, before)
 
 
 def _cholesky_route(factor):
@@ -175,7 +197,9 @@ def test_nonfinite_iterate_diverges_where_it_appears():
     e2 = Ehlcp2Problem(gen.problem.H1, q, gen.problem.b)
     cfg = IterationConfig(max_iter=500)
     reports = [method31(e2.as_general(), cfg=cfg), method32(e2, 4.0, cfg=cfg),
-               method33(e2, eta=0.5, omega_relax=0.25, cfg=cfg)]
+               method33(e2, eta=0.5, omega_relax=0.25, cfg=cfg),
+               # a dense M: the NaN comes back from its solve, as from a band one
+               method31(gen_example53(1.0).problem, y0=[np.nan, 0.0], cfg=cfg)]
     for rep in reports:
         assert rep.status == "Diverged"
         assert rep.iterations == 1
@@ -299,6 +323,17 @@ def test_sweep_uses_updated_coordinates():
     x1_new = np.clip(x[1] - om * (x[0] * 1 + 2 * x[1] + q[1] + corr), 0, 1)
     assert got[0] == pytest.approx(x0_new, abs=1e-15)
     assert got[1] == pytest.approx(x1_new, abs=1e-15)
+
+
+@pytest.mark.parametrize("eta, omega_relax, ktag", [
+    (0.5, 0.25, "Lower"), (0.0, 0.25, "lower"), (0.5, 0.0, "lower"),
+], ids=["ktag-Lower", "eta-zero", "omega-zero"])
+def test_implicit_sweep_rejects_bad_arguments(eta, omega_relax, ktag):
+    n = 6
+    h1 = TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0)
+    with pytest.raises(InvalidParams):
+        implicit_sweep(h1, np.zeros(n), np.zeros(n), np.ones(n), eta, omega_relax,
+                       np.ones(n), ktag)
 
 
 def _inner_iteration_oracle(h1, q, x, b, eta, om, e, ktag, tol=1e-12):
