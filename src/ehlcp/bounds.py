@@ -14,6 +14,7 @@ column W-property; ``falsify_random`` searches sampled selections for one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -83,6 +84,98 @@ class BoundReport:
     condition_bracket: Optional[tuple] = None  # (lower, upper) bound on rho
 
 
+# bound42 sums the Neumann series only when steps * p * NEUMANN_BREAK_EVEN <
+# bandwidth^2. A step with a band X of p stored diagonals costs about n p, the
+# banded factorization of I - X about n bandwidth^2, and per unit of these a
+# step measured 6-9 times dearer on Ex 5.1 and Ex 5.5 at n = 400-10,000 (see
+# CHANGES.md).
+NEUMANN_BREAK_EVEN = 8
+UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u of round to nearest
+
+
+def _up(a):
+    """The float after a: an upper end for a once-rounded result a."""
+    return math.nextafter(a, math.inf)
+
+
+def _scaled_up(t, g):
+    """An upper end for t (1 + g) with t, g >= 0 and floats t, g."""
+    return _up(t + _up(t * g))
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), rounded up."""
+    return _up(k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF))
+
+
+def _neumann_steps(x, norm_tag):
+    """Steps for the Neumann sum of X, or None where the solve is cheaper.
+
+    The sum needs a band X with s = ||X|| below one for the tag (largest row
+    sum for inf, column sum for 1, rounded up by gamma_2p), which proves
+    rho(X) <= s < 1. After ceil(log u / log s) steps its tail is below
+    rounding.
+    """
+    if isinstance(x, DenseMatrix):
+        return None
+    p = len(x.offsets)
+    sums = x.abs_rowsums() if norm_tag == "inf" else abs_colsums(x)
+    s = _scaled_up(float(np.max(sums)), _gamma(2 * p))
+    if not s < 1.0:
+        return None
+    steps = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(s, UNIT_ROUNDOFF)))
+    return steps if steps * p * NEUMANN_BREAK_EVEN < x.bandwidth ** 2 else None
+
+
+def _neumann_sum(rhs, apply_x, steps):
+    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out."""
+    v = rhs
+    for _ in range(steps):
+        v_next = rhs + apply_x(v)
+        if np.array_equal(v_next, v):
+            break
+        v = v_next
+    return v
+
+
+def _enclose(x, v, rhs, apply_x):
+    """Certify v against (I - X) z = rhs: (eps, (theta_lo, theta_up)) or None.
+
+    X >= 0, and p is the most terms in one entry of X v (the stored diagonals
+    of a band X, n for a dense X), so w = fl(X v) has |w - X v| <= gamma_p X v
+    (Higham 2002, ch. 3). With g = gamma_(2p+3) and v finite and positive:
+
+    - theta_up = max_i fl(w_i / v_i) (1 + g) and theta_lo = min_i
+      fl(w_i / v_i) (1 - g) bound every exact ratio (X v)_i / v_i, so
+      theta_lo <= rho(X) <= theta_up (Collatz-Wielandt). v certifies only
+      when theta_up < 1.
+    - The exact residual r = rhs - v + X v obeys
+      |r| <= |fl(r)| + g (rhs + v + w).
+    - Since (I - X)^{-1} = sum_k X^k >= 0 and X v <= theta_up v,
+      |z - v| = |(I - X)^{-1} r| <= delta (I - X)^{-1} v
+      <= v delta / (1 - theta_up), with delta = max_i |r_i| / v_i. So
+      z <= v (1 + eps), eps = delta / (1 - theta_up).
+
+    The seven rounded operations from the residual to eps are covered by a
+    last factor 1 + gamma_7, and every scalar result is rounded up one ulp.
+    Underflow is not accounted for.
+    """
+    if not (np.isfinite(v).all() and (v > 0).all()):
+        return None
+    p = x.n if isinstance(x, DenseMatrix) else len(x.offsets)
+    g = _gamma(2 * p + 3)
+    w = apply_x(v)
+    ratios = w / v
+    theta_up = _scaled_up(float(np.max(ratios)), g)
+    if not theta_up < 1.0:
+        return None
+    lo = float(np.min(ratios))
+    theta_lo = max(0.0, math.nextafter(lo - _up(lo * g), -math.inf))
+    slack = np.abs(rhs - v + w) + g * (rhs + v + w)
+    eps = float(np.max(slack / v)) / (1.0 - theta_up)
+    return _scaled_up(eps, _gamma(7)), (theta_lo, theta_up)
+
+
 def bound42(blocks, norm_tag="inf"):
     """Constant of the positive-diagonal bound, with its spectral condition.
 
@@ -91,12 +184,24 @@ def bound42(blocks, norm_tag="inf"):
     ||(I - X)^{-1} max_i Lambda_i^{-1}|| certifies the upper error bound
     (norms 1 and inf supported).
 
-    The condition is decided by the solve that gives the constant: for tag inf
-    z = (I - X)^{-1} d_max with ratios (X z)_i / z_i, for tag 1
-    u = (I - X^T)^{-1} e with ratios (X^T u)_i / u_i. It holds exactly when
-    the vector is finite and positive and its largest ratio is below one
-    (Collatz-Wielandt: then min ratio <= rho(X) <= max ratio < 1). On a
-    certified instance ``condition_bracket`` is that (min, max) ratio pair.
+    Both come from one vector v: for tag inf v approximates
+    z = (I - X)^{-1} d_max, for tag 1 v approximates u = (I - X^T)^{-1} e.
+    It has one of two sources, picked from X before any work:
+
+    - a Neumann sum v <- rhs + X v (X^T v for tag 1), for a band X whose
+      norm for the tag is below one and whose sum costs less than the banded
+      factorization (``NEUMANN_BREAK_EVEN``);
+    - otherwise the solve with I - X by ``LinearOperatorFactor``. It is also
+      tried when a Neumann sum fails to certify.
+
+    Either v is certified the same way (``_enclose``): the condition holds
+    exactly when v is finite and positive and the rounded-up largest
+    Collatz-Wielandt ratio theta_up is below one (min ratio <= rho(X) <=
+    max ratio). v is then enclosed, z <= v (1 + eps), and since (I - X)^{-1}
+    is nonnegative the constant is max v (1 + eps) for tag inf and
+    max d_max v (1 + eps) for tag 1, rounded up: an upper end of the exact
+    constant of the stored X and d_max, never below it.
+    ``condition_bracket`` is the rigorous (lower, upper) ratio pair.
     ``condition_value`` is the spectral radius from ``spectral_radius_nonneg``
     at order ``EIGVALS_FIRST_ORDER`` or below, and the bracket's upper end
     above it. On an uncertified instance both come from
@@ -111,29 +216,29 @@ def bound42(blocks, norm_tag="inf"):
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
     x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
                   [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
-    i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
-    bracket = None
-    try:
-        factor = LinearOperatorFactor(i_minus_x)
-    except SingularM:
-        pass  # the condition fails
-    else:
-        # Collatz-Wielandt on the constant's own solve. With v > 0 the product
-        # X v sums nonnegative terms, so its ratios to v are accurate to
-        # rounding however inexact the solve was.
-        v, apply_x = ((factor.solve(d_max), x.matvec) if norm_tag == "inf" else
-                      (factor.solve_transposed(np.ones(n)), x.rmatvec))
-        if np.isfinite(v).all() and (v > 0).all():
-            ratios = apply_x(v) / v
-            if np.max(ratios) < 1.0:
-                bracket = (float(np.min(ratios)), float(np.max(ratios)))
-    if bracket is not None:
-        # (I - X)^{-1} D is entrywise nonnegative: its 1/inf norms are plain
-        # column/row sums, read off the certificate's own solve.
-        constant = float(np.max(v if norm_tag == "inf" else d_max * v))
+    rhs, apply_x = (d_max, x.matvec) if norm_tag == "inf" else (np.ones(n), x.rmatvec)
+    cert = None
+    steps = _neumann_steps(x, norm_tag)
+    if steps is not None:
+        v = _neumann_sum(rhs, apply_x, steps)
+        cert = _enclose(x, v, rhs, apply_x)
+    if cert is None:
+        i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
+        try:
+            factor = LinearOperatorFactor(i_minus_x)
+        except SingularM:
+            pass  # the condition fails
+        else:
+            v = (factor.solve(rhs) if norm_tag == "inf" else
+                 factor.solve_transposed(rhs))
+            cert = _enclose(x, v, rhs, apply_x)
+    if cert is not None:
+        eps, bracket = cert
+        top = float(np.max(v)) if norm_tag == "inf" else _up(float(np.max(d_max * v)))
         value = (bracket[1] if n > EIGVALS_FIRST_ORDER
                  else spectral_radius_nonneg(x).value)
-        return BoundReport("Thm42Eta", constant, norm_tag, True, value, bracket)
+        return BoundReport("Thm42Eta", _scaled_up(top, eps), norm_tag, True, value,
+                           bracket)
     # Condition violated: report the true norm when feasible (inf when I - X
     # is singular or its inverse overflows), flag it.
     est = spectral_radius_nonneg(x)

@@ -9,8 +9,8 @@ keeps the iterate strictly positive, so the bracket is rigorous at every
 step), with a dense eigenvalue fallback up to order 512 when the bracket
 stalls. ``check_thm34`` and ``check_cor31`` report that spectral radius.
 ``bounds.bound42`` decides its own condition rho < 1 without this kernel
-wherever it can: a Collatz-Wielandt test on the vector its constant's solve
-already returns.
+wherever it can: a Collatz-Wielandt test on the vector behind its constant
+(a Neumann sum or a solve with I - X).
 """
 
 from __future__ import annotations

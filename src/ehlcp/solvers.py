@@ -21,7 +21,7 @@ DIVERGENCE_LIMIT = 1e12
 
 
 def _inf_norm(v):
-    return float(np.linalg.norm(v, np.inf))
+    return float(np.abs(v).max(initial=0.0))  # np.linalg.norm(v, inf), bit for bit
 
 
 @dataclass(frozen=True)
@@ -128,13 +128,16 @@ class DenseFactor:
 class LinearOperatorFactor:
     """One-time factorization of a matrix store supporting repeated solves.
 
-    Both layouts call LAPACK (BandedFactor, DenseFactor). A zero pivot or a
+    Both layouts call LAPACK (BandedFactor, DenseFactor). A store of order
+    below one raises InvalidParams before any LAPACK call. A zero pivot or a
     non-finite entry in the store raises SingularM; a non-finite right-hand
     side comes back as NaN. The factorization is immutable and shareable.
     """
 
     def __init__(self, store):
         self.n = store.n
+        if self.n < 1:
+            raise InvalidParams("cannot factor a matrix of order 0")
         if not all_finite(store):
             raise SingularM("matrix has a non-finite entry")
         if isinstance(store, DenseMatrix):

@@ -1,11 +1,15 @@
+from fractions import Fraction
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import counter_order, random_dominant_problem
+from conftest import counter_order, example52_bound42_constant, random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    NonpositiveDiagonal, NormMismatch, SingularSelection,
                    bound42, bound43, comparison_matrix, gen_example51,
@@ -210,6 +214,163 @@ def test_bound42_monotone_in_mu():
         rep = bound42(gen_example51(20, mu, mu).problem.blocks, "inf")
         assert rep.constant <= last + 1e-15
         last = rep.constant
+
+
+def _band_csr(store):
+    offsets, rows = zip(*store.diagonals())
+    return scipy.sparse.dia_matrix((np.array(rows), offsets), shape=(store.n, store.n)).tocsr()
+
+
+def sparse_bound42_x(blocks):
+    """bound42's X (as COO) and d_max from band blocks, rounded the same way:
+    |a_ij| times the reciprocal of a_ii."""
+    mats = [_band_csr(s) for s in blocks.all()]
+    diags = [a.diagonal() for a in mats]
+    scaled = [scipy.sparse.diags(1.0 / d) @ abs(a - scipy.sparse.diags(d))
+              for a, d in zip(mats, diags)]
+    x = scaled[0]
+    for other in scaled[1:]:
+        x = x.maximum(other)
+    return x.tocoo(), np.maximum.reduce([1.0 / d for d in diags])
+
+
+def refined_resolvent(x, rhs, steps=4):
+    """(I - X)^{-1} rhs as np.longdouble: a sparse LU solve, then iterative
+    refinement with the residual in long double."""
+    lu = scipy.sparse.linalg.splu((scipy.sparse.identity(rhs.size) - x).tocsc())
+    v = lu.solve(rhs).astype(np.longdouble)
+    xs = x.data.astype(np.longdouble)
+    for _ in range(steps):
+        xv = np.zeros(rhs.size, np.longdouble)
+        np.add.at(xv, x.row, xs * v[x.col])
+        v = v + lu.solve((rhs - v + xv).astype(float))
+    return v
+
+
+TABLE12_CELLS = [(100, mu) for mu in (4, 6, 8, 10, 12, 14)] + [
+    (grid, mu) for grid in (20, 40, 60) for mu in (5, 7, 9)]
+
+
+@pytest.mark.parametrize("grid, mu", TABLE12_CELLS)
+def test_bound42_encloses_refined_table12_constants(grid, mu):
+    # A trusted rounded solve lands below these references in 21 of 30 cases.
+    blocks = gen_example51(grid, float(mu), float(mu)).problem.blocks
+    x, d_max = sparse_bound42_x(blocks)
+    refs = {"inf": np.max(refined_resolvent(x, d_max)),
+            "1": np.max(d_max * refined_resolvent(x.T.tocoo(), np.ones(blocks.n)))}
+    for tag, ref in refs.items():
+        constant = np.longdouble(bound42(blocks, tag).constant)
+        assert ref <= constant <= ref * (1 + np.longdouble(1e-13)), (tag, ref, constant)
+
+
+def test_bound42_encloses_exact_example52_constants():
+    for n in (30, 60, 90, 120):
+        rep = bound42(gen_example52(n).problem.as_general().blocks, "inf")
+        assert rep.condition_satisfied
+        assert Fraction(rep.constant) >= example52_bound42_constant(n)
+
+
+def test_enclose_rejects_a_ratio_that_rounds_below_one():
+    # Row 0 of X holds a = 1 - 2^-52 and five entries of 0.45 ulp(a) each: X 1
+    # sums them to a in floating point, but exactly to more than 1, so v = 1
+    # bounds no ratio below one and must not certify.
+    a, tiny = 1.0 - 2.0 ** -52, 0.45 * 2.0 ** -53
+    offsets = range(1, 7)
+    data = np.zeros((6, 7))
+    for k, o in enumerate(offsets):
+        data[k, o] = a if o == 1 else tiny
+    x = BandMatrix(offsets, data)
+    v = np.ones(7)
+    assert x.matvec(v)[0] == a
+    assert sum(Fraction(t) for t in data[:, 1:].sum(axis=0)) > 1
+    assert bounds._enclose(x, v, v, x.matvec) is None
+    v[0] = 2.0  # ratios a / 2 and 0: certified
+    assert bounds._enclose(x, v, v, x.matvec)[1][1] < 0.5 + 1e-15
+
+
+def _no_factor(store):
+    raise AssertionError("LinearOperatorFactor called")
+
+
+def test_bound42_table1_cells_take_the_neumann_sum(monkeypatch):
+    monkeypatch.setattr(bounds, "LinearOperatorFactor", _no_factor)
+    for mu in (4.0, 14.0):
+        blocks = gen_example51(100, mu, mu).problem.blocks
+        for tag in ("1", "inf"):
+            assert bound42(blocks, tag).condition_satisfied
+
+
+def test_bound42_narrow_bands_and_dense_blocks_factor(monkeypatch):
+    orders = []
+
+    def counted(store, real=bounds.LinearOperatorFactor):
+        orders.append(store.n)
+        return real(store)
+
+    monkeypatch.setattr(bounds, "LinearOperatorFactor", counted)
+    cases = [gen_example52(120).problem.as_general().blocks,  # Table 4: tridiagonal
+             gen_example51(20, 5.0, 5.0).problem.blocks,      # Table 2, grid 20
+             random_dominant_problem(0)[0].blocks]             # dense
+    for blocks in cases:
+        assert bound42(blocks, "inf").condition_satisfied
+    assert orders == [blocks.n for blocks in cases]
+
+
+def exact_bound42_constant(x, d_max, tag):
+    """||(I - X)^{-1} diag(d_max)|| for the tag, in rational arithmetic.
+
+    I - X is a nonsingular M-matrix (rho(X) < 1), so Gauss-Jordan needs no
+    pivoting."""
+    n = len(x)
+    a = x if tag == "inf" else x.T
+    rhs = d_max if tag == "inf" else np.ones(n)
+    rows = [[Fraction(float(i == j)) - Fraction(a[i, j]) for j in range(n)] + [Fraction(rhs[i])]
+            for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if i != k:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [p - f * q for p, q in zip(rows[i], rows[k])]
+    z = [rows[i][n] / rows[i][i] for i in range(n)]
+    return max(z) if tag == "inf" else max(Fraction(d) * zi for d, zi in zip(d_max, z))
+
+
+@st.composite
+def neumann_instances(draw):
+    """Band blocks with positive diagonals, scaled so the largest row and
+    column sum of X is a drawn value below one."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, 2))
+    width = draw(st.integers(1, n - 1))
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
+    off = draw(hnp.arrays(float, (m + 1, n, n), elements=st.floats(0.05, 1.0)))
+    signs = draw(hnp.arrays(float, (m + 1, n, n), elements=st.sampled_from([-1.0, 1.0])))
+    diags = draw(hnp.arrays(float, (m + 1, n), elements=st.floats(0.5, 2.0)))
+    off = off * signs * (band & ~np.eye(n, dtype=bool))
+    x = bound42_x(off + np.stack([np.diag(d) for d in diags]))[0]
+    s = max(x.sum(axis=0).max(), x.sum(axis=1).max())
+    mats = off * (draw(st.floats(0.05, 0.9)) / s) + np.stack([np.diag(d) for d in diags])
+    return BlockMatrixSet(as_band(mats[0]), tuple(as_band(a) for a in mats[1:])), mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(neumann_instances())
+def test_neumann_sum_encloses_the_exact_constant(case):
+    blocks, mats = case
+    x, d_max = bound42_x(mats)
+    rho = float(np.max(np.abs(np.linalg.eigvals(x))))
+    for tag in ("1", "inf"):
+        exact = exact_bound42_constant(x, d_max, tag)
+        with patch.object(bounds, "NEUMANN_BREAK_EVEN", 0), \
+                patch.object(bounds, "LinearOperatorFactor", _no_factor):
+            summed = bound42(blocks, tag)
+        with patch.object(bounds, "NEUMANN_BREAK_EVEN", float("inf")):
+            solved = bound42(blocks, tag)
+        assert summed.condition_satisfied and solved.condition_satisfied
+        assert exact <= Fraction(summed.constant) <= exact * (1 + Fraction(1, 10 ** 12))
+        assert summed.constant == pytest.approx(solved.constant, rel=1e-12)
+        lo, hi = summed.condition_bracket
+        assert lo - 1e-12 <= rho <= hi + 1e-12
 
 
 def test_bound43_examples():

@@ -55,6 +55,19 @@ def test_factor_rejects_singular():
             LinearOperatorFactor(store)
 
 
+def test_order_zero_store_raises_typed_error_without_lapack_output(capfd):
+    # LAPACK's getrf prints to stderr on an order-0 argument: the check must
+    # come first, in both layouts and through a solver
+    for store in (DenseMatrix(np.zeros((0, 0))), BandMatrix((0,), np.zeros((1, 0)))):
+        with pytest.raises(InvalidParams):
+            LinearOperatorFactor(store)
+    empty = DenseMatrix(np.zeros((0, 0)))
+    problem = EhlcpProblem(BlockMatrixSet(empty, (empty,)), np.zeros(0), BoundLadder((), 0))
+    with pytest.raises(InvalidParams):
+        method31(problem)
+    assert capfd.readouterr().err == ""
+
+
 def test_dense_factor_matches_scipy_lu_bit_for_bit(rng):
     # scipy's checked wrappers call the same getrf/getrs: they are the reference
     for n in (1, 2, 3, 5, 8, 40):
