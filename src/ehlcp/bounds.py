@@ -14,7 +14,6 @@ column W-property; ``falsify_random`` searches sampled selections for one.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,11 +21,11 @@ import numpy as np
 
 from .blockdata import DenseMatrix, abs_colsums, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                          _stack_inverses, induced_norm, inverse_norm,
-                          simplex_selections, spectral_radius_nonneg)
+                          _gamma, _scaled_up, _stack_inverses, _up, enclose_resolvent,
+                          induced_norm, inverse_norm, simplex_selections,
+                          spectral_radius_nonneg)
 from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
                      NormMismatch, SingularM, SingularSelection)
-from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
 from .wproperty import selection_chunks, selection_combination, vertex_chunks
 
@@ -84,98 +83,6 @@ class BoundReport:
     condition_bracket: Optional[tuple] = None  # (lower, upper) bound on rho
 
 
-# bound42 sums the Neumann series only when steps * p * NEUMANN_BREAK_EVEN <
-# bandwidth^2. A step with a band X of p stored diagonals costs about n p, the
-# banded factorization of I - X about n bandwidth^2, and per unit of these a
-# step measured 6-9 times dearer on Ex 5.1 and Ex 5.5 at n = 400-10,000 (see
-# CHANGES.md).
-NEUMANN_BREAK_EVEN = 8
-UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u of round to nearest
-
-
-def _up(a):
-    """The float after a: an upper end for a once-rounded result a."""
-    return math.nextafter(a, math.inf)
-
-
-def _scaled_up(t, g):
-    """An upper end for t (1 + g) with t, g >= 0 and floats t, g."""
-    return _up(t + _up(t * g))
-
-
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u), rounded up."""
-    return _up(k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF))
-
-
-def _neumann_steps(x, norm_tag):
-    """Steps for the Neumann sum of X, or None where the solve is cheaper.
-
-    The sum needs a band X with s = ||X|| below one for the tag (largest row
-    sum for inf, column sum for 1, rounded up by gamma_2p), which proves
-    rho(X) <= s < 1. After ceil(log u / log s) steps its tail is below
-    rounding.
-    """
-    if isinstance(x, DenseMatrix):
-        return None
-    p = len(x.offsets)
-    sums = x.abs_rowsums() if norm_tag == "inf" else abs_colsums(x)
-    s = _scaled_up(float(np.max(sums)), _gamma(2 * p))
-    if not s < 1.0:
-        return None
-    steps = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(s, UNIT_ROUNDOFF)))
-    return steps if steps * p * NEUMANN_BREAK_EVEN < x.bandwidth ** 2 else None
-
-
-def _neumann_sum(rhs, apply_x, steps):
-    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out."""
-    v = rhs
-    for _ in range(steps):
-        v_next = rhs + apply_x(v)
-        if np.array_equal(v_next, v):
-            break
-        v = v_next
-    return v
-
-
-def _enclose(x, v, rhs, apply_x):
-    """Certify v against (I - X) z = rhs: (eps, (theta_lo, theta_up)) or None.
-
-    X >= 0, and p is the most terms in one entry of X v (the stored diagonals
-    of a band X, n for a dense X), so w = fl(X v) has |w - X v| <= gamma_p X v
-    (Higham 2002, ch. 3). With g = gamma_(2p+3) and v finite and positive:
-
-    - theta_up = max_i fl(w_i / v_i) (1 + g) and theta_lo = min_i
-      fl(w_i / v_i) (1 - g) bound every exact ratio (X v)_i / v_i, so
-      theta_lo <= rho(X) <= theta_up (Collatz-Wielandt). v certifies only
-      when theta_up < 1.
-    - The exact residual r = rhs - v + X v obeys
-      |r| <= |fl(r)| + g (rhs + v + w).
-    - Since (I - X)^{-1} = sum_k X^k >= 0 and X v <= theta_up v,
-      |z - v| = |(I - X)^{-1} r| <= delta (I - X)^{-1} v
-      <= v delta / (1 - theta_up), with delta = max_i |r_i| / v_i. So
-      z <= v (1 + eps), eps = delta / (1 - theta_up).
-
-    The seven rounded operations from the residual to eps are covered by a
-    last factor 1 + gamma_7, and every scalar result is rounded up one ulp.
-    Underflow is not accounted for.
-    """
-    if not (np.isfinite(v).all() and (v > 0).all()):
-        return None
-    p = x.n if isinstance(x, DenseMatrix) else len(x.offsets)
-    g = _gamma(2 * p + 3)
-    w = apply_x(v)
-    ratios = w / v
-    theta_up = _scaled_up(float(np.max(ratios)), g)
-    if not theta_up < 1.0:
-        return None
-    lo = float(np.min(ratios))
-    theta_lo = max(0.0, math.nextafter(lo - _up(lo * g), -math.inf))
-    slack = np.abs(rhs - v + w) + g * (rhs + v + w)
-    eps = float(np.max(slack / v)) / (1.0 - theta_up)
-    return _scaled_up(eps, _gamma(7)), (theta_lo, theta_up)
-
-
 def bound42(blocks, norm_tag="inf"):
     """Constant of the positive-diagonal bound, with its spectral condition.
 
@@ -186,26 +93,20 @@ def bound42(blocks, norm_tag="inf"):
 
     Both come from one vector v: for tag inf v approximates
     z = (I - X)^{-1} d_max, for tag 1 v approximates u = (I - X^T)^{-1} e.
-    It has one of two sources, picked from X before any work:
-
-    - a Neumann sum v <- rhs + X v (X^T v for tag 1), for a band X whose
-      norm for the tag is below one and whose sum costs less than the banded
-      factorization (``NEUMANN_BREAK_EVEN``);
-    - otherwise the solve with I - X by ``LinearOperatorFactor``. It is also
-      tried when a Neumann sum fails to certify.
-
-    Either v is certified the same way (``_enclose``): the condition holds
-    exactly when v is finite and positive and the rounded-up largest
-    Collatz-Wielandt ratio theta_up is below one (min ratio <= rho(X) <=
-    max ratio). v is then enclosed, z <= v (1 + eps), and since (I - X)^{-1}
-    is nonnegative the constant is max v (1 + eps) for tag inf and
-    max d_max v (1 + eps) for tag 1, rounded up: an upper end of the exact
-    constant of the stored X and d_max, never below it.
+    ``convergence.enclose_resolvent`` takes v from a Neumann sum or from the
+    solve with I - X, and certifies it: the condition holds exactly when v is
+    finite and positive and the rounded-up largest Collatz-Wielandt ratio
+    theta_up is below one (min ratio <= rho(X) <= max ratio). v is then
+    enclosed, z <= v (1 + eps), and since (I - X)^{-1} is nonnegative the
+    constant is max v (1 + eps) for tag inf and max d_max v (1 + eps) for
+    tag 1, rounded up: an upper end of the exact constant of the stored X
+    and d_max, never below it.
     ``condition_bracket`` is the rigorous (lower, upper) ratio pair.
-    ``condition_value`` is the spectral radius from ``spectral_radius_nonneg``
-    at order ``EIGVALS_FIRST_ORDER`` or below, and the bracket's upper end
-    above it. On an uncertified instance both come from
-    ``spectral_radius_nonneg``: its value and its (lower, upper) bracket.
+    ``condition_value`` is its upper end theta_up, an upper end of rho(X),
+    except for a dense X at order ``EIGVALS_FIRST_ORDER`` or below, where it
+    is the spectral radius from ``spectral_radius_nonneg``. On an uncertified
+    instance both come from ``spectral_radius_nonneg``: its value and its
+    (lower, upper) bracket.
     """
     if norm_tag not in ("1", "inf"):
         raise ValueError("bound supports norm tags '1' and 'inf'")
@@ -216,33 +117,21 @@ def bound42(blocks, norm_tag="inf"):
     d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
     x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
                   [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
-    rhs, apply_x = (d_max, x.matvec) if norm_tag == "inf" else (np.ones(n), x.rmatvec)
-    cert = None
-    steps = _neumann_steps(x, norm_tag)
-    if steps is not None:
-        v = _neumann_sum(rhs, apply_x, steps)
-        cert = _enclose(x, v, rhs, apply_x)
-    if cert is None:
-        i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
-        try:
-            factor = LinearOperatorFactor(i_minus_x)
-        except SingularM:
-            pass  # the condition fails
-        else:
-            v = (factor.solve(rhs) if norm_tag == "inf" else
-                 factor.solve_transposed(rhs))
-            cert = _enclose(x, v, rhs, apply_x)
+    rhs = d_max if norm_tag == "inf" else np.ones(n)
+    cert = enclose_resolvent(x, rhs, norm_tag == "1")
     if cert is not None:
-        eps, bracket = cert
+        v, eps, bracket = cert
         top = float(np.max(v)) if norm_tag == "inf" else _up(float(np.max(d_max * v)))
-        value = (bracket[1] if n > EIGVALS_FIRST_ORDER
-                 else spectral_radius_nonneg(x).value)
+        value = (spectral_radius_nonneg(x).value
+                 if isinstance(x, DenseMatrix) and n <= EIGVALS_FIRST_ORDER
+                 else bracket[1])
         return BoundReport("Thm42Eta", _scaled_up(top, eps), norm_tag, True, value,
                            bracket)
     # Condition violated: report the true norm when feasible (inf when I - X
     # is singular or its inverse overflows), flag it.
     est = spectral_radius_nonneg(x)
     if n <= DENSE_LIMIT:
+        i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
         inv, bad = _stack_inverses(i_minus_x.to_dense()[None])
         constant = (float("inf") if bad is not None else
                     float(np.linalg.norm(inv[0] * d_max[None, :], NORM_ORD[norm_tag])))
@@ -258,11 +147,24 @@ def bound43(blocks):
     Hypothesis: every block transposed is row sdd and the blocks' diagonals
     agree in sign coordinatewise; only flagged, the constant is still
     reported whenever the margins are positive.
+
+    The flag is decided on a lower end of each exact margin
+    2|a_jj| - sum_i |a_ij|. A column sum of k terms is off by at most
+    gamma_(k-1) of itself (Higham 2002, ch. 3), so the computed margin is off
+    by at most gamma_(2k-1) (2|a_jj| + computed sum). The flag needs every
+    computed margin above fl(gamma_(2k+3) fl(2|a_jj| + computed sum)), which
+    its two roundings leave above that error, so every exact margin is
+    positive. The constant and ``condition_value`` come from the computed
+    margins.
     """
     margins = []
+    all_col_sdd = True
     for store in blocks.all():
-        margins.append(2.0 * np.abs(store.diagonal()) - abs_colsums(store))
-    all_col_sdd = all(bool(np.all(m > 0)) for m in margins)
+        two_diag, sums = 2.0 * np.abs(store.diagonal()), abs_colsums(store)
+        margin = two_diag - sums
+        g = _gamma(2 * len(store.data) + 3)  # len(data) terms in a column sum
+        all_col_sdd = all_col_sdd and bool(np.all(margin > g * (two_diag + sums)))
+        margins.append(margin)
     diags = [store.diagonal() for store in blocks.all()]
     signs = np.sign(diags[0])
     same_sign = bool(np.all(signs != 0)) and all(
@@ -313,7 +215,9 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     of any block (1), and the largest row sum of the entrywise max over blocks
     of |A_k| (inf). Floating-point addition is monotone, so both equal the
     enumerated maximum bit for bit. The 2-norm enumerates every vertex.
-    Otherwise a sampled lower estimate (flagged) when samples > 0.
+    Otherwise a sampled lower estimate (flagged) when samples > 0. Above order
+    512 a band sample's 2-norm is ``two_norm_estimate``'s, which can be low;
+    for a lower estimate that is the safe side.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
@@ -335,7 +239,7 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
             worst = max(worst, induced_norm(selection_combination(blocks, lam),
                                             norm_tag))
         return AlphaEstimate(worst, norm_tag, False, samples)
-    raise BudgetExceeded(f"{total} vertices exceed budget {budget}; "
+    raise BudgetExceeded(f"(m+1)^n = {m + 1}^{n} vertices exceed budget {budget}; "
                          "pass samples > 0 for a sampled estimate")
 
 
@@ -349,7 +253,8 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
     one in counter order among the vertices, then in draw order among the
     samples. Vertices, and samples at order DENSE_EIG_MAX_ORDER or below, are
     inverted a chunk at a time; above that order each sample takes
-    ``inverse_norm``.
+    ``inverse_norm``, whose 2-norm estimate can be low: for a lower estimate
+    that is the safe side.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")

@@ -1,21 +1,32 @@
 """Checkable sufficient conditions for convergence and step-size heuristics.
 
-Every condition and bound in the package runs on three kernels over a matrix
-store: ``induced_norm``, ``inverse_norm`` and ``spectral_radius_nonneg``.
-Spectral radii of nonnegative matrices come from the dense eigenvalues at
-order ``EIGVALS_FIRST_ORDER`` and below. Above it they are bracketed by
-Collatz-Wielandt ratios on a diagonally shifted power iteration (the shift
-keeps the iterate strictly positive, so the bracket is rigorous at every
-step), with a dense eigenvalue fallback up to order 512 when the bracket
-stalls. ``check_thm34`` and ``check_cor31`` report that spectral radius.
-``bounds.bound42`` decides its own condition rho < 1 without this kernel
-wherever it can: a Collatz-Wielandt test on the vector behind its constant
-(a Neumann sum or a solve with I - X).
-"""
+Every condition and bound in the package runs on four kernels over a matrix
+store: ``induced_norm``, ``inverse_norm``, ``enclose_resolvent`` and
+``spectral_radius_nonneg``.
 
+Every decision rho(X) < 1 for a nonnegative X (Thm 3.4's
+rho(|omega^{-1} H1 - I|) in ``check_thm34``, Cor 3.1's
+rho(sum_i |I - M^{-1} H_i|) in ``check_cor31``, Thm 4.2's rho(X) in
+``bounds.bound42``) is made by ``enclose_resolvent``: a positive v from a
+Neumann sum or one solve with I - X, whose largest Collatz-Wielandt ratio
+(X v)_i / v_i, rounded up by Higham's gamma terms, must be below one. The
+condition holds exactly when that certifies, and theta_up is then an upper
+end of rho. The reported value is the ``eigvals`` radius at order
+``EIGVALS_FIRST_ORDER`` and below (for ``bound42`` only for a dense X) and
+theta_up otherwise, so for a band X above that order, and for every band X
+in ``bound42``, it is an upper end, not rho itself.
+
+``spectral_radius_nonneg`` only reports values where the enclosure does not
+certify: dense eigenvalues at order ``EIGVALS_FIRST_ORDER`` and below, above
+it Collatz-Wielandt brackets on a diagonally shifted power iteration (the
+shift keeps the iterate positive until it underflows), with a dense
+eigenvalue fallback up to order 512 when the bracket stalls or the iterate
+dies. A bracket that did not close is never reported as certifying.
+"""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +49,125 @@ EIGVALS_FIRST_ORDER = 128
 POWER_MAX_ITER = 5000  # power steps before the bracket counts as stalled
 
 
+# The enclosure sums the Neumann series only when steps * p *
+# NEUMANN_BREAK_EVEN < bandwidth^2. A step with a band X of p stored diagonals
+# costs about n p, the banded factorization of I - X about n bandwidth^2, and
+# per unit of these a step measured 6-9 times dearer on Ex 5.1 and Ex 5.5 at
+# n = 400-10,000 (see CHANGES.md).
+NEUMANN_BREAK_EVEN = 8
+UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u of round to nearest
+
+
+def _up(a):
+    """The float after a: an upper end for a once-rounded result a."""
+    return math.nextafter(a, math.inf)
+
+
+def _scaled_up(t, g):
+    """An upper end for t (1 + g) with t, g >= 0 and floats t, g."""
+    return _up(t + _up(t * g))
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), rounded up."""
+    return _up(k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF))
+
+
+def _neumann_steps(x, transposed):
+    """Steps for the Neumann sum of X (X^T when transposed), or None where the
+    solve is cheaper.
+
+    The sum needs a band X with s = ||X|| below one (largest row sum, or
+    column sum when transposed, rounded up by gamma_2p), which proves
+    rho(X) <= s < 1. After ceil(log u / log s) steps its tail is below
+    rounding.
+    """
+    if isinstance(x, DenseMatrix):
+        return None
+    p = len(x.offsets)
+    sums = abs_colsums(x) if transposed else x.abs_rowsums()
+    s = _scaled_up(float(np.max(sums)), _gamma(2 * p))
+    if not s < 1.0:
+        return None
+    steps = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(s, UNIT_ROUNDOFF)))
+    return steps if steps * p * NEUMANN_BREAK_EVEN < x.bandwidth ** 2 else None
+
+
+def _neumann_sum(rhs, apply_x, steps):
+    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out."""
+    v = rhs
+    for _ in range(steps):
+        v_next = rhs + apply_x(v)
+        if np.array_equal(v_next, v):
+            break
+        v = v_next
+    return v
+
+
+def _enclose(x, v, rhs, apply_x):
+    """Certify v against (I - X) z = rhs: (eps, (theta_lo, theta_up)) or None.
+
+    X >= 0, and p is the most terms in one entry of X v (the stored diagonals
+    of a band X, n for a dense X), so w = fl(X v) has |w - X v| <= gamma_p X v
+    (Higham 2002, ch. 3). With g = gamma_(2p+3) and v finite and positive:
+
+    - theta_up = max_i fl(w_i / v_i) (1 + g) and theta_lo = min_i
+      fl(w_i / v_i) (1 - g) bound every exact ratio (X v)_i / v_i, so
+      theta_lo <= rho(X) <= theta_up (Collatz-Wielandt). v certifies only
+      when theta_up < 1.
+    - The exact residual r = rhs - v + X v obeys
+      |r| <= |fl(r)| + g (rhs + v + w).
+    - Since (I - X)^{-1} = sum_k X^k >= 0 and X v <= theta_up v,
+      |z - v| = |(I - X)^{-1} r| <= delta (I - X)^{-1} v
+      <= v delta / (1 - theta_up), with delta = max_i |r_i| / v_i. So
+      z <= v (1 + eps), eps = delta / (1 - theta_up).
+
+    The seven rounded operations from the residual to eps are covered by a
+    last factor 1 + gamma_7, and every scalar result is rounded up one ulp.
+    Underflow is not accounted for.
+    """
+    if not (np.isfinite(v).all() and (v > 0).all()):
+        return None
+    p = x.n if isinstance(x, DenseMatrix) else len(x.offsets)
+    g = _gamma(2 * p + 3)
+    w = apply_x(v)
+    ratios = w / v
+    theta_up = _scaled_up(float(np.max(ratios)), g)
+    if not theta_up < 1.0:
+        return None
+    lo = float(np.min(ratios))
+    theta_lo = max(0.0, math.nextafter(lo - _up(lo * g), -math.inf))
+    slack = np.abs(rhs - v + w) + g * (rhs + v + w)
+    eps = float(np.max(slack / v)) / (1.0 - theta_up)
+    return _scaled_up(eps, _gamma(7)), (theta_lo, theta_up)
+
+
+def enclose_resolvent(x, rhs, transposed):
+    """Certify rho(X) < 1 for a store X >= 0 and enclose z = (I - X)^{-1} rhs
+    ((I - X^T)^{-1} rhs when transposed), rhs > 0.
+
+    Returns (v, eps, (theta_lo, theta_up)) with z <= v (1 + eps) and
+    theta_lo <= rho(X) <= theta_up < 1, or None where v does not certify
+    (``_enclose``). v is a Neumann sum where ``_neumann_steps`` allows one
+    and it certifies; otherwise one solve with I - X by
+    ``LinearOperatorFactor``, and None when that factorization fails.
+    """
+    apply_x = x.rmatvec if transposed else x.matvec
+    steps = _neumann_steps(x, transposed)
+    if steps is not None:
+        v = _neumann_sum(rhs, apply_x, steps)
+        cert = _enclose(x, v, rhs, apply_x)
+        if cert is not None:
+            return (v,) + cert
+    try:
+        factor = LinearOperatorFactor(x.rebuilt(1.0 - x.diagonal(), np.negative))
+    except SingularM:
+        return None
+    v = factor.solve_transposed(rhs) if transposed else factor.solve(rhs)
+    cert = _enclose(x, v, rhs, apply_x)
+    return None if cert is None else (v,) + cert
+
+
 @dataclass
 class ConvergenceReport:
     condition_tag: str  # Eq35Sampled | Eq38Rho | Eq38NormSum | Eq313Rho | Eq314Norm
@@ -50,6 +180,26 @@ class ConvergenceReport:
 def _report(tag, value, samples=0, certifying=True):
     value = float(value)
     return ConvergenceReport(tag, value, bool(value < 1.0), samples, certifying)
+
+
+def _rho_report(tag, x):
+    """Decide rho(X) < 1 for a store X >= 0 on ``enclose_resolvent`` with
+    right-hand side e: satisfied exactly when it certifies.
+
+    The value is the ``eigvals`` radius at order EIGVALS_FIRST_ORDER or below
+    and the certified theta_up above it. Above it, where the enclosure fails,
+    the value comes from ``spectral_radius_nonneg`` and is certifying only
+    when its bracket closed.
+    """
+    cert = enclose_resolvent(x, np.ones(x.n), False)
+    if x.n <= EIGVALS_FIRST_ORDER:
+        value, certifying = spectral_radius_nonneg(x).value, True
+    elif cert is not None:
+        value, certifying = cert[2][1], True
+    else:
+        est = spectral_radius_nonneg(x)
+        value, certifying = est.value, est.converged
+    return ConvergenceReport(tag, float(value), cert is not None, 0, certifying)
 
 
 @dataclass
@@ -68,8 +218,10 @@ def spectral_radius_nonneg(store):
     At order EIGVALS_FIRST_ORDER or below, takes the eigenvalues of
     ``store.to_dense()`` directly. Above it, runs shifted power iteration with
     Collatz-Wielandt brackets; if the bracket does not close within
-    POWER_MAX_ITER steps and the order is at most 512, falls back to the dense
-    eigenvalues.
+    POWER_MAX_ITER steps, or a ratio stops being finite (the iterate has
+    underflowed to zero somewhere), and the order is at most 512, falls back
+    to the dense eigenvalues. Otherwise the result is the last finite
+    bracket, with ``converged`` False.
     """
     n = store.n
     v = np.ones(n)
@@ -83,21 +235,26 @@ def spectral_radius_nonneg(store):
         return _dense_radius(store, 0)
     shift = 0.01 * scale
     lo = up = np.nan
-    for k in range(1, POWER_MAX_ITER + 1):
-        u = store.matvec(v) + shift * v
-        ratios = u / v
-        lo = float(np.min(ratios))
-        up = float(np.max(ratios))
-        if up - lo <= 1e-10 * max(1.0, up):
-            value = 0.5 * (lo + up) - shift
-            return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
-                                          k, True, "power")
-        v = u / np.max(u)
+    steps = 0
+    with np.errstate(all="ignore"):  # a dying iterate ends the loop instead
+        while steps < POWER_MAX_ITER:
+            u = store.matvec(v) + shift * v
+            ratios = u / v
+            if not np.isfinite(ratios).all():
+                break
+            steps += 1
+            lo = float(np.min(ratios))
+            up = float(np.max(ratios))
+            if up - lo <= 1e-10 * max(1.0, up):
+                value = 0.5 * (lo + up) - shift
+                return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
+                                              steps, True, "power")
+            v = u / np.max(u)
     if n <= DENSE_EIG_MAX_ORDER:
-        return _dense_radius(store, POWER_MAX_ITER)
+        return _dense_radius(store, steps)
     value = 0.5 * (lo + up) - shift
     return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
-                                  POWER_MAX_ITER, False, "power")
+                                  steps, False, "power")
 
 
 def _dense_radius(store, iterations):
@@ -109,7 +266,12 @@ def two_norm_estimate(matvec, rmatvec, n):
     """Largest singular value via power iteration on A^T A.
 
     Operator-based, so it also runs on a factorization's solves. Random seeded
-    start avoids starts orthogonal to the dominant singular space.
+    start avoids starts orthogonal to the dominant singular space. It stops
+    when the Rayleigh quotient changes by at most 1e-12 relative, or after
+    10,000 steps with the last quotient, unflagged; either can sit below the
+    2-norm when the top singular values are close (1.4e-5 relative low on
+    ``TridiagonalMatrix.constant(513, 1, 4, -2)``). Every caller reads it as
+    a lower estimate.
     """
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(n)
@@ -173,7 +335,9 @@ def inverse_norm(store, tag):
     estimated on the band factorization above it.
 
     The estimate is deterministic: Hager's method (``onenormest`` with t=1)
-    for norms 1 and inf, a seeded power iteration for the 2-norm. Raises
+    for norms 1 and inf, a seeded power iteration for the 2-norm
+    (``two_norm_estimate``, which can land below the norm; its callers above
+    order 512 want lower estimates, where a low value is the safe side). Raises
     SingularM when the store cannot be inverted, ValueError on an unknown tag.
     """
     if tag not in NORM_ORD:
@@ -205,7 +369,8 @@ def check_cor31(blocks, norm_tag="inf"):
     """Both computable convergence conditions for the general fixed-point method.
 
     Checks the spectral radius of sum_i |I - M^{-1} H_i| and the norm sum
-    sum_i ||I - M^{-1} H_i||; either below one suffices.
+    sum_i ||I - M^{-1} H_i||; either below one suffices. The radius
+    condition is decided by ``enclose_resolvent`` (``_rho_report``).
     """
     n = blocks.n
     if n > DENSE_LIMIT:
@@ -218,8 +383,7 @@ def check_cor31(blocks, norm_tag="inf"):
         e = eye - factor.solve(h.to_dense())
         abs_sum += np.abs(e)
         norm_sum += induced_norm(DenseMatrix(e), norm_tag)
-    est = spectral_radius_nonneg(DenseMatrix(abs_sum))
-    rho_rep = _report("Eq38Rho", est.value)
+    rho_rep = _rho_report("Eq38Rho", DenseMatrix(abs_sum))
     norm_rep = _report("Eq38NormSum", norm_sum)
     satisfied = rho_rep.satisfied or norm_rep.satisfied
     winner = ("Eq38Rho" if rho_rep.satisfied else
@@ -242,18 +406,19 @@ def check_thm34(H1, omega):
     """Spectral-radius and norm conditions for the scaled m=2 iteration.
 
     Reports rho(|omega^{-1} H1 - I|) and ||omega^{-1} H1 - I|| for norms
-    {1, 2, inf}; the two families do not contain each other. The 2-norm
-    is exact, and None above order DENSE_EIG_MAX_ORDER.
+    {1, 2, inf}; the two families do not contain each other. The radius
+    condition is decided by ``enclose_resolvent`` (``_rho_report``). The
+    2-norm is exact, and None above order DENSE_EIG_MAX_ORDER.
     """
     if not 0.0 < omega < np.inf:
         raise InvalidParams("omega must be finite and positive")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
-    est = spectral_radius_nonneg(a.rebuilt(np.abs(a.diagonal()), np.abs))
+    rho_rep = _rho_report("Eq313Rho", a.rebuilt(np.abs(a.diagonal()), np.abs))
     norms = {tag: _report("Eq314Norm", induced_norm(a, tag)) for tag in ("1", "inf")}
     norms["2"] = (_report("Eq314Norm", induced_norm(a, "2"))
                   if a.n <= DENSE_EIG_MAX_ORDER else None)
-    return Thm34Result(_report("Eq313Rho", est.value), norms)
+    return Thm34Result(rho_rep, norms)
 
 
 def simplex_selections(m, n, trials, seed):

@@ -40,7 +40,7 @@ def oracle_solve(problem, budget=2 ** 20):
     n, m = problem.n, problem.m
     total = (m + 1) ** n
     if total > budget:
-        raise BudgetExceeded(f"{total} regions exceed budget {budget}")
+        raise BudgetExceeded(f"(m+1)^n = {m + 1}^{n} regions exceed budget {budget}")
     # cols[c, j] is column j of block c. On region c at coordinate j the
     # system gains the constant column const[c, j] (zero for c = 0):
     # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
@@ -71,9 +71,9 @@ def oracle_solve(problem, budget=2 ** 20):
 
 def oracle_alpha_constants(blocks, norm_tag="inf", budget=2 ** 20):
     """(max combination norm, max vertex inverse norm) by exact vertex enumeration."""
-    total = (blocks.m + 1) ** blocks.n
-    if total > budget:
-        raise BudgetExceeded(f"{total} vertices exceed budget {budget}")
+    if (blocks.m + 1) ** blocks.n > budget:
+        raise BudgetExceeded(f"(m+1)^n = {blocks.m + 1}^{blocks.n} vertices exceed "
+                             f"budget {budget}")
     under = underalpha_exact(blocks, norm_tag, budget=budget)
     over = overalpha_estimate(blocks, norm_tag, samples=0, vertex_budget=budget)
     return under.value, over.value

@@ -92,7 +92,8 @@ def has_column_w_property(blocks, budget=2 ** 20):
     total = (m + 1) ** n
     if total > budget:
         raise BudgetExceeded(
-            f"{total} representatives exceed budget {budget}; use falsify_random")
+            f"(m+1)^n = {m + 1}^{n} representatives exceed budget {budget}; "
+            "use falsify_random")
     sign_min, sign_max = 2, -2
     first_sign = None
     checked = 0

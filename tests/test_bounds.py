@@ -16,8 +16,8 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    gen_example52, gen_example53, identity_matrix,
                    overalpha_estimate, pls_residual, residual_error_interval,
                    sample_rho_L, sdd_classify, split_diagonal, underalpha_exact)
-from ehlcp import bounds
-from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
+from ehlcp import bounds, convergence
+from ehlcp.blockdata import BandMatrix, TridiagonalMatrix, abs_colsums
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
 from ehlcp.errors import BudgetExceeded, InvalidParams
 from ehlcp.wproperty import representative, selection_combination
@@ -283,9 +283,9 @@ def test_enclose_rejects_a_ratio_that_rounds_below_one():
     v = np.ones(7)
     assert x.matvec(v)[0] == a
     assert sum(Fraction(t) for t in data[:, 1:].sum(axis=0)) > 1
-    assert bounds._enclose(x, v, v, x.matvec) is None
+    assert convergence._enclose(x, v, v, x.matvec) is None
     v[0] = 2.0  # ratios a / 2 and 0: certified
-    assert bounds._enclose(x, v, v, x.matvec)[1][1] < 0.5 + 1e-15
+    assert convergence._enclose(x, v, v, x.matvec)[1][1] < 0.5 + 1e-15
 
 
 def _no_factor(store):
@@ -293,7 +293,7 @@ def _no_factor(store):
 
 
 def test_bound42_table1_cells_take_the_neumann_sum(monkeypatch):
-    monkeypatch.setattr(bounds, "LinearOperatorFactor", _no_factor)
+    monkeypatch.setattr(convergence, "LinearOperatorFactor", _no_factor)
     for mu in (4.0, 14.0):
         blocks = gen_example51(100, mu, mu).problem.blocks
         for tag in ("1", "inf"):
@@ -303,11 +303,11 @@ def test_bound42_table1_cells_take_the_neumann_sum(monkeypatch):
 def test_bound42_narrow_bands_and_dense_blocks_factor(monkeypatch):
     orders = []
 
-    def counted(store, real=bounds.LinearOperatorFactor):
+    def counted(store, real=convergence.LinearOperatorFactor):
         orders.append(store.n)
         return real(store)
 
-    monkeypatch.setattr(bounds, "LinearOperatorFactor", counted)
+    monkeypatch.setattr(convergence, "LinearOperatorFactor", counted)
     cases = [gen_example52(120).problem.as_general().blocks,  # Table 4: tridiagonal
              gen_example51(20, 5.0, 5.0).problem.blocks,      # Table 2, grid 20
              random_dominant_problem(0)[0].blocks]             # dense
@@ -361,10 +361,10 @@ def test_neumann_sum_encloses_the_exact_constant(case):
     rho = float(np.max(np.abs(np.linalg.eigvals(x))))
     for tag in ("1", "inf"):
         exact = exact_bound42_constant(x, d_max, tag)
-        with patch.object(bounds, "NEUMANN_BREAK_EVEN", 0), \
-                patch.object(bounds, "LinearOperatorFactor", _no_factor):
+        with patch.object(convergence, "NEUMANN_BREAK_EVEN", 0), \
+                patch.object(convergence, "LinearOperatorFactor", _no_factor):
             summed = bound42(blocks, tag)
-        with patch.object(bounds, "NEUMANN_BREAK_EVEN", float("inf")):
+        with patch.object(convergence, "NEUMANN_BREAK_EVEN", float("inf")):
             solved = bound42(blocks, tag)
         assert summed.condition_satisfied and solved.condition_satisfied
         assert exact <= Fraction(summed.constant) <= exact * (1 + Fraction(1, 10 ** 12))
@@ -384,6 +384,22 @@ def test_bound43_examples():
     assert rep.constant == pytest.approx(1.0) and rep.condition_satisfied
     rep = bound43(UNIT_TRIANGULAR_PAIR)
     assert not rep.condition_satisfied  # not column sdd
+
+
+@pytest.mark.parametrize("wrap", [DenseMatrix, as_band])
+def test_bound43_flags_on_rounded_down_margins(wrap):
+    # Column 0 holds 1, 1 - 2^-52 and five entries of 0.45 ulp(2 - 2^-52): its
+    # sum rounds to 2 - 2^-52, so the computed margin 2 - sum is 2^-52 > 0,
+    # while the exact sum exceeds 2 and the exact margin is negative.
+    a = np.eye(7)
+    a[1, 0] = 1.0 - 2.0 ** -52
+    a[2:, 0] = 0.45 * 2.0 ** -52
+    store = wrap(a)
+    assert 2.0 - abs_colsums(store)[0] == 2.0 ** -52
+    assert 2 - sum(Fraction(t) for t in a[:, 0]) < 0
+    rep = bound43(BlockMatrixSet(store, (identity_matrix(7),)))
+    assert not rep.condition_satisfied
+    assert rep.constant == 2.0 ** 52 and rep.condition_value == 2.0 ** -52
 
 
 def test_bound43_certifies_vertices():

@@ -314,6 +314,28 @@ def test_checkw_budget_and_falsify(tmp_path, capsys):
     assert "no witness" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def example52_n10000(tmp_path_factory):
+    """Ex 5.2 at n = 10,000: 3^10000 has more digits than Python turns into a
+    string, so no message may format the vertex count as an integer."""
+    path = tmp_path_factory.mktemp("paper") / "p.json"
+    assert run_cli(["gen", "--example", "5.2", "--n", "10000", "--out", str(path)]) == 0
+    return path
+
+
+def test_checkw_budget_exit_at_paper_size(example52_n10000, capsys):
+    capsys.readouterr()
+    assert run_cli(["checkw", str(example52_n10000)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def test_checkw_falsify_at_paper_size(example52_n10000, capsys):
+    capsys.readouterr()
+    assert run_cli(["checkw", "--falsify", "3", str(example52_n10000)]) == 0
+    assert capsys.readouterr().out.startswith("no witness found in 3 random selections")
+
+
 def test_checkw_falsify_prints_witness(tmp_path, capsys):
     # M = I, H1 = -I: the midpoint selection combination is the zero matrix
     bad = tmp_path / "bad.json"

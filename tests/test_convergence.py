@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import dominant_block, random_dominant_problem
 from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
                    check_cor31, check_thm34, gen_example51, gen_example52,
                    gen_example55, identity_matrix, sample_rho_L, suggest_omega)
+from ehlcp import convergence
 from ehlcp.blockdata import TridiagonalMatrix
 from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, EIGVALS_FIRST_ORDER, POWER_MAX_ITER,
                                induced_norm, inverse_norm, spectral_radius_nonneg,
@@ -146,6 +149,54 @@ def test_check_thm34_two_norm_exact_up_to_the_cut_and_none_above():
     assert check_thm34(h1, 4.0).norms["2"].value == want
     assert check_thm34(gen_example52(n + 1).problem.H1, 4.0).norms["2"] is None
 
+
+
+def _no_power_iteration(store):
+    raise AssertionError("spectral_radius_nonneg called")
+
+
+def test_check_thm34_certifies_paper_cells_without_power_steps(monkeypatch):
+    # Table 5's Ex 5.2 cell (n = 20,000, omega = 4) and Ex 5.5 at g = 150
+    # (omega = 5): the enclosure decides and its theta_up is the value. The
+    # exact radii are 2 sqrt(1/8) cos(pi/(n+1)) and 0.2 + 0.8 cos(pi/151).
+    monkeypatch.setattr(convergence, "spectral_radius_nonneg", _no_power_iteration)
+    cells = [(gen_example52(20000).problem.H1, 4.0,
+              2.0 * np.sqrt(0.125) * np.cos(np.pi / 20001)),
+             (gen_example55(150).problem.H1, 5.0, 0.2 + 0.8 * np.cos(np.pi / 151))]
+    for h1, omega, rho in cells:
+        rep = check_thm34(h1, omega).rho
+        assert rep.satisfied and rep.certifying
+        assert rho <= rep.value < 1.0
+
+
+def test_check_cor31_above_the_cut_reports_the_enclosure(monkeypatch):
+    monkeypatch.setattr(convergence, "spectral_radius_nonneg", _no_power_iteration)
+    n = EIGVALS_FIRST_ORDER + 72
+    res = check_cor31(BlockMatrixSet(identity_matrix(n), (
+        TridiagonalMatrix.constant(n, -0.25, 1.0, -0.5),)))
+    # M = I: |I - H1| = tridiag(1/4, 0, 1/2), rho = 2 sqrt(1/8) cos(pi/(n+1))
+    closed = 2.0 * np.sqrt(0.125) * np.cos(np.pi / (n + 1))
+    assert res.rho.satisfied and res.rho.certifying
+    assert closed <= res.rho.value < 0.75 + 1e-12  # gamma_(2n+3) above the row sum
+
+
+def test_graded_matrix_certifies_or_reports_no_certificate_without_warnings():
+    # |H1/4 - I| = tridiag(1, 0, 1/16), rho = 0.5 cos(pi/(n+1)). At n = 300
+    # the enclosure certifies; at n = 600 (I - X)^{-1} e is too large to, and
+    # the power iterate underflows to zero, so the loop must stop on its last
+    # finite bracket, unclosed, and nothing is certifying.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check_thm34(TridiagonalMatrix.constant(300, 4.0, 4.0, -0.25), 4.0)
+        assert res.rho.satisfied and res.rho.certifying
+        assert 0.5 * np.cos(np.pi / 301) <= res.rho.value < 1.0
+        est = spectral_radius_nonneg(TridiagonalMatrix.constant(600, 1.0, 0.0, 1.0 / 16))
+        res = check_thm34(TridiagonalMatrix.constant(600, 4.0, 4.0, -0.25), 4.0)
+    assert not est.converged and est.method == "power"
+    assert 0 < est.iterations < POWER_MAX_ITER
+    assert np.isfinite([est.value, est.lower, est.upper]).all()
+    assert not res.rho.satisfied and not res.rho.certifying
+    assert np.isfinite(res.rho.value)
 
 @pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_ORDER + 1])
 def test_inverse_norm_rejects_unknown_norm_tag(n):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
-                   EhlcpProblem, gen_example53, identity_matrix,
-                   oracle_alpha_constants, oracle_solve)
+                   EhlcpProblem, gen_example52, gen_example53, has_column_w_property,
+                   identity_matrix, oracle_alpha_constants, oracle_solve,
+                   underalpha_exact)
 from ehlcp.blockdata import EhlcpSolution
 from ehlcp.transform import recover_solution
 
@@ -79,3 +80,15 @@ def test_oracle_alpha_constants():
     under, over = oracle_alpha_constants(blocks, "inf")
     assert over == pytest.approx(2.0)  # matches the closed-form bound constant
     assert under == pytest.approx(2.0)
+
+
+def test_budget_messages_name_the_count_at_paper_size():
+    # 3^10000 has more than the 4,300 digits Python turns into a string.
+    problem = gen_example52(10000).problem.as_general()
+    calls = [lambda: oracle_solve(problem),
+             lambda: oracle_alpha_constants(problem.blocks),
+             lambda: underalpha_exact(problem.blocks, "inf"),
+             lambda: has_column_w_property(problem.blocks)]
+    for call in calls:
+        with pytest.raises(BudgetExceeded, match=r"\(m\+1\)\^n = 3\^10000 "):
+            call()

@@ -1,5 +1,6 @@
 """Self-tests of the scripts under ``tools/``."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -29,3 +30,15 @@ def test_uncovered_statements_skip_headers_imports_and_docstrings():
     assert _load("uncovered").statements(source) == [
         (4, "X = 1"), (8, "if a:"), (9, "return a + 1"), (11, "return 0"),
         (13, "y: int = 2")]
+
+
+def test_each_mutant_matches_one_site_and_parses():
+    mutants = _load("mutants")
+    src = TOOLS.parent / "src" / "ehlcp"
+    for mutant in mutants.MUTANTS:
+        source = (src / mutant.module).read_text()
+        assert len(mutants.sites(source, mutant.original)) == 1, mutant.name
+        ast.parse(mutants.mutated(source, mutant))
+        for test in mutant.tests:
+            path, name = test.split("::")
+            assert f"def {name}(" in (TOOLS.parent / path).read_text(), test
