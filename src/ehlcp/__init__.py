@@ -6,13 +6,12 @@ from .blockdata import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                         EhlcpSolution, TridiagonalMatrix, ValidationReport,
                         identity_matrix, prefix_sums, problem_from_json,
                         problem_to_json, validate)
-from .bounds import (AlphaEstimate, BoundReport, SddReport, SplitParts,
-                     bound42, bound43, comparison_matrix, falsify_random,
-                     overalpha_estimate, residual_error_interval, sdd_classify,
-                     split_diagonal, underalpha_exact)
+from .bounds import (AlphaEstimate, BoundReport, SplitParts, bound42, bound43,
+                     comparison_matrix, falsify_random, overalpha_estimate,
+                     residual_error_interval, split_diagonal, underalpha_exact)
 from .convergence import (ConvergenceReport, Cor31Result, OmegaSuggestion,
-                          Thm34Result, check_cor31, check_thm34, sample_rho_L,
-                          suggest_omega)
+                          SddReport, Thm34Result, check_cor31, check_thm34,
+                          sample_rho_L, sdd_classify, suggest_omega)
 from .errors import (BudgetExceeded, EhlcpError, InfeasibleTuple,
                      InvalidParams, NonpositiveDiagonal, NoRuleApplies,
                      NormMismatch, SingularM, SingularSelection)

@@ -178,7 +178,11 @@ class BandMatrix:
             [np.roll(s, o) for o in self.offsets], (-1, self.n)))
 
     def abs_rowsums(self):
-        return BandMatrix(self.offsets, np.abs(self.data)).matvec(np.ones(self.n))
+        # matvec of |A| with ones, term for term: the same sums, bit for bit
+        y = np.zeros(self.n) if self._main is None else np.abs(self._main)
+        for values, rows, _ in self._off:
+            y[rows] += np.abs(values)
+        return y
 
 
 class TridiagonalMatrix(BandMatrix):

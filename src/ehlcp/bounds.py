@@ -19,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, abs_colsums, entrywise
+from .blockdata import DenseMatrix, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                          _gamma, _scaled_up, _stack_inverses, _up, enclose_resolvent,
-                          induced_norm, inverse_norm, simplex_selections,
+                          _scaled_up, _stack_inverses, _up, enclose_resolvent,
+                          induced_norm, inverse_norm, sdd_classify, simplex_selections,
                           spectral_radius_nonneg)
 from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
                      NormMismatch, SingularM, SingularSelection)
@@ -35,23 +35,6 @@ COND_WITNESS_LIMIT = 1e14
 def comparison_matrix(store):
     """|diagonal| on the diagonal, -|off-diagonal| elsewhere, same layout."""
     return store.rebuilt(np.abs(store.diagonal()), lambda d: -np.abs(d))
-
-
-@dataclass
-class SddReport:
-    row_sdd: bool
-    col_sdd: bool
-    row_margins: np.ndarray  # (<A> e)_i
-    col_margins: np.ndarray  # (<A^T> e)_i
-
-
-def sdd_classify(store):
-    """Strict diagonal dominance by rows and by columns, with margins."""
-    d = np.abs(store.diagonal())
-    row_margins = 2.0 * d - store.abs_rowsums()
-    col_margins = 2.0 * d - abs_colsums(store)
-    return SddReport(bool(np.all(row_margins > 0)), bool(np.all(col_margins > 0)),
-                     row_margins, col_margins)
 
 
 @dataclass
@@ -148,31 +131,19 @@ def bound43(blocks):
     agree in sign coordinatewise; only flagged, the constant is still
     reported whenever the margins are positive.
 
-    The flag is decided on a lower end of each exact margin
-    2|a_jj| - sum_i |a_ij|. A column sum of k terms is off by at most
-    gamma_(k-1) of itself (Higham 2002, ch. 3), so the computed margin is off
-    by at most gamma_(2k-1) (2|a_jj| + computed sum). The flag needs every
-    computed margin above fl(gamma_(2k+3) fl(2|a_jj| + computed sum)), which
-    its two roundings leave above that error, so every exact margin is
-    positive. The constant and ``condition_value`` come from the computed
-    margins.
+    The column dominance of each block is ``sdd_classify``'s ``col_sdd``,
+    decided on a lower end of each exact margin 2|a_jj| - sum_i |a_ij|. The
+    constant and ``condition_value`` come from the computed margins.
     """
-    margins = []
-    all_col_sdd = True
-    for store in blocks.all():
-        two_diag, sums = 2.0 * np.abs(store.diagonal()), abs_colsums(store)
-        margin = two_diag - sums
-        g = _gamma(2 * len(store.data) + 3)  # len(data) terms in a column sum
-        all_col_sdd = all_col_sdd and bool(np.all(margin > g * (two_diag + sums)))
-        margins.append(margin)
+    reports = [sdd_classify(store) for store in blocks.all()]
     diags = [store.diagonal() for store in blocks.all()]
     signs = np.sign(diags[0])
     same_sign = bool(np.all(signs != 0)) and all(
         bool(np.all(np.sign(d) == signs)) for d in diags[1:])
-    min_margin = float(min(np.min(m) for m in margins))
+    min_margin = float(min(np.min(r.col_margins) for r in reports))
     constant = 1.0 / min_margin if min_margin > 0 else float("inf")
-    return BoundReport("Thm43Tau", constant, "1", all_col_sdd and same_sign,
-                       min_margin)
+    return BoundReport("Thm43Tau", constant, "1",
+                       all(r.col_sdd for r in reports) and same_sign, min_margin)
 
 
 def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,

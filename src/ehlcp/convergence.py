@@ -10,18 +10,16 @@ rho(sum_i |I - M^{-1} H_i|) in ``check_cor31``, Thm 4.2's rho(X) in
 ``bounds.bound42``) is made by ``enclose_resolvent``: a positive v from a
 Neumann sum or one solve with I - X, whose largest Collatz-Wielandt ratio
 (X v)_i / v_i, rounded up by Higham's gamma terms, must be below one. The
-condition holds exactly when that certifies, and theta_up is then an upper
-end of rho. The reported value is the ``eigvals`` radius at order
-``EIGVALS_FIRST_ORDER`` and below (for ``bound42`` only for a dense X) and
-theta_up otherwise, so for a band X above that order, and for every band X
-in ``bound42``, it is an upper end, not rho itself.
+condition holds exactly when that certifies.
 
-``spectral_radius_nonneg`` only reports values where the enclosure does not
-certify: dense eigenvalues at order ``EIGVALS_FIRST_ORDER`` and below, above
-it Collatz-Wielandt brackets on a diagonally shifted power iteration (the
-shift keeps the iterate positive until it underflows), with a dense
-eigenvalue fallback up to order 512 when the bracket stalls or the iterate
-dies. A bracket that did not close is never reported as certifying.
+rho is exact at order ``EIGVALS_FIRST_ORDER`` and below (for ``bound42`` only
+for a dense X); above it the value is an upper end: theta_up when the
+enclosure certifies, the row-sum end of ``spectral_radius_nonneg`` when it
+does not, and never certifying unless closed.
+
+The norm conditions of norms 1 and inf, and ``sdd_classify``'s dominance
+flags, are decided on sums rounded outward the same way; the 2-norm
+conditions are decided on the computed norm and are not rounding-safe.
 """
 from __future__ import annotations
 
@@ -41,12 +39,11 @@ from .wproperty import selection_chunks, vertex_chunks
 
 DENSE_EIG_MAX_ORDER = 512
 DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
-# At or below this order the dense eigenvalues come first: on one AMD EPYC
-# core eigvals took about 4 ms at order 120 (11 ms at 160, 35 ms at 256),
-# less than a power iteration of a few hundred steps, and power iteration
-# stalls on 2-cyclic matrices (5,000 steps, 44-57 ms, on Ex 5.2 at 60-120).
+# rho is exact (dense eigenvalues) at or below this order and a row-sum upper
+# end above it: on one AMD EPYC core eigvals took about 4 ms at order 120,
+# 11 ms at 160 and 35 ms at 256, growing as n^3, where the row sums cost one
+# product.
 EIGVALS_FIRST_ORDER = 128
-POWER_MAX_ITER = 5000  # power steps before the bracket counts as stalled
 
 
 # The enclosure sums the Neumann series only when steps * p *
@@ -73,6 +70,21 @@ def _gamma(k):
     return _up(k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF))
 
 
+def _sum_up(s, k):
+    """An upper end of a sum of k nonnegative terms computed as s: s (1 +
+    gamma_2k), rounded up (the computed sum is off by at most gamma_(k-1) of
+    itself, Higham 2002, ch. 3)."""
+    return _scaled_up(s, _gamma(2 * k))
+
+
+def _widened(values, g):
+    """(lower, upper) ends of exact values each computed within g of itself
+    as one of values: min(values) (1 - g) rounded down, and at least 0, and
+    max(values) (1 + g) rounded up."""
+    lo, up = float(np.min(values)), float(np.max(values))
+    return max(0.0, math.nextafter(lo - _up(lo * g), -math.inf)), _scaled_up(up, g)
+
+
 def _neumann_steps(x, transposed):
     """Steps for the Neumann sum of X (X^T when transposed), or None where the
     solve is cheaper.
@@ -86,7 +98,7 @@ def _neumann_steps(x, transposed):
         return None
     p = len(x.offsets)
     sums = abs_colsums(x) if transposed else x.abs_rowsums()
-    s = _scaled_up(float(np.max(sums)), _gamma(2 * p))
+    s = _sum_up(float(np.max(sums)), p)
     if not s < 1.0:
         return None
     steps = math.ceil(math.log(UNIT_ROUNDOFF) / math.log(max(s, UNIT_ROUNDOFF)))
@@ -107,14 +119,14 @@ def _neumann_sum(rhs, apply_x, steps):
 def _enclose(x, v, rhs, apply_x):
     """Certify v against (I - X) z = rhs: (eps, (theta_lo, theta_up)) or None.
 
-    X >= 0, and p is the most terms in one entry of X v (the stored diagonals
-    of a band X, n for a dense X), so w = fl(X v) has |w - X v| <= gamma_p X v
-    (Higham 2002, ch. 3). With g = gamma_(2p+3) and v finite and positive:
+    X >= 0, and p = len(x.data) is the most terms in one entry of X v (the
+    stored diagonals of a band X, n for a dense X), so w = fl(X v) has
+    |w - X v| <= gamma_p X v (Higham 2002, ch. 3). With g = gamma_(2p+3) and
+    v finite and positive:
 
-    - theta_up = max_i fl(w_i / v_i) (1 + g) and theta_lo = min_i
-      fl(w_i / v_i) (1 - g) bound every exact ratio (X v)_i / v_i, so
-      theta_lo <= rho(X) <= theta_up (Collatz-Wielandt). v certifies only
-      when theta_up < 1.
+    - (theta_lo, theta_up) = ``_widened`` ratios fl(w_i / v_i) bound every
+      exact ratio (X v)_i / v_i, so theta_lo <= rho(X) <= theta_up
+      (Collatz-Wielandt). v certifies only when theta_up < 1.
     - The exact residual r = rhs - v + X v obeys
       |r| <= |fl(r)| + g (rhs + v + w).
     - Since (I - X)^{-1} = sum_k X^k >= 0 and X v <= theta_up v,
@@ -128,15 +140,11 @@ def _enclose(x, v, rhs, apply_x):
     """
     if not (np.isfinite(v).all() and (v > 0).all()):
         return None
-    p = x.n if isinstance(x, DenseMatrix) else len(x.offsets)
-    g = _gamma(2 * p + 3)
+    g = _gamma(2 * len(x.data) + 3)
     w = apply_x(v)
-    ratios = w / v
-    theta_up = _scaled_up(float(np.max(ratios)), g)
+    theta_lo, theta_up = _widened(w / v, g)
     if not theta_up < 1.0:
         return None
-    lo = float(np.min(ratios))
-    theta_lo = max(0.0, math.nextafter(lo - _up(lo * g), -math.inf))
     slack = np.abs(rhs - v + w) + g * (rhs + v + w)
     eps = float(np.max(slack / v)) / (1.0 - theta_up)
     return _scaled_up(eps, _gamma(7)), (theta_lo, theta_up)
@@ -177,9 +185,9 @@ class ConvergenceReport:
     certifying: bool = True
 
 
-def _report(tag, value, samples=0, certifying=True):
-    value = float(value)
-    return ConvergenceReport(tag, value, bool(value < 1.0), samples, certifying)
+def _report(tag, value, upper):
+    """The value, satisfied when upper, an upper end of it, is below one."""
+    return ConvergenceReport(tag, float(value), bool(upper < 1.0))
 
 
 def _rho_report(tag, x):
@@ -209,57 +217,30 @@ class SpectralRadiusEstimate:
     upper: float
     iterations: int
     converged: bool
-    method: str  # power | dense | zero
+    method: str  # dense | rowsums | zero
 
 
 def spectral_radius_nonneg(store):
-    """Spectral radius of a nonnegative matrix store.
+    """Spectral radius of a store X >= 0; ValueError on a negative entry.
 
-    At order EIGVALS_FIRST_ORDER or below, takes the eigenvalues of
-    ``store.to_dense()`` directly. Above it, runs shifted power iteration with
-    Collatz-Wielandt brackets; if the bracket does not close within
-    POWER_MAX_ITER steps, or a ratio stops being finite (the iterate has
-    underflowed to zero somewhere), and the order is at most 512, falls back
-    to the dense eigenvalues. Otherwise the result is the last finite
-    bracket, with ``converged`` False.
+    Exact at order EIGVALS_FIRST_ORDER or below: the eigenvalues of
+    ``store.to_dense()``. Above it, the Collatz-Wielandt bracket of e: the
+    smallest and largest row sums, ``_widened`` for their rounding as
+    ``_enclose`` widens its ratios, so lower <= rho(X) <= upper. The value is
+    the upper end, and ``converged`` is True only when the bracket closes:
+    every computed row sum is the same.
     """
-    n = store.n
-    v = np.ones(n)
-    u0 = store.matvec(v)
-    if np.min(u0) < -1e-30:
+    if np.any(store.data < 0):
         raise ValueError("operator is not entrywise nonnegative")
-    scale = float(np.max(u0))
-    if scale == 0.0:
+    sums = store.matvec(np.ones(store.n))
+    if np.max(sums) == 0.0:
         return SpectralRadiusEstimate(0.0, 0.0, 0.0, 1, True, "zero")
-    if n <= EIGVALS_FIRST_ORDER:
-        return _dense_radius(store, 0)
-    shift = 0.01 * scale
-    lo = up = np.nan
-    steps = 0
-    with np.errstate(all="ignore"):  # a dying iterate ends the loop instead
-        while steps < POWER_MAX_ITER:
-            u = store.matvec(v) + shift * v
-            ratios = u / v
-            if not np.isfinite(ratios).all():
-                break
-            steps += 1
-            lo = float(np.min(ratios))
-            up = float(np.max(ratios))
-            if up - lo <= 1e-10 * max(1.0, up):
-                value = 0.5 * (lo + up) - shift
-                return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
-                                              steps, True, "power")
-            v = u / np.max(u)
-    if n <= DENSE_EIG_MAX_ORDER:
-        return _dense_radius(store, steps)
-    value = 0.5 * (lo + up) - shift
-    return SpectralRadiusEstimate(value, max(lo - shift, 0.0), up - shift,
-                                  steps, False, "power")
-
-
-def _dense_radius(store, iterations):
-    value = float(np.max(np.abs(np.linalg.eigvals(store.to_dense()))))
-    return SpectralRadiusEstimate(value, value, value, iterations, True, "dense")
+    if store.n <= EIGVALS_FIRST_ORDER:
+        value = float(np.max(np.abs(np.linalg.eigvals(store.to_dense()))))
+        return SpectralRadiusEstimate(value, value, value, 0, True, "dense")
+    lower, upper = _widened(sums, _gamma(2 * len(store.data) + 3))
+    return SpectralRadiusEstimate(upper, lower, upper, 1, bool(np.ptp(sums) == 0.0),
+                                  "rowsums")
 
 
 def two_norm_estimate(matvec, rmatvec, n):
@@ -288,6 +269,14 @@ def two_norm_estimate(matvec, rmatvec, n):
             return float(np.sqrt(max(lam, 0.0)))
         lam_prev = lam
     return float(np.sqrt(max(lam_prev, 0.0)))
+
+
+def _norm_ends(store, tag):
+    """(induced norm of store, an upper end of it): for norms 1 and inf the
+    largest absolute column or row sum and its ``_sum_up``; the 2-norm's end
+    is its computed value, which is not rounding-safe."""
+    value = induced_norm(store, tag)
+    return value, (value if tag == "2" else _sum_up(value, len(store.data)))
 
 
 def induced_norm(store, tag):
@@ -370,7 +359,9 @@ def check_cor31(blocks, norm_tag="inf"):
 
     Checks the spectral radius of sum_i |I - M^{-1} H_i| and the norm sum
     sum_i ||I - M^{-1} H_i||; either below one suffices. The radius
-    condition is decided by ``enclose_resolvent`` (``_rho_report``).
+    condition is decided by ``enclose_resolvent`` (``_rho_report``), the
+    norm sum for norms 1 and inf on the sum of ``_norm_ends`` upper ends,
+    rounded up; the 2-norm sum is decided on its computed value.
     """
     n = blocks.n
     if n > DENSE_LIMIT:
@@ -378,13 +369,15 @@ def check_cor31(blocks, norm_tag="inf"):
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
     abs_sum = np.zeros((n, n))
-    norm_sum = 0.0
+    norm_sum = norm_up = 0.0
     for h in blocks.H:
         e = eye - factor.solve(h.to_dense())
         abs_sum += np.abs(e)
-        norm_sum += induced_norm(DenseMatrix(e), norm_tag)
+        value, upper = _norm_ends(DenseMatrix(e), norm_tag)
+        norm_sum += value
+        norm_up = _up(norm_up + upper)
     rho_rep = _rho_report("Eq38Rho", DenseMatrix(abs_sum))
-    norm_rep = _report("Eq38NormSum", norm_sum)
+    norm_rep = _report("Eq38NormSum", norm_sum, norm_sum if norm_tag == "2" else norm_up)
     satisfied = rho_rep.satisfied or norm_rep.satisfied
     winner = ("Eq38Rho" if rho_rep.satisfied else
               "Eq38NormSum" if norm_rep.satisfied else None)
@@ -407,16 +400,18 @@ def check_thm34(H1, omega):
 
     Reports rho(|omega^{-1} H1 - I|) and ||omega^{-1} H1 - I|| for norms
     {1, 2, inf}; the two families do not contain each other. The radius
-    condition is decided by ``enclose_resolvent`` (``_rho_report``). The
-    2-norm is exact, and None above order DENSE_EIG_MAX_ORDER.
+    condition is decided by ``enclose_resolvent`` (``_rho_report``), the
+    norms 1 and inf on their ``_norm_ends`` upper ends. The 2-norm is exact,
+    and None above order DENSE_EIG_MAX_ORDER; its condition is decided on the
+    computed norm and is not rounding-safe.
     """
     if not 0.0 < omega < np.inf:
         raise InvalidParams("omega must be finite and positive")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
     rho_rep = _rho_report("Eq313Rho", a.rebuilt(np.abs(a.diagonal()), np.abs))
-    norms = {tag: _report("Eq314Norm", induced_norm(a, tag)) for tag in ("1", "inf")}
-    norms["2"] = (_report("Eq314Norm", induced_norm(a, "2"))
+    norms = {tag: _report("Eq314Norm", *_norm_ends(a, tag)) for tag in ("1", "inf")}
+    norms["2"] = (_report("Eq314Norm", *_norm_ends(a, "2"))
                   if a.n <= DENSE_EIG_MAX_ORDER else None)
     return Thm34Result(rho_rep, norms)
 
@@ -455,11 +450,39 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
         l_mats = eye - sol.reshape(n, k, n).transpose(1, 0, 2)
         worst = max(worst, float(np.abs(np.linalg.eigvals(l_mats)).max()))
         count += k
-    return _report("Eq35Sampled", worst, samples=count, certifying=False)
+    return ConvergenceReport("Eq35Sampled", worst, worst < 1.0, count, False)
 
 
 def is_diagonal(store):
     return bool(np.array_equal(store.abs_rowsums(), np.abs(store.diagonal())))
+
+
+@dataclass
+class SddReport:
+    row_sdd: bool
+    col_sdd: bool
+    row_margins: np.ndarray  # (<A> e)_i
+    col_margins: np.ndarray  # (<A^T> e)_i
+
+
+def sdd_classify(store):
+    """Strict diagonal dominance by rows and by columns, with the computed
+    margins 2|a_jj| - (absolute row or column sum).
+
+    Each flag is decided on a lower end of the exact margins. A sum of k =
+    len(store.data) terms is off by at most gamma_(k-1) of itself (Higham
+    2002, ch. 3), so a computed margin is off by at most gamma_(2k-1)
+    (2|a_jj| + computed sum). A flag needs every computed margin above
+    fl(gamma_(2k+3) fl(2|a_jj| + computed sum)), which its two roundings leave
+    above that error, so every exact margin is positive.
+    """
+    two_diag = 2.0 * np.abs(store.diagonal())
+    g = _gamma(2 * len(store.data) + 3)
+    row_sums, col_sums = store.abs_rowsums(), abs_colsums(store)
+    row_margins, col_margins = two_diag - row_sums, two_diag - col_sums
+    return SddReport(bool(np.all(row_margins > g * (two_diag + row_sums))),
+                     bool(np.all(col_margins > g * (two_diag + col_sums))),
+                     row_margins, col_margins)
 
 
 @dataclass
@@ -472,16 +495,14 @@ class OmegaSuggestion:
 def suggest_omega(H1):
     """Step-size heuristic for the scaled m=2 iteration.
 
-    Rule order: column-sdd with scalar diagonal tau -> tau; exactly diagonal
-    positive matrix -> its diagonal; symmetric -> half its inf-norm (padded
-    1 percent); positive diagonal -> the diagonal part. Raises NoRuleApplies
-    otherwise.
+    Rule order: column-sdd (``sdd_classify``) with scalar diagonal tau -> tau;
+    exactly diagonal positive matrix -> its diagonal; symmetric -> half its
+    inf-norm (padded 1 percent); positive diagonal -> the diagonal part.
+    Raises NoRuleApplies otherwise.
     """
     diag = H1.diagonal()
-    col_margins = 2.0 * np.abs(diag) - abs_colsums(H1)
-    col_sdd = bool(np.all(col_margins > 0))
     scalar_diag = diag.size > 0 and float(np.ptp(diag)) == 0.0
-    if col_sdd and scalar_diag and diag[0] > 0:
+    if sdd_classify(H1).col_sdd and scalar_diag and diag[0] > 0:
         return OmegaSuggestion("scalar", float(diag[0]), "column-sdd-scalar-diagonal")
     if is_diagonal(H1) and np.all(diag > 0):
         return OmegaSuggestion("diagonal", diag.copy(), "positive-diagonal")

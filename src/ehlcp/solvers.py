@@ -57,6 +57,16 @@ class SolveReport:
         }
 
 
+def _check_info(info, routine):
+    """Raise on a nonzero LAPACK info: SingularM for a zero pivot (info > 0,
+    which only the factorizations return), ValueError for an illegal argument
+    (info < 0, which the f2py wrappers' shape checks leave unreachable)."""
+    if info > 0:
+        raise SingularM(f"{routine} hit a zero pivot at {info}")
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to {routine}")
+
+
 class BandedFactor:
     """LAPACK factorization of a band store.
 
@@ -88,10 +98,7 @@ class BandedFactor:
         for offset, values in store.diagonals():
             lab[2 * kl - offset] = values
         lub, ipiv, info = dgbtrf(lab, kl, kl)
-        if info > 0:
-            raise SingularM(f"banded factorization hit a zero pivot at {info}")
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} to gbtrf")
+        _check_info(info, "banded factorization")
         self._lub, self._ipiv = lub, ipiv
 
     def solve(self, rhs, transposed=False):
@@ -101,8 +108,7 @@ class BandedFactor:
         else:
             x, info = dgbtrs(self._lub, self.kl, self.ku, rhs, self._ipiv,
                              trans=1 if transposed else 0)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} to the banded solve")
+        _check_info(info, "banded solve")
         return x
 
 
@@ -111,17 +117,13 @@ class DenseFactor:
 
     def __init__(self, a):
         lu, piv, info = dgetrf(a)  # factors a copy: a is left as it is
-        if info > 0:
-            raise SingularM(f"dense factorization hit a zero pivot at {info}")
-        if info < 0:
-            raise ValueError(f"illegal argument {-info} to getrf")
+        _check_info(info, "dense factorization")
         self._lu, self._piv = lu, piv
 
     def solve(self, rhs, transposed=False):
         x, info = dgetrs(self._lu, self._piv, np.asarray(rhs, dtype=float),
                          trans=1 if transposed else 0)
-        if info != 0:
-            raise ValueError(f"illegal argument {-info} to getrs")
+        _check_info(info, "dense solve")
         return x
 
 

@@ -15,7 +15,8 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    bound42, bound43, comparison_matrix, gen_example51,
                    gen_example52, gen_example53, identity_matrix,
                    overalpha_estimate, pls_residual, residual_error_interval,
-                   sample_rho_L, sdd_classify, split_diagonal, underalpha_exact)
+                   sample_rho_L, sdd_classify, split_diagonal, suggest_omega,
+                   underalpha_exact)
 from ehlcp import bounds, convergence
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix, abs_colsums
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
@@ -400,6 +401,10 @@ def test_bound43_flags_on_rounded_down_margins(wrap):
     rep = bound43(BlockMatrixSet(store, (identity_matrix(7),)))
     assert not rep.condition_satisfied
     assert rep.constant == 2.0 ** 52 and rep.condition_value == 2.0 ** -52
+    # the same lower ends decide dominance by columns, by rows of the
+    # transpose, and so the column-sdd rule of suggest_omega
+    assert not sdd_classify(store).col_sdd and not sdd_classify(wrap(a.T)).row_sdd
+    assert suggest_omega(store).rule == "positive-diagonal"
 
 
 def test_bound43_certifies_vertices():

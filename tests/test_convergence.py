@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,8 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
                    gen_example55, identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp import convergence
 from ehlcp.blockdata import TridiagonalMatrix
-from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, EIGVALS_FIRST_ORDER, POWER_MAX_ITER,
-                               induced_norm, inverse_norm, spectral_radius_nonneg,
-                               two_norm_estimate)
+from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, EIGVALS_FIRST_ORDER, induced_norm,
+                               inverse_norm, spectral_radius_nonneg, two_norm_estimate)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -33,8 +33,15 @@ def test_spectral_radius_zero_matrix():
     assert est.value == 0.0 and est.converged
 
 
+def test_spectral_radius_rejects_a_negative_entry():
+    # Every row sum is positive; the entry -0.5 still voids Collatz-Wielandt.
+    for store in (TridiagonalMatrix.constant(5, 1.0, 1.0, -0.5),
+                  DenseMatrix([[1.0, -0.5], [0.0, 1.0]])):
+        with pytest.raises(ValueError, match="not entrywise nonnegative"):
+            spectral_radius_nonneg(store)
+
+
 def test_spectral_radius_two_cyclic_takes_eigvals():
-    # Shifted power iteration needs about 800 steps here; eigvals needs none.
     c = 0.7
     est = spectral_radius_nonneg(DenseMatrix([[0.0, c], [c, 0.0]]))
     assert est.method == "dense" and est.iterations == 0
@@ -42,22 +49,30 @@ def test_spectral_radius_two_cyclic_takes_eigvals():
     assert est.lower == est.upper == est.value
 
 
-def test_spectral_radius_above_cut_runs_power_iteration(rng):
+def test_spectral_radius_above_cut_brackets_by_row_sums(rng):
     n = EIGVALS_FIRST_ORDER + 16
-    # Positive, so the dominant eigenvalue is well separated and the
-    # Collatz-Wielandt bracket closes.
     a = rng.uniform(0.0, 1.0, size=(n, n)) / n
-    est = spectral_radius_nonneg(DenseMatrix(a))
-    truth = np.max(np.abs(np.linalg.eigvals(a)))
-    assert est.method == "power" and est.converged and est.iterations > 0
-    assert est.lower <= truth + 1e-12 and truth <= est.upper + 1e-12
-    # 2-cyclic: the bracket stalls and the dense fallback ends the run.
-    cyclic = TridiagonalMatrix.constant(n, 0.25, 0.0, 0.5)
-    est = spectral_radius_nonneg(cyclic)
-    assert est.method == "dense" and est.iterations == POWER_MAX_ITER
-    # eigvals of this nonnormal matrix is accurate to about 1e-8
-    assert est.value == pytest.approx(2.0 * np.sqrt(0.125) * np.cos(np.pi / (n + 1)),
-                                      abs=1e-7)
+    t = 0.75 * 2.0 ** -53
+    cases = [  # (X, rho, whether every computed row sum is the same)
+        (DenseMatrix(a), np.max(np.abs(np.linalg.eigvals(a))), False),
+        # 2-cyclic
+        (TridiagonalMatrix.constant(n, 0.25, 0.0, 0.5),
+         2.0 * np.sqrt(0.125) * np.cos(np.pi / (n + 1)), False),
+        # graded: (I - X)^{-1} e reaches 1e19 and the enclosure fails
+        (TridiagonalMatrix.constant(600, 1.0, 0.0, 1.0 / 16),
+         0.5 * np.cos(np.pi / 601), False),
+        # |H1 - I| of Ex 5.2 at omega = 1
+        (TridiagonalMatrix.constant(20000, 1.0, 3.0, 2.0),
+         3.0 + 2.0 * np.sqrt(2.0) * np.cos(np.pi / 20001), False),
+        # a cyclic shift plus t I: every row sums to rho = 1 + t exactly but to
+        # 1 in floating point, so only the rounded-out bracket holds rho
+        (DenseMatrix(np.roll(np.eye(n), 1, axis=1) + t * np.eye(n)),
+         1 + Fraction(t), True),
+    ]
+    for x, rho, closed in cases:
+        est = spectral_radius_nonneg(x)
+        assert est.method == "rowsums" and est.converged == closed
+        assert Fraction(est.lower) <= Fraction(rho) <= Fraction(est.upper) == est.value
 
 
 def test_two_norm_matches_dense(rng):
@@ -182,9 +197,9 @@ def test_check_cor31_above_the_cut_reports_the_enclosure(monkeypatch):
 
 def test_graded_matrix_certifies_or_reports_no_certificate_without_warnings():
     # |H1/4 - I| = tridiag(1, 0, 1/16), rho = 0.5 cos(pi/(n+1)). At n = 300
-    # the enclosure certifies; at n = 600 (I - X)^{-1} e is too large to, and
-    # the power iterate underflows to zero, so the loop must stop on its last
-    # finite bracket, unclosed, and nothing is certifying.
+    # the enclosure certifies; at n = 600 (I - X)^{-1} e is too large to, so
+    # the value is the row-sum bracket's upper end, unclosed, and nothing is
+    # certifying.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = check_thm34(TridiagonalMatrix.constant(300, 4.0, 4.0, -0.25), 4.0)
@@ -192,11 +207,41 @@ def test_graded_matrix_certifies_or_reports_no_certificate_without_warnings():
         assert 0.5 * np.cos(np.pi / 301) <= res.rho.value < 1.0
         est = spectral_radius_nonneg(TridiagonalMatrix.constant(600, 1.0, 0.0, 1.0 / 16))
         res = check_thm34(TridiagonalMatrix.constant(600, 4.0, 4.0, -0.25), 4.0)
-    assert not est.converged and est.method == "power"
-    assert 0 < est.iterations < POWER_MAX_ITER
-    assert np.isfinite([est.value, est.lower, est.upper]).all()
+    rho = 0.5 * np.cos(np.pi / 601)
+    assert not est.converged and est.lower <= rho <= est.upper == est.value
     assert not res.rho.satisfied and not res.rho.certifying
-    assert np.isfinite(res.rho.value)
+    assert rho <= res.rho.value == est.value
+
+
+def test_check_thm34_fails_ex52_at_omega_one_on_an_upper_end():
+    rep = check_thm34(gen_example52(20000).problem.H1, 1.0).rho
+    assert not rep.satisfied and not rep.certifying
+    assert rep.value >= 3.0 + 2.0 * np.sqrt(2.0) * np.cos(np.pi / 20001)
+
+
+def test_rho_condition_is_decided_on_the_enclosure_not_the_eigenvalues():
+    # |H1 - I| = [[0, 1e20], [1e-21, 0]] has rho = sqrt(0.1), exact from
+    # eigvals, but (I - X)^{-1} e is too graded for its ratio 1 - 9e-21 to
+    # round below one: the condition is not certified.
+    rep = check_thm34(DenseMatrix([[1.0, 1e20], [1e-21, 1.0]]), 1.0).rho
+    assert rep.value == pytest.approx(np.sqrt(0.1), rel=1e-12)
+    assert not rep.satisfied and rep.certifying
+
+
+def test_norm_conditions_decide_on_an_upper_end():
+    # Row 0 of x holds 1 - 2^-53 and five entries of 0.45 2^-53: the row sum
+    # rounds to 1 - 2^-53 but exceeds one exactly, so ||x||_inf < 1 is not
+    # certified. The reported value stays the computed one.
+    x = np.zeros((7, 7))
+    x[0, 1], x[0, 2:] = 1.0 - 2.0 ** -53, 0.45 * 2.0 ** -53
+    assert sum(Fraction(t) for t in x[0]) > 1
+    h1 = DenseMatrix(np.eye(7) - x)
+    norm = check_thm34(h1, 1.0).norms["inf"]
+    assert norm.value == 1.0 - 2.0 ** -53 and not norm.satisfied
+    res = check_cor31(BlockMatrixSet(identity_matrix(7), (h1,)), "inf")
+    assert res.norm_sum.value == 1.0 - 2.0 ** -53 and not res.norm_sum.satisfied
+    assert res.winner == "Eq38Rho"  # x is nilpotent
+
 
 @pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_ORDER + 1])
 def test_inverse_norm_rejects_unknown_norm_tag(n):

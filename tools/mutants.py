@@ -38,23 +38,31 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("enclose-unrounded-theta", "convergence.py",
-           "theta_up = _scaled_up(float(np.max(ratios)), g)",
-           "theta_up = float(np.max(ratios))",
+           "theta_lo, theta_up = _widened(w / v, g)",
+           "theta_lo, theta_up = float(np.min(w / v)), float(np.max(w / v))",
            ("tests/test_bounds.py::test_enclose_rejects_a_ratio_that_rounds_below_one",)),
-    Mutant("bound43-unrounded-margin", "bounds.py",
-           "np.all(margin > g * (two_diag + sums))",
-           "np.all(margin > 0)",
-           ("tests/test_bounds.py::test_bound43_flags_on_rounded_down_margins",)),
-    Mutant("power-loop-without-finite-guard", "convergence.py",
-           "if not np.isfinite(ratios).all():\n    break",
-           "pass",
+    Mutant("rowsum-bracket-unwidened", "convergence.py",
+           "lower, upper = _widened(sums, _gamma(2 * len(store.data) + 3))",
+           "lower, upper = float(np.min(sums)), float(np.max(sums))",
            ("tests/test_convergence.py::"
-            "test_graded_matrix_certifies_or_reports_no_certificate_without_warnings",)),
+            "test_spectral_radius_above_cut_brackets_by_row_sums",)),
+    Mutant("sdd-unrounded-column-margin", "convergence.py",
+           "np.all(col_margins > g * (two_diag + col_sums))",
+           "np.all(col_margins > 0)",
+           ("tests/test_bounds.py::test_bound43_flags_on_rounded_down_margins",)),
+    Mutant("sdd-unrounded-row-margin", "convergence.py",
+           "np.all(row_margins > g * (two_diag + row_sums))",
+           "np.all(row_margins > 0)",
+           ("tests/test_bounds.py::test_bound43_flags_on_rounded_down_margins",)),
+    Mutant("norm-condition-unrounded", "convergence.py",
+           "return (value, value if tag == '2' else _sum_up(value, len(store.data)))",
+           "return (value, value)",
+           ("tests/test_convergence.py::test_norm_conditions_decide_on_an_upper_end",)),
     Mutant("rho-decided-on-the-value", "convergence.py",
            "ConvergenceReport(tag, float(value), cert is not None, 0, certifying)",
            "ConvergenceReport(tag, float(value), value < 1.0, 0, certifying)",
            ("tests/test_convergence.py::"
-            "test_graded_matrix_certifies_or_reports_no_certificate_without_warnings",)),
+            "test_rho_condition_is_decided_on_the_enclosure_not_the_eigenvalues",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
