@@ -21,9 +21,9 @@ import numpy as np
 
 from .blockdata import DenseMatrix, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                          _scaled_up, _stack_inverses, _up, enclose_resolvent,
-                          induced_norm, inverse_norm, sdd_classify, simplex_selections,
-                          spectral_radius_nonneg)
+                          _dominance, _scaled_up, _stack_inverses, _up,
+                          enclose_resolvent, induced_norm, inverse_norm,
+                          simplex_selections, spectral_radius_nonneg)
 from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
                      NormMismatch, SingularM, SingularSelection)
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
@@ -131,19 +131,20 @@ def bound43(blocks):
     agree in sign coordinatewise; only flagged, the constant is still
     reported whenever the margins are positive.
 
-    The column dominance of each block is ``sdd_classify``'s ``col_sdd``,
-    decided on a lower end of each exact margin 2|a_jj| - sum_i |a_ij|. The
-    constant and ``condition_value`` come from the computed margins.
+    The column dominance of each block is ``convergence._dominance`` by
+    columns, the rule of ``sdd_classify``'s ``col_sdd``, decided on a lower
+    end of each exact margin 2|a_jj| - sum_i |a_ij|; no row sum is computed.
+    The constant and ``condition_value`` come from the computed margins.
     """
-    reports = [sdd_classify(store) for store in blocks.all()]
+    columns = [_dominance(store, transposed=True) for store in blocks.all()]
     diags = [store.diagonal() for store in blocks.all()]
     signs = np.sign(diags[0])
     same_sign = bool(np.all(signs != 0)) and all(
         bool(np.all(np.sign(d) == signs)) for d in diags[1:])
-    min_margin = float(min(np.min(r.col_margins) for r in reports))
+    min_margin = float(min(np.min(margins) for _, margins in columns))
     constant = 1.0 / min_margin if min_margin > 0 else float("inf")
     return BoundReport("Thm43Tau", constant, "1",
-                       all(r.col_sdd for r in reports) and same_sign, min_margin)
+                       all(flag for flag, _ in columns) and same_sign, min_margin)
 
 
 def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,

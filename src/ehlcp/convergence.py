@@ -467,22 +467,30 @@ class SddReport:
 
 def sdd_classify(store):
     """Strict diagonal dominance by rows and by columns, with the computed
-    margins 2|a_jj| - (absolute row or column sum).
+    margins 2|a_jj| - (absolute row or column sum), each flag decided by
+    ``_dominance``."""
+    row_sdd, row_margins = _dominance(store, transposed=False)
+    col_sdd, col_margins = _dominance(store, transposed=True)
+    return SddReport(row_sdd, col_sdd, row_margins, col_margins)
 
-    Each flag is decided on a lower end of the exact margins. A sum of k =
+
+def _dominance(store, transposed):
+    """(flag, margins) of strict diagonal dominance by rows, or by columns
+    when transposed; the margins are the computed 2|a_jj| - (absolute row or
+    column sum).
+
+    The flag is decided on a lower end of the exact margins. A sum of k =
     len(store.data) terms is off by at most gamma_(k-1) of itself (Higham
     2002, ch. 3), so a computed margin is off by at most gamma_(2k-1)
-    (2|a_jj| + computed sum). A flag needs every computed margin above
-    fl(gamma_(2k+3) fl(2|a_jj| + computed sum)), which its two roundings leave
-    above that error, so every exact margin is positive.
+    (2|a_jj| + computed sum). The flag needs every computed margin above
+    fl(gamma_(2k+3) fl(2|a_jj| + computed sum)), which its two roundings
+    leave above that error, so every exact margin is positive.
     """
     two_diag = 2.0 * np.abs(store.diagonal())
     g = _gamma(2 * len(store.data) + 3)
-    row_sums, col_sums = store.abs_rowsums(), abs_colsums(store)
-    row_margins, col_margins = two_diag - row_sums, two_diag - col_sums
-    return SddReport(bool(np.all(row_margins > g * (two_diag + row_sums))),
-                     bool(np.all(col_margins > g * (two_diag + col_sums))),
-                     row_margins, col_margins)
+    sums = abs_colsums(store) if transposed else store.abs_rowsums()
+    margins = two_diag - sums
+    return bool(np.all(margins > g * (two_diag + sums))), margins
 
 
 @dataclass

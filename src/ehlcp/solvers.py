@@ -253,7 +253,21 @@ class _SweepPlan:
     reused by every sweep. An upper sweep is the lower sweep of the reversed
     coordinates: the plan reverses K's diagonals (offset o to -o, terms kept in
     rising original column order), b and omega E once, and a sweep reverses g,
-    x and its result. ``kernel`` names the one it picked:
+    x and its result.
+
+    On a band store a sweep first tries the bracket pass (``_bracket``), which
+    gives the loop's bits whenever it decides. Every rounded operation of the
+    loop (+, *, -, min, max) is monotone, so each delta lies between its
+    values at clamp 0 and clamp b, each correction between the loop's ordered
+    sums of the per-term ends, and the loop's x_new between its values at the
+    two correction ends. Where those two agree bit for bit on every
+    coordinate, they are the loop's result. Otherwise a second round runs on
+    the tightened delta brackets (the decided coordinates' deltas exact), but
+    only if the first decided some coordinate. After two consecutive
+    undecided sweeps the plan stops bracketing.
+
+    A sweep the bracket leaves undecided runs an exact kernel, planned on
+    first use; ``kernel`` names it:
 
     - ``scan``: K is the one diagonal next to the main one and every slope
       |a_j| <= 1. The sweep is then the chain
@@ -264,7 +278,11 @@ class _SweepPlan:
       is one vector step;
     - ``loop``: dense stores and every other pattern, the scalar sweep.
 
-    A sweep with non-finite g or x takes the loop whatever the kernel.
+    A sweep with non-finite g or x takes the loop whatever the kernel. The
+    bracket never runs on dense stores, with a zero entry of omega E (0 times
+    an overflowed end is NaN) or on x with a sign bit set (the loop's
+    max(z, 0.0) keeps a z = -0.0 that can lie between two ends giving +0.0),
+    and falls back when a correction end is not finite.
     """
 
     def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
@@ -286,14 +304,21 @@ class _SweepPlan:
         if self.reversed:
             self.tri = [(-offset, values[::-1]) for offset, values in self.tri]
             self.b, self.w = self.b[::-1], self.w[::-1]
-        self.kernel = "loop"
-        finite = np.isfinite(self.b).all() and np.isfinite(self.w).all()
-        if isinstance(H1, DenseMatrix) or not finite:
-            return
+        # The vector paths need a band store with finite b and omega E.
+        self.banded = not isinstance(H1, DenseMatrix) and bool(
+            np.isfinite(self.b).all() and np.isfinite(self.w).all())
+        # Undecided sweeps in a row the bracket may still try; none where it
+        # cannot bracket.
+        self.tries = 2 if self.banded and np.all(self.w != 0.0) else 0
+
+    @cached_property
+    def kernel(self):
+        """The exact kernel of the sweeps the bracket leaves undecided."""
+        if not self.banded:
+            return "loop"
         if [offset for offset, _ in self.tri] == [-1]:
-            self._plan_scan()
-        else:
-            self._plan_levels()
+            return self._plan_scan()
+        return self._plan_levels()
 
     @cached_property
     def loop_data(self):
@@ -309,8 +334,10 @@ class _SweepPlan:
         a[1:] = -self.eta_w[1:] * self.kv
         # With |a| <= 1 no composed slope overflows; past it one can, and
         # inf * 0 then gives NaN. NaN in a fails the test too.
-        if np.abs(a).max() <= 1.0:
-            self.a, self.kernel = a, "scan"
+        if not np.abs(a).max() <= 1.0:
+            return "loop"
+        self.a = a
+        return "scan"
 
     def _plan_levels(self):
         n = self.n
@@ -327,7 +354,7 @@ class _SweepPlan:
             level[j] = lev
         count = np.bincount(level)
         if n < LEVEL_MIN_WIDTH * count.size:
-            return
+            return "loop"
         perm = np.argsort(level, kind="stable")
         pos = np.empty(n + 1, dtype=np.intp)
         pos[perm], pos[n] = np.arange(n), n
@@ -343,17 +370,63 @@ class _SweepPlan:
         self.perm, self.bp, self.wp = perm, self.b[perm], self.w[perm]
         self.levels = [(slice(lo, hi), deps[:, lo:hi].copy(), vals[:, lo:hi].copy())
                        for lo, hi in zip(edges[:-1], edges[1:])]
-        self.kernel = "levels"
+        return "levels"
 
     def sweep(self, g, x):
         """x after one sweep, given g = H1 x + q."""
         if self.reversed:
             g, x = g[::-1], x[::-1]
-        if self.kernel == "loop" or not (np.isfinite(g).all() and np.isfinite(x).all()):
-            x_new = self._loop(g, x)
-        else:
-            x_new = self._scan(g, x) if self.kernel == "scan" else self._levels(g, x)
+        x_new = None
+        finite = self.banded and np.isfinite(g).all() and np.isfinite(x).all()
+        if finite and self.tries and not np.signbit(x).any():
+            with np.errstate(over="ignore", invalid="ignore"):  # such ends fall back
+                x_new = self._bracket(g, x)
+            self.tries = 2 if x_new is not None else self.tries - 1
+        if x_new is None:
+            if not finite or self.kernel == "loop":
+                x_new = self._loop(g, x)
+            elif self.kernel == "scan":
+                x_new = self._scan(g, x)
+            else:
+                x_new = self._levels(g, x)
         return x_new[::-1].copy() if self.reversed else x_new
+
+    def _bracket(self, g, x):
+        """The loop's x_new if at most two bracket rounds decide every
+        coordinate, else None. Row 0 of each pair holds one end, row 1 the
+        other; a delta's two ends may come in either order."""
+        n, eta, b, w = self.n, self.eta, self.b, self.w
+        rest_x = self.rest * x
+        # Round 1: x_new at clamp 0 and at clamp b.
+        deltas = np.stack((rest_x, eta * b + rest_x)) - x
+        second = False
+        while True:
+            ends = np.zeros((2, n))  # the correction ends, then x_new's
+            for offset, values in self.tri:
+                k = n + offset  # stored diagonals lie inside: k >= 1
+                lo, hi = values[:k] * deltas[:, :k]
+                lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+                ends[0, -offset:] += lo
+                ends[1, -offset:] += hi
+            # A non-finite end can hide a NaN of the loop's; so can an
+            # overflowing sum of finite ends, which only costs a fallback.
+            if not np.isfinite(ends.sum()):
+                return None
+            # The loop's formula in place, with its max(z, 0.0) and min(c, b)
+            # on signed zeros: np.maximum(a, c) is a if a > c else c.
+            ends += g
+            ends *= w
+            np.subtract(x, ends, out=ends)
+            np.maximum(0.0, ends, out=ends)
+            np.minimum(b, ends, out=ends)
+            ends *= eta
+            ends += rest_x
+            same = ends[0].view(np.int64) == ends[1].view(np.int64)
+            if same.all():
+                return ends[0]
+            if second or not same.any():
+                return None
+            second, deltas = True, ends - x
 
     def _loop(self, g, x):
         n, eta, rest = self.n, self.eta, self.rest
@@ -410,8 +483,8 @@ class _SweepPlan:
             corr = sum(vals * delta[deps], 0.0)
             z = xp[sl] - wp[sl] * (gp[sl] + corr)
             out = xn[sl]
-            np.maximum(z, 0.0, out=out)
-            np.minimum(out, bp[sl], out=out)
+            np.maximum(0.0, z, out=out)  # max(z, 0.0) and min(., b) of the loop,
+            np.minimum(bp[sl], out, out=out)  # signed zeros included
             np.multiply(out, eta, out=out)
             np.add(out, rest[sl], out=out)
             np.subtract(out, xp[sl], out=delta[sl])
@@ -430,17 +503,32 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     the reversed coordinates.
 
     ``plan`` is the sweep plan of these arguments, which checks eta, omega_relax
-    and ktag; method33 builds it once per solve, a direct call builds one. It
-    runs one of three kernels: a doubling prefix scan of clamp-affine maps
-    when K is the single diagonal next to the main one (tridiagonal H1 with
-    every |a_j| <= 1), vector steps over levels of independent coordinates on
-    other band stores with wide enough levels (block tridiagonal H1: the
-    anti-diagonals of the grid), and the scalar loop otherwise (dense H1,
-    narrow levels, non-finite data). The level kernel gives the loop's result
-    bit for bit. The scan evaluates each coordinate with the loop's formula
-    from its own predecessor, which can differ from the loop's in the last
-    bits: the loop's rounding adds up along an unclamped chain with |a_j|
-    near 1, the scan's does not.
+    and ktag; method33 builds it once per solve, a direct call builds one.
+
+    On a band store with finite data the sweep first runs the bracket pass.
+    Every rounded operation of the loop (+, *, -, min, max) is monotone, so
+    each delta lies between its values at clamp 0 and clamp b, each
+    correction between the loop's own ordered sums (0.0, then rising column
+    index) of the per-term ends min/max(v delta_lo, v delta_hi), and each
+    x_new between its values at the two correction ends. Where those agree
+    bit for bit on every coordinate, the vector is the loop's result, so the
+    bracket gives the loop's bits. Otherwise a second round runs on the
+    tightened delta brackets, but only if the first decided some coordinate;
+    a plan stops bracketing after two consecutive undecided sweeps, so a
+    solve whose coordinates stay inside the box pays about four vector
+    rounds.
+
+    An undecided sweep runs one of three exact kernels: a doubling prefix
+    scan of clamp-affine maps when K is the single diagonal next to the main
+    one (tridiagonal H1 with every |a_j| <= 1), vector steps over levels of
+    independent coordinates on other band stores with wide enough levels
+    (block tridiagonal H1: the anti-diagonals of the grid), and the scalar
+    loop otherwise (dense H1, narrow levels, non-finite data). Dense stores
+    skip the bracket. The level kernel gives the loop's result bit for bit.
+    The scan evaluates each coordinate with the loop's formula from its own
+    predecessor, which can differ from the loop's in the last bits: the
+    loop's rounding adds up along an unclamped chain with |a_j| near 1, the
+    scan's does not.
     """
     if plan is None:
         plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
-                   BoundLadder, DenseMatrix, EhlcpProblem, SingularM,
+                   BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem, SingularM,
                    TridiagonalMatrix, identity_matrix, prefix_sums,
                    problem_from_json, problem_to_json, validate)
-from ehlcp.blockdata import abs_colsums, all_finite, is_identity, is_symmetric
+from ehlcp.blockdata import (abs_colsums, all_finite, is_identity, is_symmetric,
+                             matrix_from_json, matrix_to_json)
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
 
 
@@ -272,3 +273,41 @@ def test_json_roundtrip(rng):
     assert np.allclose(restored.blocks.M.to_dense(), blk.to_dense())
     assert np.allclose(restored.blocks.H[0].to_dense(), tri.to_dense())
     assert np.array_equal(restored.ladder.d[0], problem.ladder.d[0])
+
+
+T3 = TridiagonalMatrix.constant(3, -1.0, 4.0, -1.0)
+EYE_JSON = {"dense": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Ehlcp2Problem(T3, np.zeros((3, 1)), np.ones(3)), ValueError,
+     r"q must be 1-D, got shape \(3, 1\)"),
+    (lambda: Ehlcp2Problem(T3, np.zeros(2), np.ones(3)), ValueError,
+     "q must have length 3, got 2"),
+    (lambda: DenseMatrix(np.zeros((2, 3))), ValueError, "dense matrix must be square"),
+    (lambda: BandMatrix((0, 1), np.zeros((3, 4))), ValueError,
+     r"band data of shape \(3, 4\) for 2 offsets"),
+    (lambda: BlockTridiagonalMatrix(0, -1.0, T3, -1.0), ValueError,
+     "block order must be >= 1"),
+    (lambda: BlockTridiagonalMatrix(2, -1.0, T3, -1.0), ValueError,
+     "diagonal block order must match block order"),
+    (lambda: BlockMatrixSet(identity_matrix(3), ()), ValueError,
+     "need at least one trailing block"),
+    (lambda: BlockMatrixSet(identity_matrix(3), (identity_matrix(2),)), ValueError,
+     "block 1 has order 2, expected 3"),
+    (lambda: Ehlcp2Problem(T3, np.zeros(3), np.array([1.0, 0.0, 1.0])), ValueError,
+     "b must be strictly positive"),
+    (lambda: matrix_to_json(BandMatrix((0, 2), np.ones((2, 4)))), TypeError,
+     "no JSON spelling for the band layout"),
+    (lambda: matrix_from_json({"sparse": []}), ValueError,
+     r"unknown matrix layout keys: \['sparse'\]"),
+    (lambda: problem_from_json({"n": 2, "m": 2, "M": EYE_JSON, "H": [EYE_JSON],
+                                "q": [0.0, 0.0]}), ValueError,
+     "H lists 1 blocks but m = 2"),
+], ids=["vector-2d", "vector-length", "dense-not-square", "band-shape",
+        "block-order-zero", "block-order-mismatch", "no-trailing-block",
+        "block-order-differs", "b-not-positive", "band-json", "json-layout",
+        "json-block-count"])
+def test_malformed_stores_and_problems_raise_typed_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -1,8 +1,10 @@
 """The vectorised M3.3 sweep kernels against the scalar loop they replace.
 
 ``reference_sweep`` is the one-coordinate-at-a-time projection sweep the
-kernels were written from. The level kernel and the loop must give its result
-bit for bit; the prefix scan evaluates each coordinate with the loop's formula
+kernels were written from. A band store's sweep first tries the bracket pass,
+which must give its result bit for bit whenever it decides; dense stores
+never enter it. The level kernel and the loop must give its result bit for
+bit too; the prefix scan evaluates each coordinate with the loop's formula
 from its own predecessor delta, which may differ from the loop's in the last
 bits. On the short chains drawn here it stays within 1e-15 of the iterate's
 size of the loop. Along a long unclamped chain with |a_j| near 1 either may
@@ -12,6 +14,7 @@ A sweep whose g or x is non-finite takes the loop, so there every kernel gives
 the reference exactly.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +25,8 @@ from hypothesis import strategies as st
 from ehlcp import (DenseMatrix, IterationConfig, gen_example52, gen_example55,
                    implicit_sweep, method33)
 from ehlcp import solvers
-from ehlcp.blockdata import BandMatrix, BlockTridiagonalMatrix, TridiagonalMatrix
+from ehlcp.blockdata import (BandMatrix, BlockTridiagonalMatrix, Ehlcp2Problem,
+                             TridiagonalMatrix)
 
 SCAN_TOL = 1e-15
 
@@ -70,11 +74,42 @@ def exact_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
     return np.array([float(v) for v in x_new])
 
 
+def assert_same_bits(got, want):
+    """Equal bit for bit, so -0.0 and 0.0 differ."""
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def assert_kernel_result(kernel, got, want, scale):
     if kernel == "scan":
         assert np.abs(got - want).max() <= SCAN_TOL * scale
     else:
-        np.testing.assert_array_equal(got, want)
+        assert_same_bits(got, want)
+
+
+def bracket_log(monkeypatch):
+    """A list that receives what each bracket pass returns from now on: the
+    sweep's result in the plan's coordinates, or None when it falls back."""
+    log = []
+    bracket = solvers._SweepPlan._bracket
+
+    def spy(plan, g, x):
+        out = bracket(plan, g, x)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(solvers._SweepPlan, "_bracket", spy)
+    return log
+
+
+def plan_log(monkeypatch):
+    """A list that receives the name of each exact kernel planned from now on."""
+    log = []
+    for name in ("_plan_scan", "_plan_levels"):
+        def spy(plan, planner=getattr(solvers._SweepPlan, name), name=name):
+            log.append(name)
+            return planner(plan)
+        monkeypatch.setattr(solvers._SweepPlan, name, spy)
+    return log
 
 
 def strict_triangle(H1, ktag):
@@ -196,13 +231,14 @@ def test_kernels_match_scalar_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)  # level kernel at any width
         plan = solvers._SweepPlan(h1, b, eta, omega, e, ktag)
+        kernel = plan.kernel  # planned on first use
         got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag)
     want = reference_sweep(h1, q, x, b, eta, omega, e, ktag)
-    event(plan.kernel)
-    assert plan.kernel == expected_kernel(h1, ktag, eta, omega, e)
-    if plan.kernel == "levels":
+    event(kernel)
+    assert kernel == expected_kernel(h1, ktag, eta, omega, e)
+    if kernel == "levels":
         assert len(plan.levels) == reference_level_count(h1, ktag)
-    kernel = plan.kernel if np.isfinite(q).all() else "loop"
+    kernel = kernel if np.isfinite(q).all() else "loop"
     assert_kernel_result(kernel, got, want, max(np.abs(x).max(), np.abs(want).max()))
 
 
@@ -233,6 +269,97 @@ def test_scan_tracks_exact_sweep_on_long_chains(n, slopes, ktag):
     assert np.abs(got - want).max() <= tol
 
 
+def mixed_sign_sweep():
+    """Row 2 of a lower sweep reads K[2, 0] = 1 and K[2, 1] = -1. Its clamp
+    brackets put both deltas in [0, 1] and its correction in [-1, 1], so the
+    first round decides rows 0 and 1 only; the second decides row 2 from their
+    exact deltas 0.5 and 0.2. Term ends summed as they come (1 * 0 - 1 * 0
+    and 1 * 1 - 1 * 1) would close row 2's bracket at 0 in the first round."""
+    data = np.zeros((3, 3))
+    data[0] = 1.0
+    data[1, 1] = -1.0  # K[2, 1], offset -1
+    data[2, 0] = 1.0  # K[2, 0], offset -2
+    return (BandMatrix((0, -1, -2), data), np.array([-0.5, -0.2, -0.5]), np.zeros(3),
+            np.ones(3), 1.0, 1.0, np.ones(3), "lower")
+
+
+def signed_zero_sweep():
+    """x_1 = -0.0 with g_1 = 0 and an exact delta_0 = 0: the loop's z_1 is
+    -0.0 - 0.0 = -0.0, which max(z, 0.0) keeps, so x_new_1 = -0.0. The clamp
+    bracket of delta_0 is [-1e-30, 1], and omega e_1 = 1e-300 takes the
+    correction's ends to -0.0 and 1e-300, so both ends of x_new_1 are +0.0.
+    K[2, 0] makes the exact kernel the level one; row 2 ends at +0.0."""
+    data = np.zeros((3, 3))
+    data[0] = 1.0
+    data[1, 0] = 1.0  # K[1, 0]
+    data[2, 0] = 1.0  # K[2, 0]
+    return (BandMatrix((0, -1, -2), data), np.array([-1e-30, -1e-30, 0.0]),
+            np.array([1e-30, -0.0, 0.0]), np.ones(3), 1.0, 1.0,
+            np.array([1.0, 1e-300, 1.0]), "lower")
+
+
+def interior_obstacle_sweep():
+    """Ex 5.5 g = 8 with b = 0.15e from x = 0: the chains through the -g
+    column entries stay inside the box, so neither round decides them."""
+    problem = gen_example55(8).problem
+    n = problem.n
+    return (problem.H1, problem.q, np.zeros(n), np.full(n, 0.15), 0.5, 0.25, np.ones(n),
+            "lower")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps())
+def test_bracket_gives_the_loop_bits_when_it_decides(case):
+    h1, q, x, b, eta, omega, e, ktag = case
+    dense = isinstance(h1, DenseMatrix)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)
+        log = bracket_log(mp)
+        got = implicit_sweep(*case)
+    want = reference_sweep(*case)
+    finite = np.isfinite(h1.matvec(x) + q).all()
+    assert len(log) == (not dense and finite)
+    decided = log and log[0] is not None
+    event("dense" if dense else "non-finite" if not finite else
+          "decided" if decided else "fell back")
+    if decided:
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("case, decides", [(mixed_sign_sweep(), True),
+                                           (signed_zero_sweep(), None),
+                                           (interior_obstacle_sweep(), False)],
+                         ids=["mixed-sign", "signed-zero", "ex55-g8-interior"])
+@pytest.mark.parametrize("level_min_width", [0, solvers.LEVEL_MIN_WIDTH])
+def test_bracket_examples_give_the_loop_bits(case, decides, level_min_width, monkeypatch):
+    """decides: True if the bracket decides, False if it falls back, None if
+    the sweep never enters it."""
+    monkeypatch.setattr(solvers, "LEVEL_MIN_WIDTH", level_min_width)
+    log = bracket_log(monkeypatch)
+    got = implicit_sweep(*case)
+    want = reference_sweep(*case)
+    assert [out is not None for out in log] == ([] if decides is None else [decides])
+    assert_same_bits(got, want)
+    if decides is None:
+        assert np.signbit(want[1]) and want[1] == 0.0
+
+
+def test_bracket_that_overflows_falls_back_without_a_warning(monkeypatch):
+    """1e308 * 1e308 overflows in the correction ends: the bracket gives up
+    silently and the loop, whose Python floats warn nothing, runs."""
+    n = 40
+    data = np.full((3, n), 1e308)
+    data[0] = 1.0
+    case = (BandMatrix((0, -1, -2), data), np.full(n, -1e308), np.zeros(n),
+            np.full(n, 1e308), 1.0, 1.0, np.ones(n), "lower")
+    log = bracket_log(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = implicit_sweep(*case)
+    assert [out is None for out in log] == [True]
+    assert_same_bits(got, reference_sweep(*case))
+
+
 def scalar_method33(monkeypatch, problem, ktag):
     monkeypatch.setattr(solvers, "implicit_sweep",
                         lambda *args, plan=None: reference_sweep(*args))
@@ -250,9 +377,30 @@ def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch)
     assert plan.kernel == kernel
     if kernel == "levels":  # the 2g - 1 anti-diagonals of the grid
         assert len(plan.levels) == 2 * 40 - 1
+    planned, log = plan_log(monkeypatch), bracket_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
-    assert rep.iterations == ref.iterations
-    assert_kernel_result(kernel, rep.y_final, ref.y_final, np.abs(ref.y_final).max())
+    assert rep.iterations == ref.iterations == len(log) == 17
+    assert sum(out is not None for out in log) >= 15
+    # Ex 5.2 decides every sweep, so no exact kernel is planned.
+    assert planned == ([] if kernel == "scan" else ["_plan_levels"])
+    assert_same_bits(rep.y_final, ref.y_final)
+
+
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+def test_method33_stops_bracketing_after_two_undecided_sweeps(ktag, monkeypatch):
+    """With b = 10e the Ex 5.5 g = 40 solution lies inside the box, so the
+    bracket decides no sweep: the solve tries two and runs the level kernel
+    on the rest."""
+    gen = gen_example55(40).problem
+    problem = Ehlcp2Problem(gen.H1, gen.q, np.full(gen.n, 10.0))
+    log = bracket_log(monkeypatch)
+    rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
+                   cfg=IterationConfig(tol=1e-6))
+    ref = scalar_method33(monkeypatch, problem, ktag)
+    assert [out is None for out in log] == [True, True]
+    assert rep.status == ref.status == "Converged"
+    assert rep.iterations == ref.iterations > 2
+    assert_same_bits(rep.y_final, ref.y_final)

@@ -6,8 +6,8 @@ from ehlcp import (BlockMatrixSet, BoundLadder, EhlcpProblem, EhlcpSolution,
                    InfeasibleTuple, gen_example52, gen_example53,
                    identity_matrix, pls_residual, reconstruct_y,
                    recover_solution, selection_matrices, sum_identity)
-from ehlcp.transform import (feasibility_violations, residual_of_tuple,
-                             transformation_pieces)
+from ehlcp.transform import (DiagonalSelection, feasibility_violations,
+                             residual_of_tuple, transformation_pieces)
 
 
 def ladder1(*d):
@@ -174,3 +174,8 @@ def test_selection_chain_monotone(rng):
         nus = np.cumsum(sel.lambdas[::-1], axis=0)[::-1]
         for i in range(1, nus.shape[0]):
             assert np.all(nus[i] <= nus[i - 1] + 1e-14)
+
+
+def test_diagonal_selection_rejects_a_vector():
+    with pytest.raises(ValueError, match=r"lambdas must be a \(m\+1, n\) array"):
+        DiagonalSelection(np.ones(3))

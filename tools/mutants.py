@@ -47,12 +47,12 @@ MUTANTS = [
            ("tests/test_convergence.py::"
             "test_spectral_radius_above_cut_brackets_by_row_sums",)),
     Mutant("sdd-unrounded-column-margin", "convergence.py",
-           "np.all(col_margins > g * (two_diag + col_sums))",
-           "np.all(col_margins > 0)",
+           "np.all(margins > g * (two_diag + sums))",
+           "np.all(margins > g * (two_diag + sums) * (not transposed))",
            ("tests/test_bounds.py::test_bound43_flags_on_rounded_down_margins",)),
     Mutant("sdd-unrounded-row-margin", "convergence.py",
-           "np.all(row_margins > g * (two_diag + row_sums))",
-           "np.all(row_margins > 0)",
+           "np.all(margins > g * (two_diag + sums))",
+           "np.all(margins > g * (two_diag + sums) * transposed)",
            ("tests/test_bounds.py::test_bound43_flags_on_rounded_down_margins",)),
     Mutant("norm-condition-unrounded", "convergence.py",
            "return (value, value if tag == '2' else _sum_up(value, len(store.data)))",
@@ -63,6 +63,35 @@ MUTANTS = [
            "ConvergenceReport(tag, float(value), value < 1.0, 0, certifying)",
            ("tests/test_convergence.py::"
             "test_rho_condition_is_decided_on_the_enclosure_not_the_eigenvalues",)),
+    Mutant("bracket-term-ends-unordered", "solvers.py",
+           "lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)",
+           "pass",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("bracket-ends-at-one-correction", "solvers.py",
+           "ends[1, -offset:] += hi",
+           "ends[1, -offset:] += lo",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("bracket-deltas-from-clamp-b-only", "solvers.py",
+           "deltas = np.stack((rest_x, eta * b + rest_x)) - x",
+           "deltas = np.stack((eta * b + rest_x, eta * b + rest_x)) - x",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("bracket-on-a-signed-zero-start", "solvers.py",
+           "finite and self.tries and (not np.signbit(x).any())",
+           "finite and self.tries",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("bracket-one-round", "solvers.py",
+           "second or not same.any()",
+           "True",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("bracket-never-stops", "solvers.py",
+           "self.tries = 2 if x_new is not None else self.tries - 1",
+           "self.tries = 2",
+           ("tests/test_sweep_kernels.py::"
+            "test_method33_stops_bracketing_after_two_undecided_sweeps",)),
+    Mutant("levels-max-drops-signed-zero", "solvers.py",
+           "np.maximum(0.0, z, out=out)",
+           "np.maximum(z, 0.0, out=out)",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
