@@ -469,7 +469,8 @@ class _SweepPlan:
         corr = np.zeros(self.n)
         corr[1:] = self.kv * delta[:-1]
         z = x - self.w * (g + corr)
-        return eta * np.minimum(np.maximum(z, 0.0), b) + self.rest * x
+        # The loop's max(z, 0.0) and min(., b), signed zeros included.
+        return eta * np.minimum(b, np.maximum(0.0, z)) + self.rest * x
 
     def _levels(self, g, x):
         perm, eta, bp, wp = self.perm, self.eta, self.bp, self.wp
@@ -524,11 +525,13 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     independent coordinates on other band stores with wide enough levels
     (block tridiagonal H1: the anti-diagonals of the grid), and the scalar
     loop otherwise (dense H1, narrow levels, non-finite data). Dense stores
-    skip the bracket. The level kernel gives the loop's result bit for bit.
-    The scan evaluates each coordinate with the loop's formula from its own
-    predecessor, which can differ from the loop's in the last bits: the
-    loop's rounding adds up along an unclamped chain with |a_j| near 1, the
-    scan's does not.
+    skip the bracket. The scan is the fallback of tridiagonal solves whose
+    solution lies inside the box, where the bracket decides no sweep. The
+    level kernel gives the loop's result bit for bit. The scan evaluates
+    each coordinate with the loop's formula, signed zeros included, from
+    its own predecessor, which can differ from the loop's in the last bits:
+    the loop's rounding adds up along an unclamped chain with |a_j| near 1,
+    the scan's does not.
     """
     if plan is None:
         plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)

@@ -52,6 +52,10 @@ def test_sdd_classify_examples():
     assert sdd_classify(COLUMN_SDD_PAIR.H[0]).col_sdd
 
 
+def test_sdd_classify_still_resolves_from_bounds():
+    assert bounds.sdd_classify is convergence.sdd_classify is sdd_classify
+
+
 def test_split_reconstruction(rng):
     gen = gen_example51(3, 2.0, 1.0)
     split = split_diagonal(gen.problem.blocks)

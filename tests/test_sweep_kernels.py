@@ -6,7 +6,8 @@ which must give its result bit for bit whenever it decides; dense stores
 never enter it. The level kernel and the loop must give its result bit for
 bit too; the prefix scan evaluates each coordinate with the loop's formula
 from its own predecessor delta, which may differ from the loop's in the last
-bits. On the short chains drawn here it stays within 1e-15 of the iterate's
+bits. The kernel tests switch the bracket off, so every draw and example
+runs the exact kernel it plans. On the short chains drawn here it stays within 1e-15 of the iterate's
 size of the loop. Along a long unclamped chain with |a_j| near 1 either may
 drift further from the sweep in exact arithmetic, so there the scan is held to
 the bound of its own summation tree: about log2(n) roundings of each sum.
@@ -99,6 +100,12 @@ def bracket_log(monkeypatch):
 
     monkeypatch.setattr(solvers._SweepPlan, "_bracket", spy)
     return log
+
+
+def without_bracket(monkeypatch):
+    """Every bracket pass from now on falls back, so each sweep runs its
+    exact kernel."""
+    monkeypatch.setattr(solvers._SweepPlan, "_bracket", lambda plan, g, x: None)
 
 
 def plan_log(monkeypatch):
@@ -231,8 +238,9 @@ def test_kernels_match_scalar_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)  # level kernel at any width
         plan = solvers._SweepPlan(h1, b, eta, omega, e, ktag)
+        plan.tries = 0  # no bracket: the exact kernel runs
         kernel = plan.kernel  # planned on first use
-        got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag)
+        got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag, plan=plan)
     want = reference_sweep(h1, q, x, b, eta, omega, e, ktag)
     event(kernel)
     assert kernel == expected_kernel(h1, ktag, eta, omega, e)
@@ -267,6 +275,19 @@ def test_scan_tracks_exact_sweep_on_long_chains(n, slopes, ktag):
     tol = 2 * (depth + 2) * np.finfo(float).eps * (
         np.abs(g).sum() + np.abs(x).max() + np.abs(want).max())
     assert np.abs(got - want).max() <= tol
+
+
+def test_scan_keeps_the_loops_signed_zero():
+    """x_1 = -0.0 with omega e_1 = 1e-300 and a tiny correction: the loop's
+    z_1 is -0.0 and max(z, 0.0) keeps it, so x_new_1 = -0.0. The start's
+    sign bit keeps the bracket out; the scan must clamp as the loop does."""
+    case = (BandMatrix((0, -1), [[1.0, 1.0], [1.0, 0.0]]), np.array([-1e-30, -1e-30]),
+            np.array([1e-30, -0.0]), np.ones(2), 1.0, 1.0, np.array([1.0, 1e-300]),
+            "lower")
+    assert solvers._SweepPlan(case[0], *case[3:]).kernel == "scan"
+    got = implicit_sweep(*case)
+    assert np.signbit(got[1]) and got[1] == 0.0
+    assert_same_bits(got, reference_sweep(*case))
 
 
 def mixed_sign_sweep():
@@ -387,6 +408,48 @@ def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch)
     # Ex 5.2 decides every sweep, so no exact kernel is planned.
     assert planned == ([] if kernel == "scan" else ["_plan_levels"])
     assert_same_bits(rep.y_final, ref.y_final)
+
+
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "scan"),
+                                          (lambda: gen_example55(40), "levels")],
+                         ids=["ex52-n2000", "ex55-g40"])
+def test_method33_paper_cells_exact_kernels_match_scalar_loop(make, kernel, ktag,
+                                                              monkeypatch):
+    """The paper cells with the bracket off: every sweep runs the exact
+    kernel, the levels bit for bit, the scan within its tolerance."""
+    problem = make().problem
+    without_bracket(monkeypatch)
+    planned = plan_log(monkeypatch)
+    rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
+                   cfg=IterationConfig(tol=1e-6))
+    assert planned == ["_plan_" + kernel]
+    ref = scalar_method33(monkeypatch, problem, ktag)
+    assert rep.status == ref.status == "Converged"
+    assert rep.iterations == ref.iterations == 17
+    assert_kernel_result(kernel, rep.y_final, ref.y_final, np.abs(ref.y_final).max())
+
+
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+def test_method33_interior_tridiagonal_solve_falls_back_to_the_scan(ktag, monkeypatch):
+    """Ex 5.2's H1 with q = -H1 x* for x* inside the box: no clamp is ever
+    decided, so the solve tries the bracket twice and runs every other sweep
+    on the scan."""
+    gen = gen_example52(2000).problem
+    x_star = np.random.default_rng(0).uniform(0.2, 0.8, gen.n)
+    problem = Ehlcp2Problem(gen.H1, -gen.H1.matvec(x_star), np.ones(gen.n))
+    log, planned = bracket_log(monkeypatch), plan_log(monkeypatch)
+    rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
+                   cfg=IterationConfig(tol=1e-6))
+    assert [out is None for out in log] == [True, True]
+    assert planned == ["_plan_scan"]
+    ref = scalar_method33(monkeypatch, problem, ktag)
+    assert rep.status == ref.status == "Converged"
+    assert rep.iterations == ref.iterations > 2
+    # Unclamped, each scan sweep may add its last-bit difference to the
+    # iterate; the converging iteration carries them on without growth.
+    scale = rep.iterations * np.abs(ref.y_final).max()
+    assert_kernel_result("scan", rep.y_final, ref.y_final, scale)
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])

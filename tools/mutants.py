@@ -92,6 +92,18 @@ MUTANTS = [
            "np.maximum(0.0, z, out=out)",
            "np.maximum(z, 0.0, out=out)",
            ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("levels-pairwise-sum", "solvers.py",
+           "sum(vals * delta[deps], 0.0)",
+           "np.add.reduce(vals * delta[deps])",
+           ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
+    Mutant("levels-terms-reversed", "solvers.py",
+           "sum(vals * delta[deps], 0.0)",
+           "sum(vals[::-1] * delta[deps[::-1]], 0.0)",
+           ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
+    Mutant("scan-max-drops-signed-zero", "solvers.py",
+           "np.minimum(b, np.maximum(0.0, z))",
+           "np.minimum(np.maximum(z, 0.0), b)",
+           ("tests/test_sweep_kernels.py::test_scan_keeps_the_loops_signed_zero",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
