@@ -189,6 +189,17 @@ def _iterate(update, y0, cfg):
     return y, "MaxIterReached", cfg.max_iter, steps
 
 
+def _start(y0, n):
+    """A float copy of the start y0, zeros when it is None; InvalidParams
+    unless its shape is (n,)."""
+    if y0 is None:
+        return np.zeros(n)
+    y0 = np.array(y0, dtype=float)
+    if y0.shape != (n,):
+        raise InvalidParams(f"the start must have shape ({n},), not {y0.shape}")
+    return y0
+
+
 def method31(problem, y0=None, cfg=None):
     """Fixed-point iteration M y+ = M max{0, y} - q - phi(y) for the general chain.
 
@@ -198,7 +209,7 @@ def method31(problem, y0=None, cfg=None):
     cfg = cfg or IterationConfig()
     n = problem.n
     factor = LinearOperatorFactor(problem.blocks.M)
-    y0 = np.zeros(n) if y0 is None else np.asarray(y0, dtype=float).copy()
+    y0 = _start(y0, n)
 
     def update(y):
         sol = recover_solution(y, problem.ladder)
@@ -225,7 +236,7 @@ def method32(problem, omega, y0=None, cfg=None):
     if omega.shape != (problem.n,) or not np.all((omega > 0) & np.isfinite(omega)):
         raise InvalidParams("omega must be a finite positive scalar or vector")
     H1, q, b = problem.H1, problem.q, problem.b
-    y0 = np.zeros(problem.n) if y0 is None else np.asarray(y0, dtype=float).copy()
+    y0 = _start(y0, problem.n)
 
     def update(y):
         z = np.clip(y, 0.0, b)
@@ -269,14 +280,11 @@ class _SweepPlan:
     A sweep the bracket leaves undecided runs an exact kernel, planned on
     first use; ``kernel`` names it:
 
-    - ``scan``: K is the one diagonal next to the main one and every slope
-      |a_j| <= 1. The sweep is then the chain
-      delta_j = clamp(a_j delta_{j-1} + c_j, l_j, h_j) of clamp-affine maps,
-      composed by a doubling prefix scan;
-    - ``levels``: any other band store whose levels, grouped by the nonzero
-      entries of K, hold LEVEL_MIN_WIDTH coordinates on average; each level
-      is one vector step;
-    - ``loop``: dense stores and every other pattern, the scalar sweep.
+    - ``levels``: a band store whose levels, grouped by the nonzero entries
+      of K, hold LEVEL_MIN_WIDTH coordinates on average; each level is one
+      vector step;
+    - ``loop``: dense stores and every other pattern (a tridiagonal chain
+      among them: its levels are single coordinates), the scalar sweep.
 
     A sweep with non-finite g or x takes the loop whatever the kernel. The
     bracket never runs on dense stores, with a zero entry of omega E (0 times
@@ -314,30 +322,13 @@ class _SweepPlan:
     @cached_property
     def kernel(self):
         """The exact kernel of the sweeps the bracket leaves undecided."""
-        if not self.banded:
-            return "loop"
-        if [offset for offset, _ in self.tri] == [-1]:
-            return self._plan_scan()
-        return self._plan_levels()
+        return self._plan_levels() if self.banded else "loop"
 
     @cached_property
     def loop_data(self):
         """b, omega E and K's diagonals as plain floats, for the scalar loop."""
         return (self.b.tolist(), self.w.tolist(),
                 [(offset, memoryview(values)) for offset, values in self.tri])
-
-    def _plan_scan(self):
-        # Step j reads step j - 1 through kv[j - 1] = K[j, j - 1].
-        self.kv = self.tri[0][1][:-1]
-        self.eta_w = self.eta * self.w
-        a = np.zeros(self.n)
-        a[1:] = -self.eta_w[1:] * self.kv
-        # With |a| <= 1 no composed slope overflows; past it one can, and
-        # inf * 0 then gives NaN. NaN in a fails the test too.
-        if not np.abs(a).max() <= 1.0:
-            return "loop"
-        self.a = a
-        return "scan"
 
     def _plan_levels(self):
         n = self.n
@@ -385,8 +376,6 @@ class _SweepPlan:
         if x_new is None:
             if not finite or self.kernel == "loop":
                 x_new = self._loop(g, x)
-            elif self.kernel == "scan":
-                x_new = self._scan(g, x)
             else:
                 x_new = self._levels(g, x)
         return x_new[::-1].copy() if self.reversed else x_new
@@ -445,33 +434,6 @@ class _SweepPlan:
             delta[j] = x_new[j] - xs[j]
         return np.array(x_new)
 
-    def _scan(self, g, x):
-        eta, b = self.eta, self.b
-        # Step i's map is t -> clamp(A t + C, L, H); after the pass of span s
-        # it is steps i - 2s + 1 .. i composed. Once every slope is 0, every
-        # map is constant and further passes change no value.
-        A, C = self.a.copy(), -self.eta_w * g
-        L, H = -eta * x, eta * (b - x)
-        s = 1
-        while s < self.n and A.any():
-            a2, c2, l2, h2 = A[s:], C[s:], L[s:], H[s:]
-            # t -> a2 t + c2 is monotone: it maps [L, H] onto the interval
-            # between the two end images, whatever the sign of a2.
-            u, v = a2 * L[:-s] + c2, a2 * H[:-s] + c2
-            lo, hi = np.minimum(u, v), np.maximum(u, v)
-            L[s:], H[s:] = (np.minimum(np.maximum(lo, l2), h2),
-                            np.minimum(np.maximum(hi, l2), h2))
-            C[s:] = a2 * C[:-s] + c2
-            A[s:] = a2 * A[:-s]
-            s *= 2
-        # Each coordinate by the loop's formula from its predecessor's delta.
-        delta = np.minimum(np.maximum(C, L), H)
-        corr = np.zeros(self.n)
-        corr[1:] = self.kv * delta[:-1]
-        z = x - self.w * (g + corr)
-        # The loop's max(z, 0.0) and min(., b), signed zeros included.
-        return eta * np.minimum(b, np.maximum(0.0, z)) + self.rest * x
-
     def _levels(self, g, x):
         perm, eta, bp, wp = self.perm, self.eta, self.bp, self.wp
         gp, xp = g[perm], x[perm]
@@ -506,32 +468,9 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     ``plan`` is the sweep plan of these arguments, which checks eta, omega_relax
     and ktag; method33 builds it once per solve, a direct call builds one.
 
-    On a band store with finite data the sweep first runs the bracket pass.
-    Every rounded operation of the loop (+, *, -, min, max) is monotone, so
-    each delta lies between its values at clamp 0 and clamp b, each
-    correction between the loop's own ordered sums (0.0, then rising column
-    index) of the per-term ends min/max(v delta_lo, v delta_hi), and each
-    x_new between its values at the two correction ends. Where those agree
-    bit for bit on every coordinate, the vector is the loop's result, so the
-    bracket gives the loop's bits. Otherwise a second round runs on the
-    tightened delta brackets, but only if the first decided some coordinate;
-    a plan stops bracketing after two consecutive undecided sweeps, so a
-    solve whose coordinates stay inside the box pays about four vector
-    rounds.
-
-    An undecided sweep runs one of three exact kernels: a doubling prefix
-    scan of clamp-affine maps when K is the single diagonal next to the main
-    one (tridiagonal H1 with every |a_j| <= 1), vector steps over levels of
-    independent coordinates on other band stores with wide enough levels
-    (block tridiagonal H1: the anti-diagonals of the grid), and the scalar
-    loop otherwise (dense H1, narrow levels, non-finite data). Dense stores
-    skip the bracket. The scan is the fallback of tridiagonal solves whose
-    solution lies inside the box, where the bracket decides no sweep. The
-    level kernel gives the loop's result bit for bit. The scan evaluates
-    each coordinate with the loop's formula, signed zeros included, from
-    its own predecessor, which can differ from the loop's in the last bits:
-    the loop's rounding adds up along an unclamped chain with |a_j| near 1,
-    the scan's does not.
+    Every path gives the scalar loop's result bit for bit, signed zeros
+    included: the bracket pass, the level kernel and the loop itself (see
+    ``_SweepPlan`` for which runs when).
     """
     if plan is None:
         plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)
@@ -551,7 +490,7 @@ def method33(problem, eta, omega_relax, ktag="lower", x10=None, cfg=None):
     e = np.ones(n)
     b, q, H1 = problem.b, problem.q, problem.H1
     plan = _SweepPlan(H1, b, eta, omega_relax, e, ktag)  # checks eta, omega, ktag
-    x0 = np.zeros(n) if x10 is None else np.asarray(x10, dtype=float).copy()
+    x0 = _start(x10, n)
     if np.any(x0 < 0) or np.any(x0 > b):
         raise InvalidParams("x10 must lie in [0, b]")
     x, status, iterations, steps = _iterate(

@@ -214,7 +214,7 @@ def _well_formed(n=2):
 
 def test_validate_passes_well_formed():
     report = validate(_well_formed())
-    assert report.ok and not report.issues
+    assert report.ok and not report.issues and report
 
 
 def test_validate_flags_nonpositive_ladder():
@@ -223,8 +223,14 @@ def test_validate_flags_nonpositive_ladder():
     blocks = BlockMatrixSet(eye, (eye, eye))
     p = EhlcpProblem(blocks, np.zeros(n), BoundLadder((np.array([1.0, 0.0]),), n))
     report = validate(p)
-    assert not report.ok
+    assert not report.ok and not report
     assert any("ladder not strictly positive" in msg for msg in report.issues)
+
+
+def test_validate_flags_order_zero():
+    empty = DenseMatrix(np.zeros((0, 0)))
+    p = EhlcpProblem(BlockMatrixSet(empty, (empty,)), np.zeros(0), BoundLadder((), 0))
+    assert validate(p).issues == ["order n must be >= 1"]
 
 
 def test_validate_flags_dimension_mismatch():

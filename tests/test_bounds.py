@@ -91,6 +91,18 @@ def test_bound42_column_sdd_pair_condition_fails():
     assert rep.constant == np.inf
 
 
+def test_bound42_uncertified_band_store_above_dense_limit_has_no_constant():
+    """mu = nu = -2 makes X's row sums reach 2: no certificate, and at
+    n = 4,225 > DENSE_LIMIT no dense inverse is formed, so the constant is NaN."""
+    blocks = gen_example51(65, -2.0, -2.0).problem.blocks
+    assert blocks.M.n > convergence.DENSE_LIMIT
+    rep = bound42(blocks, "inf")
+    assert not rep.condition_satisfied
+    assert np.isnan(rep.constant)
+    assert rep.condition_bracket[0] <= rep.condition_value == rep.condition_bracket[1]
+    assert rep.condition_value > 1.0
+
+
 def test_bound42_example51_collapses_to_M_part():
     gen = gen_example51(4, 3.0, 3.0)
     rep = bound42(gen.problem.blocks, "inf")
@@ -438,6 +450,16 @@ def test_residual_error_interval_examples():
     assert hi == pytest.approx(8.0, abs=1e-12)
     assert hi == pytest.approx(true_err, abs=1e-12)  # the bound is attained
     assert lo <= true_err
+
+
+def test_residual_error_interval_takes_bare_floats_and_alpha_estimates():
+    gen = gen_example53(1.0)
+    y = np.array([3.0, -7.0])
+    r = pls_residual(gen.problem, y).norms["inf"]
+    under = underalpha_exact(gen.problem.blocks, "inf")
+    assert residual_error_interval(gen.problem, y, 2.0, 4.0) == (r / 4.0, 2.0 * r)
+    assert residual_error_interval(gen.problem, y, under, under) == (
+        r / under.value, under.value * r)
 
 
 def test_residual_error_interval_norm_mismatch():

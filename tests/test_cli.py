@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +229,17 @@ def test_bounds_missing_ystar(tmp_path):
                     str(problem)]) == 0
 
 
+def test_bounds_solve_ystar_that_diverges_exit_code(tmp_path, capsys):
+    # M = 1, H = -3: the fixed-point map y <- max(0, y) + 3 max(0, y) + 1 diverges
+    problem = tmp_path / "p.json"
+    obj = {"n": 1, "m": 1, "M": {"dense": [[1.0]]},
+           "H": [{"dense": [[-3.0]]}], "q": [-1.0], "d": []}
+    problem.write_text(json.dumps(obj))
+    assert run_cli(["bounds", "--probe-pattern", "0.1,0.2", "--solve-ystar",
+                    str(problem)]) == 3
+    assert "could not solve for y*" in capsys.readouterr().err
+
+
 def test_bounds_solve_ystar_on_identity_form(tmp_path, monkeypatch):
     # an m = 2 file with identity leading and trailing blocks takes method32
     problem, bare = tmp_path / "p.json", tmp_path / "bare.json"
@@ -419,6 +431,18 @@ def test_repro_deterministic(tmp_path):
     run_cli(["repro", "--table", "3", "--out", str(a)])
     run_cli(["repro", "--table", "3", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_main_guard_runs_main(tmp_path, monkeypatch):
+    """The module's __main__ guard, run in this process."""
+    out = tmp_path / "p.json"
+    monkeypatch.delitem(sys.modules, "ehlcp.cli")  # runpy warns on a loaded module
+    monkeypatch.setattr(sys, "argv", ["ehlcp", "gen", "--example", "5.2", "--n", "10",
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ehlcp.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert out.exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -82,6 +82,11 @@ def test_two_norm_matches_dense(rng):
     assert got == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
 
 
+def test_two_norm_of_a_zero_band_store_above_the_cut_is_zero():
+    # above order 512 the 2-norm is the power estimate, whose first product is 0
+    assert induced_norm(TridiagonalMatrix.constant(600, 0.0, 0.0, 0.0), "2") == 0.0
+
+
 def test_check_cor31_identical_blocks():
     eye = identity_matrix(4)
     blocks = BlockMatrixSet(eye, (eye, eye, eye))

@@ -218,6 +218,21 @@ def test_nonfinite_iterate_diverges_where_it_appears():
         assert rep.iterations == 1
 
 
+@pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()], ids=str)
+@pytest.mark.parametrize("method", ["method31", "method32", "method33"])
+def test_start_of_the_wrong_shape_is_invalid(method, shape):
+    """A start of any shape but (n,) is a typed error, not numpy's
+    broadcasting ValueError; a NaN start of the right shape still diverges."""
+    problem = gen_example52(10).problem
+    run = {"method31": lambda start: method31(problem.as_general(), y0=start),
+           "method32": lambda start: method32(problem, 4.0, y0=start),
+           "method33": lambda start: method33(problem, eta=0.5, omega_relax=0.25,
+                                              x10=start)}[method]
+    with pytest.raises(InvalidParams, match="shape"):
+        run(np.zeros(shape))
+    assert run(np.full(10, np.nan)).status == "Diverged"
+
+
 def test_method31_max_iter_status():
     gen = gen_example51(3, 1.0, 1.0)
     rep = method31(gen.problem, cfg=IterationConfig(max_iter=1, tol=1e-14))

@@ -1,22 +1,15 @@
 """The vectorised M3.3 sweep kernels against the scalar loop they replace.
 
 ``reference_sweep`` is the one-coordinate-at-a-time projection sweep the
-kernels were written from. A band store's sweep first tries the bracket pass,
-which must give its result bit for bit whenever it decides; dense stores
-never enter it. The level kernel and the loop must give its result bit for
-bit too; the prefix scan evaluates each coordinate with the loop's formula
-from its own predecessor delta, which may differ from the loop's in the last
-bits. The kernel tests switch the bracket off, so every draw and example
-runs the exact kernel it plans. On the short chains drawn here it stays within 1e-15 of the iterate's
-size of the loop. Along a long unclamped chain with |a_j| near 1 either may
-drift further from the sweep in exact arithmetic, so there the scan is held to
-the bound of its own summation tree: about log2(n) roundings of each sum.
-A sweep whose g or x is non-finite takes the loop, so there every kernel gives
-the reference exactly.
+kernels were written from. Every kernel must give its result bit for bit,
+signed zeros included. A band store's sweep first tries the bracket pass,
+which must do so whenever it decides; dense stores never enter it. The
+kernel tests switch the bracket off, so every draw and example runs the
+exact kernel it plans: the level kernel or the loop. A sweep whose g or x
+is non-finite takes the loop.
 """
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,9 +21,6 @@ from ehlcp import (DenseMatrix, IterationConfig, gen_example52, gen_example55,
 from ehlcp import solvers
 from ehlcp.blockdata import (BandMatrix, BlockTridiagonalMatrix, Ehlcp2Problem,
                              TridiagonalMatrix)
-
-SCAN_TOL = 1e-15
-
 
 def reference_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
     """The scalar sweep: K's entries summed by rising column index, on floats."""
@@ -54,37 +44,9 @@ def reference_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
     return np.array(x_new)
 
 
-def exact_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag):
-    """reference_sweep in exact arithmetic on the same float g, omega e_j and
-    1 - eta, rounded to floats once at the end."""
-    n = H1.n
-    lower = ktag == "lower"
-    g = (H1.matvec(x) + q).tolist()
-    tri = sorted((offset, values.tolist()) for offset, values in H1.diagonals()
-                 if (offset < 0 if lower else offset > 0))
-    xs, bs, es = (np.asarray(v, dtype=float).tolist() for v in (x, b, e_diag))
-    eta, rest = Fraction(eta), Fraction(1.0 - eta)
-    x_new = [Fraction(0)] * n
-    delta = [Fraction(0)] * n
-    for j in (range(n) if lower else range(n - 1, -1, -1)):
-        corr = sum(Fraction(values[j + offset]) * delta[j + offset]
-                   for offset, values in tri if 0 <= j + offset < n)
-        z = xs[j] - Fraction(omega_relax * es[j]) * (Fraction(g[j]) + corr)
-        x_new[j] = eta * min(max(z, Fraction(0)), Fraction(bs[j])) + rest * Fraction(xs[j])
-        delta[j] = x_new[j] - Fraction(xs[j])
-    return np.array([float(v) for v in x_new])
-
-
 def assert_same_bits(got, want):
     """Equal bit for bit, so -0.0 and 0.0 differ."""
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def assert_kernel_result(kernel, got, want, scale):
-    if kernel == "scan":
-        assert np.abs(got - want).max() <= SCAN_TOL * scale
-    else:
-        assert_same_bits(got, want)
 
 
 def bracket_log(monkeypatch):
@@ -109,13 +71,15 @@ def without_bracket(monkeypatch):
 
 
 def plan_log(monkeypatch):
-    """A list that receives the name of each exact kernel planned from now on."""
+    """A list that receives the kernel each band plan picks from now on."""
     log = []
-    for name in ("_plan_scan", "_plan_levels"):
-        def spy(plan, planner=getattr(solvers._SweepPlan, name), name=name):
-            log.append(name)
-            return planner(plan)
-        monkeypatch.setattr(solvers._SweepPlan, name, spy)
+    planner = solvers._SweepPlan._plan_levels
+
+    def spy(plan):
+        log.append(planner(plan))
+        return log[-1]
+
+    monkeypatch.setattr(solvers._SweepPlan, "_plan_levels", spy)
     return log
 
 
@@ -132,20 +96,6 @@ def reference_level_count(H1, ktag):
     for j in (range(n) if ktag == "lower" else range(n - 1, -1, -1)):
         level[j] = max((level[l] + 1 for l in np.flatnonzero(k[j])), default=0)
     return max(level) + 1
-
-
-def expected_kernel(H1, ktag, eta, omega_relax, e_diag):
-    """The kernel a plan must pick when the level width cut is off."""
-    if isinstance(H1, DenseMatrix):
-        return "loop"
-    k = strict_triangle(H1, ktag)
-    side = -1 if ktag == "lower" else 1
-    if [o for o, _ in H1.diagonals() if o * side > 0] != [side]:
-        return "levels"
-    # a_j = eta omega e_j K[j, j -+ 1] on the rows that have that entry
-    e_rows = e_diag[1:] if ktag == "lower" else e_diag[:-1]
-    slopes = eta * (omega_relax * e_rows) * np.abs(np.diagonal(k, side))
-    return "scan" if slopes.max(initial=0.0) <= 1.0 else "loop"
 
 
 @st.composite
@@ -228,11 +178,20 @@ def pairwise_sensitive_sweep():
             np.ones(10), "lower")
 
 
+def signed_zero_chain_sweep():
+    """x_1 = -0.0 with omega e_1 = 1e-300 and a tiny correction: the loop's
+    z_1 is -0.0 and max(z, 0.0) keeps it, so x_new_1 = -0.0."""
+    return (BandMatrix((0, -1), [[1.0, 1.0], [1.0, 0.0]]), np.array([-1e-30, -1e-30]),
+            np.array([1e-30, -0.0]), np.ones(2), 1.0, 1.0, np.array([1.0, 1e-300]),
+            "lower")
+
+
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 @example(order_sensitive_sweep("lower"))
 @example(order_sensitive_sweep("upper"))
 @example(pairwise_sensitive_sweep())
+@example(signed_zero_chain_sweep())
 def test_kernels_match_scalar_reference(case):
     h1, q, x, b, eta, omega, e, ktag = case
     with pytest.MonkeyPatch.context() as mp:
@@ -243,51 +202,10 @@ def test_kernels_match_scalar_reference(case):
         got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag, plan=plan)
     want = reference_sweep(h1, q, x, b, eta, omega, e, ktag)
     event(kernel)
-    assert kernel == expected_kernel(h1, ktag, eta, omega, e)
+    assert kernel == ("loop" if isinstance(h1, DenseMatrix) else "levels")
     if kernel == "levels":
         assert len(plan.levels) == reference_level_count(h1, ktag)
-    kernel = kernel if np.isfinite(q).all() else "loop"
-    assert_kernel_result(kernel, got, want, max(np.abs(x).max(), np.abs(want).max()))
-
-
-@pytest.mark.parametrize("n", [256, 1024, 2048])
-@pytest.mark.parametrize("slopes", ["one", "near-one", "mixed-sign"])
-@pytest.mark.parametrize("ktag", ["lower", "upper"])
-def test_scan_tracks_exact_sweep_on_long_chains(n, slopes, ktag):
-    """Unclamped stretches of a chain with a_j = -K[j, j -+ 1] at or near 1
-    (eta = omega = e = 1, so no input to the chain is rounded). Each composed
-    constant is a sum of the c_j = -g_j in a tree of depth log2(n), two
-    roundings per level; the clamps and slopes |a_j| <= 1 do not enlarge an
-    error."""
-    rng = np.random.default_rng(n)
-    k = -np.ones(n - 1)
-    if slopes != "one":
-        k *= rng.uniform(0.9, 1.0, n - 1)
-    if slopes == "mixed-sign":
-        k *= rng.choice([-1.0, 1.0], n - 1)
-    h1 = TridiagonalMatrix(k, np.zeros(n), k)
-    x = rng.uniform(0.0, 1e-3, n)
-    case = (h1, rng.normal(0.0, 10.0, n), x, np.full(n, 1e9), 1.0, 1.0, np.ones(n), ktag)
-    assert solvers._SweepPlan(h1, *case[3:]).kernel == "scan"
-    got, want = implicit_sweep(*case), exact_sweep(*case)
-    g = h1.matvec(x) + case[1]
-    depth = int(np.ceil(np.log2(n)))
-    tol = 2 * (depth + 2) * np.finfo(float).eps * (
-        np.abs(g).sum() + np.abs(x).max() + np.abs(want).max())
-    assert np.abs(got - want).max() <= tol
-
-
-def test_scan_keeps_the_loops_signed_zero():
-    """x_1 = -0.0 with omega e_1 = 1e-300 and a tiny correction: the loop's
-    z_1 is -0.0 and max(z, 0.0) keeps it, so x_new_1 = -0.0. The start's
-    sign bit keeps the bracket out; the scan must clamp as the loop does."""
-    case = (BandMatrix((0, -1), [[1.0, 1.0], [1.0, 0.0]]), np.array([-1e-30, -1e-30]),
-            np.array([1e-30, -0.0]), np.ones(2), 1.0, 1.0, np.array([1.0, 1e-300]),
-            "lower")
-    assert solvers._SweepPlan(case[0], *case[3:]).kernel == "scan"
-    got = implicit_sweep(*case)
-    assert np.signbit(got[1]) and got[1] == 0.0
-    assert_same_bits(got, reference_sweep(*case))
+    assert_same_bits(got, want)
 
 
 def mixed_sign_sweep():
@@ -389,7 +307,7 @@ def scalar_method33(monkeypatch, problem, ktag):
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
-@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "scan"),
+@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "loop"),
                                           (lambda: gen_example55(40), "levels")],
                          ids=["ex52-n2000", "ex55-g40"])
 def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch):
@@ -406,35 +324,35 @@ def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch)
     assert rep.iterations == ref.iterations == len(log) == 17
     assert sum(out is not None for out in log) >= 15
     # Ex 5.2 decides every sweep, so no exact kernel is planned.
-    assert planned == ([] if kernel == "scan" else ["_plan_levels"])
+    assert planned == ([] if kernel == "loop" else ["levels"])
     assert_same_bits(rep.y_final, ref.y_final)
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
-@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "scan"),
+@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "loop"),
                                           (lambda: gen_example55(40), "levels")],
                          ids=["ex52-n2000", "ex55-g40"])
 def test_method33_paper_cells_exact_kernels_match_scalar_loop(make, kernel, ktag,
                                                               monkeypatch):
     """The paper cells with the bracket off: every sweep runs the exact
-    kernel, the levels bit for bit, the scan within its tolerance."""
+    kernel."""
     problem = make().problem
     without_bracket(monkeypatch)
     planned = plan_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
-    assert planned == ["_plan_" + kernel]
+    assert planned == [kernel]
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations == 17
-    assert_kernel_result(kernel, rep.y_final, ref.y_final, np.abs(ref.y_final).max())
+    assert_same_bits(rep.y_final, ref.y_final)
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
-def test_method33_interior_tridiagonal_solve_falls_back_to_the_scan(ktag, monkeypatch):
+def test_method33_interior_tridiagonal_solve_falls_back_to_the_loop(ktag, monkeypatch):
     """Ex 5.2's H1 with q = -H1 x* for x* inside the box: no clamp is ever
     decided, so the solve tries the bracket twice and runs every other sweep
-    on the scan."""
+    on the loop, a tridiagonal chain's levels being single coordinates."""
     gen = gen_example52(2000).problem
     x_star = np.random.default_rng(0).uniform(0.2, 0.8, gen.n)
     problem = Ehlcp2Problem(gen.H1, -gen.H1.matvec(x_star), np.ones(gen.n))
@@ -442,14 +360,11 @@ def test_method33_interior_tridiagonal_solve_falls_back_to_the_scan(ktag, monkey
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
     assert [out is None for out in log] == [True, True]
-    assert planned == ["_plan_scan"]
+    assert planned == ["loop"]
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations > 2
-    # Unclamped, each scan sweep may add its last-bit difference to the
-    # iterate; the converging iteration carries them on without growth.
-    scale = rep.iterations * np.abs(ref.y_final).max()
-    assert_kernel_result("scan", rep.y_final, ref.y_final, scale)
+    assert_same_bits(rep.y_final, ref.y_final)
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])

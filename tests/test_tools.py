@@ -4,6 +4,10 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from ehlcp import gen_example52, gen_example55
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -42,3 +46,15 @@ def test_each_mutant_matches_one_site_and_parses():
         for test in mutant.tests:
             path, name = test.split("::")
             assert f"def {name}(" in (TOOLS.parent / path).read_text(), test
+
+
+def test_digest_is_reproducible_and_sees_one_flipped_bit():
+    digest = _load("digest")
+    cells = [(lambda: gen_example52(50), 4.0), (lambda: gen_example55(6), 5.0)]
+    records = list(digest.table56_records(cells))
+    assert digest.digest(records) == digest.digest(digest.table56_records(cells))
+    status, iterations, y, steps, residual = records[-1]
+    flipped = y.copy()
+    flipped.view(np.int64)[0] ^= 1
+    records[-1] = (status, iterations, flipped, steps, residual)
+    assert digest.digest(records) != digest.digest(digest.table56_records(cells))

@@ -100,10 +100,10 @@ MUTANTS = [
            "sum(vals * delta[deps], 0.0)",
            "sum(vals[::-1] * delta[deps[::-1]], 0.0)",
            ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
-    Mutant("scan-max-drops-signed-zero", "solvers.py",
-           "np.minimum(b, np.maximum(0.0, z))",
-           "np.minimum(np.maximum(z, 0.0), b)",
-           ("tests/test_sweep_kernels.py::test_scan_keeps_the_loops_signed_zero",)),
+    Mutant("start-shape-unchecked", "solvers.py",
+           "y0.shape != (n,)",
+           "False",
+           ("tests/test_solvers.py::test_start_of_the_wrong_shape_is_invalid",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
