@@ -208,6 +208,19 @@ def test_kernels_match_scalar_reference(case):
     assert_same_bits(got, want)
 
 
+def test_scan_keeps_the_loops_signed_zero(monkeypatch):
+    """At the default widths the narrow chain plans the loop. The start's
+    -0.0 keeps the bracket out, and the sweep must clamp as the loop does.
+    (The name is kept from the doubling scan this case was written for.)"""
+    case = signed_zero_chain_sweep()
+    assert solvers._SweepPlan(case[0], *case[3:]).kernel == "loop"
+    log = bracket_log(monkeypatch)
+    got = implicit_sweep(*case)
+    assert log == []
+    assert np.signbit(got[1]) and got[1] == 0.0
+    assert_same_bits(got, reference_sweep(*case))
+
+
 def mixed_sign_sweep():
     """Row 2 of a lower sweep reads K[2, 0] = 1 and K[2, 1] = -1. Its clamp
     brackets put both deltas in [0, 1] and its correction in [-1, 1], so the
