@@ -47,7 +47,8 @@ def _read_json(path, what, parse):
             return parse(json.load(fh))
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {what} file: {exc}")
-    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; int() of a size read as inf overflows
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         _fail(EXIT_VALIDATION, f"cannot parse {what} file: {exc}")
 
 
@@ -67,14 +68,23 @@ def _as_ehlcp2(problem):
     return None
 
 
+def _open_out(path):
+    """path opened for writing (no newline translation, as csv wants), failing
+    with exit 2 when it cannot be."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"cannot write {path}: {exc}")
+
+
 def _write_json(path, obj):
-    with open(path, "w") as fh:
+    with _open_out(path) as fh:
         json.dump(obj, fh)
         fh.write("\n")
 
 
 def _write_csv(path, comment, header, rows):
-    out = sys.stdout if path is None else open(path, "w", newline="")
+    out = sys.stdout if path is None else _open_out(path)
     try:
         if comment:
             out.write(f"# {comment}\n")

@@ -251,12 +251,6 @@ def method32(problem, omega, y0=None, cfg=None):
     return _finish(general.blocks, q, sol, y, status, iterations, steps)
 
 
-# The level kernel costs a fixed number of numpy calls per level, so it pays
-# only on wide enough levels: below this mean width the scalar loop is faster
-# (break-even measured near 13 coordinates per level, see CHANGES.md).
-LEVEL_MIN_WIDTH = 16
-
-
 class _SweepPlan:
     """How implicit_sweep runs for one (H1, b, eta, omega, E, direction).
 
@@ -267,30 +261,24 @@ class _SweepPlan:
     x and its result.
 
     On a band store a sweep first tries the bracket pass (``_bracket``), which
-    gives the loop's bits whenever it decides. Every rounded operation of the
+    decides coordinates with the loop's bits. Every rounded operation of the
     loop (+, *, -, min, max) is monotone, so each delta lies between its
     values at clamp 0 and clamp b, each correction between the loop's ordered
     sums of the per-term ends, and the loop's x_new between its values at the
-    two correction ends. Where those two agree bit for bit on every
-    coordinate, they are the loop's result. Otherwise a second round runs on
-    the tightened delta brackets (the decided coordinates' deltas exact), but
-    only if the first decided some coordinate. After two consecutive
-    undecided sweeps the plan stops bracketing.
+    two correction ends. Where those two agree bit for bit, the coordinate is
+    decided: they are the loop's value. If the first round leaves some
+    coordinates undecided, a second runs on the tightened delta brackets (the
+    decided coordinates' deltas exact). The scalar loop (``_loop``) then
+    runs on the coordinates left undecided, in sweep order, reading the
+    decided coordinates' deltas. A sweep the bracket does not fully decide is
+    a miss; after two misses in a row the plan stops bracketing and every
+    further sweep runs the whole loop.
 
-    A sweep the bracket leaves undecided runs an exact kernel, planned on
-    first use; ``kernel`` names it:
-
-    - ``levels``: a band store whose levels, grouped by the nonzero entries
-      of K, hold LEVEL_MIN_WIDTH coordinates on average; each level is one
-      vector step;
-    - ``loop``: dense stores and every other pattern (a tridiagonal chain
-      among them: its levels are single coordinates), the scalar sweep.
-
-    A sweep with non-finite g or x takes the loop whatever the kernel. The
-    bracket never runs on dense stores, with a zero entry of omega E (0 times
-    an overflowed end is NaN) or on x with a sign bit set (the loop's
-    max(z, 0.0) keeps a z = -0.0 that can lie between two ends giving +0.0),
-    and falls back when a correction end is not finite.
+    The bracket never runs on dense stores, with a non-finite b or omega E or
+    a zero entry of omega E (0 times an overflowed end is NaN), on non-finite
+    g or x, or on x with a sign bit set (the loop's max(z, 0.0) keeps a
+    z = -0.0 that can lie between two ends giving +0.0). It decides nothing
+    when a correction end is not finite.
     """
 
     def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
@@ -312,17 +300,12 @@ class _SweepPlan:
         if self.reversed:
             self.tri = [(-offset, values[::-1]) for offset, values in self.tri]
             self.b, self.w = self.b[::-1], self.w[::-1]
-        # The vector paths need a band store with finite b and omega E.
-        self.banded = not isinstance(H1, DenseMatrix) and bool(
-            np.isfinite(self.b).all() and np.isfinite(self.w).all())
-        # Undecided sweeps in a row the bracket may still try; none where it
-        # cannot bracket.
-        self.tries = 2 if self.banded and np.all(self.w != 0.0) else 0
-
-    @cached_property
-    def kernel(self):
-        """The exact kernel of the sweeps the bracket leaves undecided."""
-        return self._plan_levels() if self.banded else "loop"
+        # Misses in a row the bracket may still take; none where it cannot
+        # bracket.
+        brackets = not isinstance(H1, DenseMatrix) and bool(
+            np.isfinite(self.b).all() and np.isfinite(self.w).all()
+            and np.all(self.w != 0.0))
+        self.tries = 2 if brackets else 0
 
     @cached_property
     def loop_data(self):
@@ -330,66 +313,31 @@ class _SweepPlan:
         return (self.b.tolist(), self.w.tolist(),
                 [(offset, memoryview(values)) for offset, values in self.tri])
 
-    def _plan_levels(self):
-        n = self.n
-        # Only nonzero entries are dependencies: the tiled block's stored
-        # zeros at block edges would otherwise chain all n coordinates.
-        nonzero = [(offset, (values != 0.0).tolist()) for offset, values in self.tri]
-        level = [0] * n
-        for j in range(n):
-            lev = 0
-            for offset, nz in nonzero:
-                l = j + offset
-                if 0 <= l < n and nz[l] and level[l] >= lev:
-                    lev = level[l] + 1
-            level[j] = lev
-        count = np.bincount(level)
-        if n < LEVEL_MIN_WIDTH * count.size:
-            return "loop"
-        perm = np.argsort(level, kind="stable")
-        pos = np.empty(n + 1, dtype=np.intp)
-        pos[perm], pos[n] = np.arange(n), n
-        # Level order, one row per offset: each coordinate's entry and the
-        # position of the delta it multiplies; a zero or outside entry points
-        # at slot n, whose delta stays 0.
-        cols = perm + np.array([offset for offset, _ in self.tri], dtype=np.intp)[:, None]
-        cols[(cols < 0) | (cols >= n)] = n
-        vals = np.reshape([np.append(values, 0.0) for _, values in self.tri], (-1, n + 1))
-        vals = np.take_along_axis(vals, cols, axis=1)
-        deps = pos[np.where(vals != 0.0, cols, n)]
-        edges = np.concatenate(([0], np.cumsum(count))).tolist()
-        self.perm, self.bp, self.wp = perm, self.b[perm], self.w[perm]
-        self.levels = [(slice(lo, hi), deps[:, lo:hi].copy(), vals[:, lo:hi].copy())
-                       for lo, hi in zip(edges[:-1], edges[1:])]
-        return "levels"
-
     def sweep(self, g, x):
         """x after one sweep, given g = H1 x + q."""
         if self.reversed:
             g, x = g[::-1], x[::-1]
-        x_new = None
-        finite = self.banded and np.isfinite(g).all() and np.isfinite(x).all()
-        if finite and self.tries and not np.signbit(x).any():
-            with np.errstate(over="ignore", invalid="ignore"):  # such ends fall back
-                x_new = self._bracket(g, x)
-            self.tries = 2 if x_new is not None else self.tries - 1
-        if x_new is None:
-            if not finite or self.kernel == "loop":
-                x_new = self._loop(g, x)
-            else:
-                x_new = self._levels(g, x)
+        x_new, undecided = x, range(self.n)
+        if (self.tries and not np.signbit(x).any()
+                and np.isfinite(g).all() and np.isfinite(x).all()):
+            with np.errstate(over="ignore", invalid="ignore"):  # such ends decide nothing
+                x_new, undecided = self._bracket(g, x)
+            self.tries = self.tries - 1 if undecided else 2
+        if undecided:
+            x_new = self._loop(g, x, x_new, undecided)
         return x_new[::-1].copy() if self.reversed else x_new
 
     def _bracket(self, g, x):
-        """The loop's x_new if at most two bracket rounds decide every
-        coordinate, else None. Row 0 of each pair holds one end, row 1 the
-        other; a delta's two ends may come in either order."""
+        """x_new and the rising indices of the coordinates that at most two
+        bracket rounds leave undecided; x_new holds the loop's bits on every
+        other coordinate. Row 0 of each pair holds one end, row 1 the other;
+        a delta's two ends may come in either order."""
         n, eta, b, w = self.n, self.eta, self.b, self.w
         rest_x = self.rest * x
         # Round 1: x_new at clamp 0 and at clamp b.
         deltas = np.stack((rest_x, eta * b + rest_x)) - x
-        second = False
-        while True:
+        x_new, undecided = x, range(n)
+        for _ in range(2):
             ends = np.zeros((2, n))  # the correction ends, then x_new's
             for offset, values in self.tri:
                 k = n + offset  # stored diagonals lie inside: k >= 1
@@ -398,9 +346,9 @@ class _SweepPlan:
                 ends[0, -offset:] += lo
                 ends[1, -offset:] += hi
             # A non-finite end can hide a NaN of the loop's; so can an
-            # overflowing sum of finite ends, which only costs a fallback.
+            # overflowing sum of finite ends, which only costs the loop.
             if not np.isfinite(ends.sum()):
-                return None
+                break
             # The loop's formula in place, with its max(z, 0.0) and min(c, b)
             # on signed zeros: np.maximum(a, c) is a if a > c else c.
             ends += g
@@ -411,49 +359,27 @@ class _SweepPlan:
             ends *= eta
             ends += rest_x
             same = ends[0].view(np.int64) == ends[1].view(np.int64)
-            if same.all():
-                return ends[0]
-            if second or not same.any():
-                return None
-            second, deltas = True, ends - x
+            x_new, undecided = ends[0], np.flatnonzero(~same).tolist()
+            if not undecided:
+                break
+            deltas = ends - x
+        return x_new, undecided
 
-    def _loop(self, g, x):
-        n, eta, rest = self.n, self.eta, self.rest
+    def _loop(self, g, x, x_new, todo):
+        """x_new with the loop's statements run on the rising indices todo;
+        every other coordinate's delta is read as x_new - x."""
+        eta, rest = self.eta, self.rest
         bs, ws, tri = self.loop_data
-        g, xs = g.tolist(), x.tolist()
-        x_new = [0.0] * n
-        delta = [0.0] * n
-        for j in range(n):
+        g, xs, x_new = g.tolist(), x.tolist(), x_new.tolist()
+        for j in todo:
             corr = 0.0
             for offset, values in tri:
                 l = j + offset
-                if 0 <= l < n:
-                    corr += values[l] * delta[l]
+                if l >= 0:
+                    corr += values[l] * (x_new[l] - xs[l])
             z = xs[j] - ws[j] * (g[j] + corr)
             x_new[j] = eta * min(max(z, 0.0), bs[j]) + rest * xs[j]
-            delta[j] = x_new[j] - xs[j]
         return np.array(x_new)
-
-    def _levels(self, g, x):
-        perm, eta, bp, wp = self.perm, self.eta, self.bp, self.wp
-        gp, xp = g[perm], x[perm]
-        rest = self.rest * xp
-        xn = np.empty(self.n)
-        delta = np.zeros(self.n + 1)
-        for sl, deps, vals in self.levels:
-            # The loop's sum: 0.0, then each entry by rising column index, one
-            # row at a time (np.add.reduce may sum a one-column level pairwise).
-            corr = sum(vals * delta[deps], 0.0)
-            z = xp[sl] - wp[sl] * (gp[sl] + corr)
-            out = xn[sl]
-            np.maximum(0.0, z, out=out)  # max(z, 0.0) and min(., b) of the loop,
-            np.minimum(bp[sl], out, out=out)  # signed zeros included
-            np.multiply(out, eta, out=out)
-            np.add(out, rest[sl], out=out)
-            np.subtract(out, xp[sl], out=delta[sl])
-        x_new = np.empty(self.n)
-        x_new[perm] = xn
-        return x_new
 
 
 def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
@@ -468,9 +394,9 @@ def implicit_sweep(H1, q, x, b, eta, omega_relax, e_diag, ktag, *, plan=None):
     ``plan`` is the sweep plan of these arguments, which checks eta, omega_relax
     and ktag; method33 builds it once per solve, a direct call builds one.
 
-    Every path gives the scalar loop's result bit for bit, signed zeros
-    included: the bracket pass, the level kernel and the loop itself (see
-    ``_SweepPlan`` for which runs when).
+    The result is the scalar loop's bit for bit, signed zeros included: the
+    bracket pass decides what coordinates it can and the loop runs on the
+    rest (see ``_SweepPlan``).
     """
     if plan is None:
         plan = _SweepPlan(H1, b, eta, omega_relax, e_diag, ktag)

@@ -457,3 +457,42 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--example", "5.2", "--n", "12"],
+    ["solve", "--method", "proj33", "PROBLEM"],
+    ["bounds", "--probe-pattern=-0.1,0.1", "PROBLEM"],
+    ["repro", "--table", "3"],
+], ids=["gen", "solve", "bounds", "repro"])
+def test_unwritable_out_exit_code(tmp_path, capsys, args):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.2", "--n", "12", "--out", str(problem)])
+    capsys.readouterr()
+    args = [str(problem) if arg == "PROBLEM" else arg for arg in args]
+    assert run_cli(args + ["--out", str(tmp_path / "no" / "such" / "f")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("field", ["n", "m", "blockOrder"])
+@pytest.mark.parametrize("command", [["solve", "--method", "fp31"], ["checkw"]],
+                         ids=["solve", "checkw"])
+def test_overflowing_size_exit_code(tmp_path, capsys, command, field):
+    """A size of 1e400 parses as inf, whose int() overflows."""
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.5", "--grid", "3", "--out", str(problem)])
+    obj = json.loads(problem.read_text())
+    if field == "blockOrder":
+        obj["H"][0]["blocktridiag"]["blockOrder"] = "SIZE"
+    else:
+        obj[field] = "SIZE"
+    problem.write_text(json.dumps(obj).replace('"SIZE"', "1e400"))
+    capsys.readouterr()
+    assert run_cli(command + [str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot parse problem file")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""

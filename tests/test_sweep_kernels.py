@@ -1,12 +1,12 @@
-"""The vectorised M3.3 sweep kernels against the scalar loop they replace.
+"""The M3.3 sweep against the scalar loop it is built from.
 
-``reference_sweep`` is the one-coordinate-at-a-time projection sweep the
-kernels were written from. Every kernel must give its result bit for bit,
-signed zeros included. A band store's sweep first tries the bracket pass,
-which must do so whenever it decides; dense stores never enter it. The
-kernel tests switch the bracket off, so every draw and example runs the
-exact kernel it plans: the level kernel or the loop. A sweep whose g or x
-is non-finite takes the loop.
+``reference_sweep`` is the one-coordinate-at-a-time projection sweep. The
+package's sweep must give its result bit for bit, signed zeros included. A
+band store's sweep first tries the bracket pass, which decides what
+coordinates it can, each with the reference's bits; the package's loop runs
+on the rest, reading the decided coordinates' deltas. Dense stores and
+sweeps whose g or x is non-finite never enter the bracket and run the whole
+loop.
 """
 
 import warnings
@@ -50,8 +50,8 @@ def assert_same_bits(got, want):
 
 
 def bracket_log(monkeypatch):
-    """A list that receives what each bracket pass returns from now on: the
-    sweep's result in the plan's coordinates, or None when it falls back."""
+    """A list that receives what each bracket pass returns from now on: x_new
+    in the plan's coordinates and the rising indices it leaves undecided."""
     log = []
     bracket = solvers._SweepPlan._bracket
 
@@ -64,38 +64,18 @@ def bracket_log(monkeypatch):
     return log
 
 
+def outcomes(log, n):
+    """What each logged bracket pass decided: "all", "part" or "none" of the
+    n coordinates."""
+    return ["all" if not undecided else "none" if len(undecided) == n else "part"
+            for _, undecided in log]
+
+
 def without_bracket(monkeypatch):
-    """Every bracket pass from now on falls back, so each sweep runs its
-    exact kernel."""
-    monkeypatch.setattr(solvers._SweepPlan, "_bracket", lambda plan, g, x: None)
-
-
-def plan_log(monkeypatch):
-    """A list that receives the kernel each band plan picks from now on."""
-    log = []
-    planner = solvers._SweepPlan._plan_levels
-
-    def spy(plan):
-        log.append(planner(plan))
-        return log[-1]
-
-    monkeypatch.setattr(solvers._SweepPlan, "_plan_levels", spy)
-    return log
-
-
-def strict_triangle(H1, ktag):
-    dense = H1.to_dense()
-    return np.tril(dense, -1) if ktag == "lower" else np.triu(dense, 1)
-
-
-def reference_level_count(H1, ktag):
-    """Longest dependency chain through K's nonzero entries, plus one."""
-    k = strict_triangle(H1, ktag)
-    n = H1.n
-    level = [0] * n
-    for j in (range(n) if ktag == "lower" else range(n - 1, -1, -1)):
-        level[j] = max((level[l] + 1 for l in np.flatnonzero(k[j])), default=0)
-    return max(level) + 1
+    """Every bracket pass from now on decides nothing, so each sweep runs the
+    whole loop."""
+    monkeypatch.setattr(solvers._SweepPlan, "_bracket",
+                        lambda plan, g, x: (x, range(plan.n)))
 
 
 @st.composite
@@ -186,34 +166,38 @@ def signed_zero_chain_sweep():
             "lower")
 
 
+def overflowing_sweep():
+    """1e308 * 1e308 overflows in the correction ends, so the bracket decides
+    nothing; the loop's Python floats overflow without a warning."""
+    n = 40
+    data = np.full((3, n), 1e308)
+    data[0] = 1.0
+    return (BandMatrix((0, -1, -2), data), np.full(n, -1e308), np.zeros(n),
+            np.full(n, 1e308), 1.0, 1.0, np.ones(n), "lower")
+
+
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 @example(order_sensitive_sweep("lower"))
 @example(order_sensitive_sweep("upper"))
 @example(pairwise_sensitive_sweep())
 @example(signed_zero_chain_sweep())
+@example(overflowing_sweep())
 def test_kernels_match_scalar_reference(case):
-    h1, q, x, b, eta, omega, e, ktag = case
+    """The sweep as planned: the bracket, then the loop on what it leaves."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)  # level kernel at any width
-        plan = solvers._SweepPlan(h1, b, eta, omega, e, ktag)
-        plan.tries = 0  # no bracket: the exact kernel runs
-        kernel = plan.kernel  # planned on first use
-        got = implicit_sweep(h1, q, x, b, eta, omega, e, ktag, plan=plan)
-    want = reference_sweep(h1, q, x, b, eta, omega, e, ktag)
-    event(kernel)
-    assert kernel == ("loop" if isinstance(h1, DenseMatrix) else "levels")
-    if kernel == "levels":
-        assert len(plan.levels) == reference_level_count(h1, ktag)
+        log = bracket_log(mp)
+        got = implicit_sweep(*case)
+    want = reference_sweep(*case)
+    event("no bracket" if not log else f"decided {outcomes(log, case[0].n)[0]}")
     assert_same_bits(got, want)
 
 
 def test_scan_keeps_the_loops_signed_zero(monkeypatch):
-    """At the default widths the narrow chain plans the loop. The start's
-    -0.0 keeps the bracket out, and the sweep must clamp as the loop does.
-    (The name is kept from the doubling scan this case was written for.)"""
+    """The start's -0.0 keeps the bracket out, and the loop must clamp as the
+    reference does. (The name is kept from the doubling scan this case was
+    written for.)"""
     case = signed_zero_chain_sweep()
-    assert solvers._SweepPlan(case[0], *case[3:]).kernel == "loop"
     log = bracket_log(monkeypatch)
     got = implicit_sweep(*case)
     assert log == []
@@ -240,7 +224,7 @@ def signed_zero_sweep():
     -0.0 - 0.0 = -0.0, which max(z, 0.0) keeps, so x_new_1 = -0.0. The clamp
     bracket of delta_0 is [-1e-30, 1], and omega e_1 = 1e-300 takes the
     correction's ends to -0.0 and 1e-300, so both ends of x_new_1 are +0.0.
-    K[2, 0] makes the exact kernel the level one; row 2 ends at +0.0."""
+    Row 2 reads delta_0 through K[2, 0] and ends at +0.0."""
     data = np.zeros((3, 3))
     data[0] = 1.0
     data[1, 0] = 1.0  # K[1, 0]
@@ -252,7 +236,8 @@ def signed_zero_sweep():
 
 def interior_obstacle_sweep():
     """Ex 5.5 g = 8 with b = 0.15e from x = 0: the chains through the -g
-    column entries stay inside the box, so neither round decides them."""
+    column entries stay inside the box, so neither round decides them and
+    the loop finishes them."""
     problem = gen_example55(8).problem
     n = problem.n
     return (problem.H1, problem.q, np.zeros(n), np.full(n, 0.15), 0.5, 0.25, np.ones(n),
@@ -262,53 +247,53 @@ def interior_obstacle_sweep():
 @settings(max_examples=300, deadline=None)
 @given(sweeps())
 def test_bracket_gives_the_loop_bits_when_it_decides(case):
+    """Each coordinate the bracket decides holds the reference's bits before
+    the loop runs; the undecided indices rise."""
     h1, q, x, b, eta, omega, e, ktag = case
     dense = isinstance(h1, DenseMatrix)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "LEVEL_MIN_WIDTH", 0)
         log = bracket_log(mp)
-        got = implicit_sweep(*case)
+        implicit_sweep(*case)
     want = reference_sweep(*case)
+    if ktag == "upper":  # the plan's coordinates
+        want = want[::-1]
     finite = np.isfinite(h1.matvec(x) + q).all()
     assert len(log) == (not dense and finite)
-    decided = log and log[0] is not None
     event("dense" if dense else "non-finite" if not finite else
-          "decided" if decided else "fell back")
-    if decided:
-        assert_same_bits(got, want)
+          f"decided {outcomes(log, h1.n)[0]}")
+    for x_new, undecided in log:
+        undecided = list(undecided)
+        assert undecided == sorted(set(undecided))
+        decided = np.ones(h1.n, dtype=bool)
+        decided[undecided] = False
+        assert_same_bits(x_new[decided], want[decided])
 
 
-@pytest.mark.parametrize("case, decides", [(mixed_sign_sweep(), True),
+@pytest.mark.parametrize("case, decides", [(mixed_sign_sweep(), "all"),
                                            (signed_zero_sweep(), None),
-                                           (interior_obstacle_sweep(), False)],
+                                           (interior_obstacle_sweep(), "part")],
                          ids=["mixed-sign", "signed-zero", "ex55-g8-interior"])
-@pytest.mark.parametrize("level_min_width", [0, solvers.LEVEL_MIN_WIDTH])
-def test_bracket_examples_give_the_loop_bits(case, decides, level_min_width, monkeypatch):
-    """decides: True if the bracket decides, False if it falls back, None if
-    the sweep never enters it."""
-    monkeypatch.setattr(solvers, "LEVEL_MIN_WIDTH", level_min_width)
+def test_bracket_examples_give_the_loop_bits(case, decides, monkeypatch):
+    """decides: how much of the sweep the bracket decides, None if the sweep
+    never enters it."""
     log = bracket_log(monkeypatch)
     got = implicit_sweep(*case)
     want = reference_sweep(*case)
-    assert [out is not None for out in log] == ([] if decides is None else [decides])
+    assert outcomes(log, case[0].n) == ([] if decides is None else [decides])
     assert_same_bits(got, want)
     if decides is None:
         assert np.signbit(want[1]) and want[1] == 0.0
 
 
 def test_bracket_that_overflows_falls_back_without_a_warning(monkeypatch):
-    """1e308 * 1e308 overflows in the correction ends: the bracket gives up
-    silently and the loop, whose Python floats warn nothing, runs."""
-    n = 40
-    data = np.full((3, n), 1e308)
-    data[0] = 1.0
-    case = (BandMatrix((0, -1, -2), data), np.full(n, -1e308), np.zeros(n),
-            np.full(n, 1e308), 1.0, 1.0, np.ones(n), "lower")
+    """The bracket gives up on the overflow silently and the loop, whose
+    Python floats warn nothing, runs."""
+    case = overflowing_sweep()
     log = bracket_log(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = implicit_sweep(*case)
-    assert [out is None for out in log] == [True]
+    assert outcomes(log, case[0].n) == ["none"]
     assert_same_bits(got, reference_sweep(*case))
 
 
@@ -320,41 +305,46 @@ def scalar_method33(monkeypatch, problem, ktag):
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
-@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "loop"),
-                                          (lambda: gen_example55(40), "levels")],
+@pytest.mark.parametrize("make, first", [(lambda: gen_example52(2000), "all"),
+                                         (lambda: gen_example55(40), "part")],
                          ids=["ex52-n2000", "ex55-g40"])
-def test_method33_paper_cells_match_scalar_loop(make, kernel, ktag, monkeypatch):
+def test_method33_paper_cells_match_scalar_loop(make, first, ktag, monkeypatch):
+    """The bracket decides every sweep but Ex 5.5's first, from x = 0."""
     problem = make().problem
-    plan = solvers._SweepPlan(problem.H1, problem.b, 0.5, 0.25, np.ones(problem.n), ktag)
-    assert plan.kernel == kernel
-    if kernel == "levels":  # the 2g - 1 anti-diagonals of the grid
-        assert len(plan.levels) == 2 * 40 - 1
-    planned, log = plan_log(monkeypatch), bracket_log(monkeypatch)
+    log = bracket_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations == len(log) == 17
-    assert sum(out is not None for out in log) >= 15
-    # Ex 5.2 decides every sweep, so no exact kernel is planned.
-    assert planned == ([] if kernel == "loop" else ["levels"])
+    assert outcomes(log, problem.n) == [first] + ["all"] * 16
     assert_same_bits(rep.y_final, ref.y_final)
 
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
-@pytest.mark.parametrize("make, kernel", [(lambda: gen_example52(2000), "loop"),
-                                          (lambda: gen_example55(40), "levels")],
+def test_first_ex55_sweep_is_partly_decided_and_finished_by_the_loop(ktag, monkeypatch):
+    """Ex 5.5 g = 40 from x = 0: the bracket decides part of the first sweep,
+    and the loop gives the rest the reference's bits from the decided
+    deltas, visiting the undecided coordinates in sweep order."""
+    problem = gen_example55(40).problem
+    n = problem.n
+    case = (problem.H1, problem.q, np.zeros(n), problem.b, 0.5, 0.25, np.ones(n), ktag)
+    log = bracket_log(monkeypatch)
+    got = implicit_sweep(*case)
+    assert outcomes(log, n) == ["part"]
+    assert_same_bits(got, reference_sweep(*case))
+
+
+@pytest.mark.parametrize("ktag", ["lower", "upper"])
+@pytest.mark.parametrize("make", [lambda: gen_example52(2000), lambda: gen_example55(40)],
                          ids=["ex52-n2000", "ex55-g40"])
-def test_method33_paper_cells_exact_kernels_match_scalar_loop(make, kernel, ktag,
-                                                              monkeypatch):
-    """The paper cells with the bracket off: every sweep runs the exact
-    kernel."""
+def test_method33_paper_cells_exact_kernels_match_scalar_loop(make, ktag, monkeypatch):
+    """The paper cells with the bracket deciding nothing: every sweep runs
+    the whole loop."""
     problem = make().problem
     without_bracket(monkeypatch)
-    planned = plan_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
-    assert planned == [kernel]
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations == 17
@@ -363,17 +353,16 @@ def test_method33_paper_cells_exact_kernels_match_scalar_loop(make, kernel, ktag
 
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
 def test_method33_interior_tridiagonal_solve_falls_back_to_the_loop(ktag, monkeypatch):
-    """Ex 5.2's H1 with q = -H1 x* for x* inside the box: no clamp is ever
-    decided, so the solve tries the bracket twice and runs every other sweep
-    on the loop, a tridiagonal chain's levels being single coordinates."""
+    """Ex 5.2's H1 with q = -H1 x* for x* inside the box: the bracket decides
+    only the few coordinates its clamps pin, so the solve tries it twice, has
+    the loop finish those sweeps and runs the whole loop on every other."""
     gen = gen_example52(2000).problem
     x_star = np.random.default_rng(0).uniform(0.2, 0.8, gen.n)
     problem = Ehlcp2Problem(gen.H1, -gen.H1.matvec(x_star), np.ones(gen.n))
-    log, planned = bracket_log(monkeypatch), plan_log(monkeypatch)
+    log = bracket_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
-    assert [out is None for out in log] == [True, True]
-    assert planned == ["loop"]
+    assert outcomes(log, problem.n) == ["part", "part"]
     ref = scalar_method33(monkeypatch, problem, ktag)
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations > 2
@@ -383,15 +372,15 @@ def test_method33_interior_tridiagonal_solve_falls_back_to_the_loop(ktag, monkey
 @pytest.mark.parametrize("ktag", ["lower", "upper"])
 def test_method33_stops_bracketing_after_two_undecided_sweeps(ktag, monkeypatch):
     """With b = 10e the Ex 5.5 g = 40 solution lies inside the box, so the
-    bracket decides no sweep: the solve tries two and runs the level kernel
-    on the rest."""
+    bracket decides no sweep fully: the solve tries two, each finished by the
+    loop, and runs the whole loop on the rest."""
     gen = gen_example55(40).problem
     problem = Ehlcp2Problem(gen.H1, gen.q, np.full(gen.n, 10.0))
     log = bracket_log(monkeypatch)
     rep = method33(problem, eta=0.5, omega_relax=0.25, ktag=ktag,
                    cfg=IterationConfig(tol=1e-6))
     ref = scalar_method33(monkeypatch, problem, ktag)
-    assert [out is None for out in log] == [True, True]
+    assert outcomes(log, problem.n) == ["part", "part"]
     assert rep.status == ref.status == "Converged"
     assert rep.iterations == ref.iterations > 2
     assert_same_bits(rep.y_final, ref.y_final)

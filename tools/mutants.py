@@ -76,30 +76,34 @@ MUTANTS = [
            "deltas = np.stack((eta * b + rest_x, eta * b + rest_x)) - x",
            ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
     Mutant("bracket-on-a-signed-zero-start", "solvers.py",
-           "finite and self.tries and (not np.signbit(x).any())",
-           "finite and self.tries",
+           "self.tries and (not np.signbit(x).any()) and np.isfinite(g).all() "
+           "and np.isfinite(x).all()",
+           "self.tries and np.isfinite(g).all() and np.isfinite(x).all()",
            ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
     Mutant("bracket-one-round", "solvers.py",
-           "second or not same.any()",
-           "True",
+           "range(2)",
+           "range(1)",
            ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
     Mutant("bracket-never-stops", "solvers.py",
-           "self.tries = 2 if x_new is not None else self.tries - 1",
+           "self.tries = self.tries - 1 if undecided else 2",
            "self.tries = 2",
            ("tests/test_sweep_kernels.py::"
             "test_method33_stops_bracketing_after_two_undecided_sweeps",)),
-    Mutant("levels-max-drops-signed-zero", "solvers.py",
-           "np.maximum(0.0, z, out=out)",
-           "np.maximum(z, 0.0, out=out)",
-           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
-    Mutant("levels-pairwise-sum", "solvers.py",
-           "sum(vals * delta[deps], 0.0)",
-           "np.add.reduce(vals * delta[deps])",
-           ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
-    Mutant("levels-terms-reversed", "solvers.py",
-           "sum(vals * delta[deps], 0.0)",
-           "sum(vals[::-1] * delta[deps[::-1]], 0.0)",
-           ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
+    Mutant("partial-sweep-counts-as-a-hit", "solvers.py",
+           "self.tries - 1 if undecided else 2",
+           "self.tries - 1 if len(undecided) == self.n else 2",
+           ("tests/test_sweep_kernels.py::"
+            "test_method33_interior_tridiagonal_solve_falls_back_to_the_loop",)),
+    Mutant("partial-loop-decided-deltas-zero", "solvers.py",
+           "corr += values[l] * (x_new[l] - xs[l])",
+           "corr += values[l] * (x_new[l] - xs[l] if l in todo else 0.0)",
+           ("tests/test_sweep_kernels.py::"
+            "test_first_ex55_sweep_is_partly_decided_and_finished_by_the_loop",)),
+    Mutant("partial-loop-unsorted", "solvers.py",
+           "np.flatnonzero(~same).tolist()",
+           "np.flatnonzero(~same)[::-1].tolist()",
+           ("tests/test_sweep_kernels.py::"
+            "test_first_ex55_sweep_is_partly_decided_and_finished_by_the_loop",)),
     Mutant("start-shape-unchecked", "solvers.py",
            "y0.shape != (n,)",
            "False",
