@@ -273,13 +273,22 @@ def test_bracket_gives_the_loop_bits_when_it_decides(case):
                                            (signed_zero_sweep(), None),
                                            (interior_obstacle_sweep(), "part")],
                          ids=["mixed-sign", "signed-zero", "ex55-g8-interior"])
-def test_bracket_examples_give_the_loop_bits(case, decides, monkeypatch):
+@pytest.mark.parametrize("exponent", [0, 16])
+def test_bracket_examples_give_the_loop_bits(case, decides, exponent, monkeypatch):
     """decides: how much of the sweep the bracket decides, None if the sweep
-    never enters it."""
+    never enters it. The sweep is linear in (q, x, b) and every rounding
+    here stays in the normal range or underflows to zero at either scale,
+    so scaling them by 2**exponent scales the loop's bits exactly and leaves
+    what the bracket decides unchanged."""
+    h1, q, x, b, eta, omega, e, ktag = case
+    unscaled = reference_sweep(*case)
+    case = (h1, np.ldexp(q, exponent), np.ldexp(x, exponent), np.ldexp(b, exponent),
+            eta, omega, e, ktag)
     log = bracket_log(monkeypatch)
     got = implicit_sweep(*case)
     want = reference_sweep(*case)
-    assert outcomes(log, case[0].n) == ([] if decides is None else [decides])
+    assert_same_bits(want, np.ldexp(unscaled, exponent))
+    assert outcomes(log, h1.n) == ([] if decides is None else [decides])
     assert_same_bits(got, want)
     if decides is None:
         assert np.signbit(want[1]) and want[1] == 0.0
