@@ -367,18 +367,21 @@ class _SweepPlan:
 
     def _loop(self, g, x, x_new, todo):
         """x_new with the loop's statements run on the rising indices todo;
-        every other coordinate's delta is read as x_new - x."""
+        every other coordinate's delta is x_new - x, rounded as the loop's."""
         eta, rest = self.eta, self.rest
         bs, ws, tri = self.loop_data
+        # The whole loop (x_new is x) writes each delta before reading it.
+        delta = [0.0] * self.n if x_new is x else (x_new - x).tolist()
         g, xs, x_new = g.tolist(), x.tolist(), x_new.tolist()
         for j in todo:
             corr = 0.0
             for offset, values in tri:
                 l = j + offset
                 if l >= 0:
-                    corr += values[l] * (x_new[l] - xs[l])
+                    corr += values[l] * delta[l]
             z = xs[j] - ws[j] * (g[j] + corr)
             x_new[j] = eta * min(max(z, 0.0), bs[j]) + rest * xs[j]
+            delta[j] = x_new[j] - xs[j]
         return np.array(x_new)
 
 

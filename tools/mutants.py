@@ -95,8 +95,8 @@ MUTANTS = [
            ("tests/test_sweep_kernels.py::"
             "test_method33_interior_tridiagonal_solve_falls_back_to_the_loop",)),
     Mutant("partial-loop-decided-deltas-zero", "solvers.py",
-           "corr += values[l] * (x_new[l] - xs[l])",
-           "corr += values[l] * (x_new[l] - xs[l] if l in todo else 0.0)",
+           "(x_new - x).tolist()",
+           "[0.0] * self.n",
            ("tests/test_sweep_kernels.py::"
             "test_first_ex55_sweep_is_partly_decided_and_finished_by_the_loop",)),
     Mutant("partial-loop-unsorted", "solvers.py",
