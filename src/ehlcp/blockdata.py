@@ -450,14 +450,31 @@ def validate(problem):
 # JSON problem files.
 #
 
+def _band_to_json(v):
+    """One number for a non-empty band whose entries are bitwise equal, else the list."""
+    bits = v.view(np.uint64)
+    return float(v[0]) if bits.size and (bits == bits[0]).all() else v.tolist()
+
+
+def _band_from_json(value, length):
+    """A band spelled as a list, or as one number repeated length times.
+
+    A JSON true or false is not a number here: it passes through and fails
+    as a 0-d band.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return np.full(length, float(value))
+    return value
+
+
 def matrix_to_json(store):
     """The JSON spelling of a dense store or a named band layout."""
     if store.layout == "dense":
         return {"dense": store.data.tolist()}
     if store.layout == "tridiagonal":
-        return {"tridiag": {"sub": store.sub.tolist(),
-                            "diag": store.diag.tolist(),
-                            "super": store.sup.tolist()}}
+        return {"tridiag": {"sub": _band_to_json(store.sub),
+                            "diag": _band_to_json(store.diag),
+                            "super": _band_to_json(store.sup)}}
     if store.layout == "block-tridiagonal":
         return {"blocktridiag": {"blockOrder": store.block_order,
                                  "sub": store.sub,
@@ -466,17 +483,21 @@ def matrix_to_json(store):
     raise TypeError(f"no JSON spelling for the {store.layout} layout")
 
 
-def matrix_from_json(obj):
+def matrix_from_json(obj, n):
+    """The store a JSON spelling names; a band given as one number takes its
+    length from the order n, or from blockOrder inside a diagBlock."""
     if "dense" in obj:
         return DenseMatrix(np.asarray(obj["dense"], dtype=float))
     if "tridiag" in obj:
         t = obj["tridiag"]
-        return TridiagonalMatrix(t["sub"], t["diag"], t["super"])
+        return TridiagonalMatrix(_band_from_json(t["sub"], max(n - 1, 0)),
+                                 _band_from_json(t["diag"], n),
+                                 _band_from_json(t["super"], max(n - 1, 0)))
     if "blocktridiag" in obj:
         t = obj["blocktridiag"]
-        block = matrix_from_json({"tridiag": t["diagBlock"]})
-        return BlockTridiagonalMatrix(int(t["blockOrder"]), float(t["sub"]),
-                                      block, float(t["super"]))
+        g = int(t["blockOrder"])
+        block = matrix_from_json({"tridiag": t["diagBlock"]}, g)
+        return BlockTridiagonalMatrix(g, float(t["sub"]), block, float(t["super"]))
     raise ValueError(f"unknown matrix layout keys: {sorted(obj)}")
 
 
@@ -487,7 +508,7 @@ def problem_to_json(problem, prescribed=None):
         "M": matrix_to_json(problem.blocks.M),
         "H": [matrix_to_json(h) for h in problem.blocks.H],
         "q": problem.q.tolist(),
-        "d": [d.tolist() for d in problem.ladder.d],
+        "d": [_band_to_json(d) for d in problem.ladder.d],
     }
     if prescribed is not None:
         obj["prescribed"] = {
@@ -499,15 +520,21 @@ def problem_to_json(problem, prescribed=None):
 
 
 def problem_from_json(obj):
-    """Returns (problem, prescribed) where prescribed is None or a dict."""
+    """Returns (problem, prescribed) where prescribed is None or a dict.
+
+    An n other than M's order is refused before H or the ladder is sized by it.
+    """
     n = int(obj["n"])
     m = int(obj["m"])
-    M = matrix_from_json(obj["M"])
-    H = tuple(matrix_from_json(h) for h in obj["H"])
+    M = matrix_from_json(obj["M"], n)
+    if M.n != n:
+        raise ValueError(f"n = {n}, but M has order {M.n}")
+    H = tuple(matrix_from_json(h, n) for h in obj["H"])
     if len(H) != m:
         raise ValueError(f"H lists {len(H)} blocks but m = {m}")
     problem = EhlcpProblem(BlockMatrixSet(M, H), obj["q"],
-                           BoundLadder(tuple(obj.get("d", [])), n))
+                           BoundLadder(tuple(_band_from_json(d, n)
+                                             for d in obj.get("d", [])), n))
     prescribed = obj.get("prescribed")
     if prescribed is not None:
         prescribed = {

@@ -50,6 +50,9 @@ def _read_json(path, what, parse):
     # JSONDecodeError is a ValueError; int() of a size read as inf overflows
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         _fail(EXIT_VALIDATION, f"cannot parse {what} file: {exc}")
+    # a one-number band takes its length from n, which may be far beyond memory
+    except MemoryError as exc:
+        _fail(EXIT_VALIDATION, f"cannot load {what} file: {exc}")
 
 
 def _load_problem(path):
@@ -78,9 +81,10 @@ def _open_out(path):
 
 
 def _write_json(path, obj):
+    # one-shot dumps runs CPython's C encoder; dump streams through the Python one
+    text = json.dumps(obj)
     with _open_out(path) as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, comment, header, rows):

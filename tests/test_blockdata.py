@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                    BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem, SingularM,
-                   TridiagonalMatrix, identity_matrix, prefix_sums,
-                   problem_from_json, problem_to_json, validate)
+                   TridiagonalMatrix, gen_example52, gen_example55, identity_matrix,
+                   prefix_sums, problem_from_json, problem_to_json, validate)
 from ehlcp.blockdata import (abs_colsums, all_finite, is_identity, is_symmetric,
                              matrix_from_json, matrix_to_json)
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
@@ -281,6 +281,120 @@ def test_json_roundtrip(rng):
     assert np.array_equal(restored.ladder.d[0], problem.ladder.d[0])
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def assert_same_store(a, b):
+    """Same class, order and offsets, and the same bits in every stored array."""
+    assert type(a) is type(b) and a.n == b.n
+    assert getattr(a, "offsets", None) == getattr(b, "offsets", None)
+    assert np.array_equal(bits(a.data), bits(b.data))
+    for name in ("sub", "diag", "sup"):
+        if hasattr(a, name):
+            assert np.array_equal(bits(getattr(a, name)), bits(getattr(b, name)))
+    if hasattr(a, "diag_block"):
+        assert_same_store(a.diag_block, b.diag_block)
+
+
+def assert_same_problem(a, b):
+    for x, y in zip(a.blocks.all(), b.blocks.all(), strict=True):
+        assert_same_store(x, y)
+    assert np.array_equal(bits(a.q), bits(b.q))
+    for x, y in zip(a.ladder.d + a.ladder.prefix, b.ladder.d + b.ladder.prefix, strict=True):
+        assert np.array_equal(bits(x), bits(y))
+
+
+def through_text(obj):
+    """problem_from_json of obj after a JSON text round trip."""
+    return problem_from_json(json.loads(json.dumps(obj)))
+
+
+LAYOUTS = {
+    "dense": lambda rng: DenseMatrix(rng.uniform(-1, 1, (9, 9))),
+    "tridiagonal": lambda rng: TridiagonalMatrix(rng.uniform(-1, 1, 8), np.full(9, 3.0),
+                                                 np.full(8, -0.5)),
+    "block-tridiagonal": lambda rng: BlockTridiagonalMatrix(
+        3, -1.0, TridiagonalMatrix([0.5, -0.5], np.full(3, 4.0), [-1.0, -1.0]), 0.25),
+    "identity": lambda rng: identity_matrix(9),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_json_roundtrip_keeps_every_layout_bitwise(rng, layout):
+    store = LAYOUTS[layout](rng)
+    ladder = BoundLadder((np.full(9, 0.1), rng.uniform(0.5, 1, 9)), 9)
+    problem = EhlcpProblem(BlockMatrixSet(identity_matrix(9), (store, store, store)),
+                           rng.standard_normal(9), ladder)
+    obj = problem_to_json(problem)
+    assert obj["M"] == {"tridiag": {"sub": 0.0, "diag": 1.0, "super": 0.0}}
+    assert obj["d"][0] == 0.1 and len(obj["d"][1]) == 9
+    restored, prescribed = through_text(obj)
+    assert prescribed is None
+    assert_same_problem(restored, problem)
+
+
+def test_json_roundtrip_of_order_one_keeps_empty_bands_as_lists():
+    problem = EhlcpProblem(BlockMatrixSet(identity_matrix(1),
+                                          (TridiagonalMatrix([], [2.0], []),)),
+                           np.array([-1.0]), BoundLadder((), 1))
+    obj = problem_to_json(problem)
+    assert obj["H"] == [{"tridiag": {"sub": [], "diag": 2.0, "super": []}}]
+    assert_same_problem(through_text(obj)[0], problem)
+
+
+def test_band_mixing_signed_zeros_stays_a_list():
+    h = TridiagonalMatrix([0.0, -0.0], [1.0, 1.0, 1.0], [-0.0, -0.0])
+    problem = EhlcpProblem(BlockMatrixSet(identity_matrix(3), (h, h)),
+                           np.array([0.0, -0.0, 1.0]),
+                           BoundLadder((np.array([-0.0, 0.0, -0.0]),), 3))
+    obj = problem_to_json(problem)
+    t = obj["H"][0]["tridiag"]
+    assert bits(t["sub"]).tolist() == bits([0.0, -0.0]).tolist()
+    assert bits(t["super"]) == bits(-0.0)
+    assert isinstance(obj["d"][0], list)
+    assert_same_problem(through_text(obj)[0], problem)
+
+
+def old_spelling(problem, prescribed):
+    """The all-list document that problem_to_json wrote before one-number bands."""
+    def matrix(store):
+        if store.layout == "tridiagonal":
+            return {"tridiag": {"sub": store.sub.tolist(), "diag": store.diag.tolist(),
+                                "super": store.sup.tolist()}}
+        return {"blocktridiag": {"blockOrder": store.block_order, "sub": store.sub,
+                                 "diagBlock": matrix(store.diag_block)["tridiag"],
+                                 "super": store.sup}}
+    return {"n": problem.n, "m": problem.m, "M": matrix(problem.blocks.M),
+            "H": [matrix(h) for h in problem.blocks.H], "q": problem.q.tolist(),
+            "d": [d.tolist() for d in problem.ladder.d],
+            "prescribed": {"w": prescribed.solution.w.tolist(),
+                           "x": [x.tolist() for x in prescribed.solution.x],
+                           "y": prescribed.y_star.tolist()}}
+
+
+@pytest.mark.parametrize("gen, h1", [
+    (lambda: gen_example52(64), {"tridiag": {"sub": 1.0, "diag": 4.0, "super": -2.0}}),
+    (lambda: gen_example55(8), {"blocktridiag": {
+        "blockOrder": 8, "sub": -1.0, "diagBlock": {"sub": -1.0, "diag": 4.0, "super": -1.0},
+        "super": -1.0}}),
+], ids=["ex52-n64", "ex55-g8"])
+def test_old_spelling_loads_to_the_bits_of_the_compact_one(gen, h1):
+    generated = gen()
+    general = generated.problem.as_general()
+    compact = problem_to_json(general, generated.prescribed)
+    assert compact["H"][0] == h1 and compact["d"] == [0.1]
+    old = old_spelling(general, generated.prescribed)
+    assert len(json.dumps(compact)) < len(json.dumps(old))
+    (a, pa), (b, pb) = through_text(compact), through_text(old)
+    assert_same_problem(a, general)
+    assert_same_problem(b, general)
+    for key in ("w", "y"):
+        assert np.array_equal(bits(pa[key]), bits(pb[key]))
+    for x, y in zip(pa["x"], pb["x"], strict=True):
+        assert np.array_equal(bits(x), bits(y))
+
+
 T3 = TridiagonalMatrix.constant(3, -1.0, 4.0, -1.0)
 EYE_JSON = {"dense": [[1.0, 0.0], [0.0, 1.0]]}
 
@@ -305,15 +419,18 @@ EYE_JSON = {"dense": [[1.0, 0.0], [0.0, 1.0]]}
      "b must be strictly positive"),
     (lambda: matrix_to_json(BandMatrix((0, 2), np.ones((2, 4)))), TypeError,
      "no JSON spelling for the band layout"),
-    (lambda: matrix_from_json({"sparse": []}), ValueError,
+    (lambda: matrix_from_json({"sparse": []}, 2), ValueError,
      r"unknown matrix layout keys: \['sparse'\]"),
     (lambda: problem_from_json({"n": 2, "m": 2, "M": EYE_JSON, "H": [EYE_JSON],
                                 "q": [0.0, 0.0]}), ValueError,
      "H lists 1 blocks but m = 2"),
+    (lambda: problem_from_json({"n": 10 ** 12, "m": 1, "M": {"dense": [[1.0]]},
+                                "H": [{"dense": [[1.0]]}], "q": [0.0]}), ValueError,
+     "n = 1000000000000, but M has order 1"),
 ], ids=["vector-2d", "vector-length", "dense-not-square", "band-shape",
         "block-order-zero", "block-order-mismatch", "no-trailing-block",
         "block-order-differs", "b-not-positive", "band-json", "json-layout",
-        "json-block-count"])
+        "json-block-count", "json-n-not-m-order"])
 def test_malformed_stores_and_problems_raise_typed_errors(build, error, message):
     with pytest.raises(error, match=message):
         build()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import example52_bound42_constant
-from ehlcp import solvers
+from ehlcp import problem_to_json, problems, solvers
 from ehlcp.cli import main
 
 
@@ -496,3 +496,39 @@ def test_overflowing_size_exit_code(tmp_path, capsys, command, field):
     assert captured.err.startswith("error: cannot parse problem file")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+ONE = {"tridiag": {"sub": 0.0, "diag": 1.0, "super": 0.0}}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 10 ** 12, "m": 1, "M": {"dense": [[1.0]]}, "H": [{"dense": [[1.0]]}],
+      "q": [0.0]}, "cannot parse problem file: n = 1000000000000, but M has order 1"),
+    ({"n": 2 ** 62, "m": 1, "M": ONE, "H": [ONE], "q": 0.0},
+     "cannot parse problem file: array is too big"),
+    ({"n": 2 ** 59, "m": 1, "M": ONE, "H": [ONE], "q": 0.0},
+     "cannot load problem file: Unable to allocate"),
+    ({"n": 2, "m": 1, "M": ONE, "H": [{"tridiag": {"sub": 0.0, "diag": True, "super": 0.0}}],
+      "q": [0.0, 0.0]}, "cannot parse problem file: diag must be 1-D"),
+    ({"n": 2, "m": 2, "M": ONE, "H": [ONE, ONE], "q": [0.0, 0.0], "d": [True]},
+     "cannot parse problem file: ladder entry must be 1-D"),
+], ids=["n-not-m-order", "one-number-too-big", "one-number-out-of-memory",
+        "band-bool", "ladder-bool"])
+def test_absurd_or_boolean_band_file_exit_code(tmp_path, capsys, obj, message):
+    """n sizes the one-number bands. numpy refuses 2**62 entries outright, and
+    the 4 EiB of 2**59 exceeds any user address space, so nothing is allocated."""
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(obj))
+    assert run_cli(["solve", "--method", "fp31", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_written_json_is_the_one_shot_encoding(tmp_path):
+    out = tmp_path / "p.json"
+    assert run_cli(["gen", "--example", "5.5", "--grid", "4", "--out", str(out)]) == 0
+    gen = problems.gen_example55(4)
+    obj = problem_to_json(gen.problem.as_general(), gen.prescribed)
+    assert out.read_text() == json.dumps(obj) + "\n"
