@@ -511,18 +511,15 @@ def problem_to_json(problem, prescribed=None):
         "d": [_band_to_json(d) for d in problem.ladder.d],
     }
     if prescribed is not None:
-        obj["prescribed"] = {
-            "w": prescribed.solution.w.tolist(),
-            "x": [x.tolist() for x in prescribed.solution.x],
-            "y": prescribed.y_star.tolist(),
-        }
+        obj["prescribed"] = {"y": prescribed.y_star.tolist()}
     return obj
 
 
 def problem_from_json(obj):
-    """Returns (problem, prescribed) where prescribed is None or a dict.
+    """Returns (problem, prescribed) where prescribed is None or {"y": y*}.
 
     An n other than M's order is refused before H or the ladder is sized by it.
+    w* and x* are recover_solution(y*, ladder), so a file's "w" and "x" go unread.
     """
     n = int(obj["n"])
     m = int(obj["m"])
@@ -537,9 +534,5 @@ def problem_from_json(obj):
                                              for d in obj.get("d", [])), n))
     prescribed = obj.get("prescribed")
     if prescribed is not None:
-        prescribed = {
-            "w": np.asarray(prescribed["w"], dtype=float),
-            "x": [np.asarray(x, dtype=float) for x in prescribed["x"]],
-            "y": np.asarray(prescribed["y"], dtype=float),
-        }
+        prescribed = {"y": _as_vector(prescribed["y"], n, "prescribed y")}
     return problem, prescribed

@@ -23,17 +23,13 @@ from .blockdata import DenseMatrix, entrywise
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
                           _dominance, _scaled_up, _stack_inverses, _up,
                           enclose_resolvent, induced_norm, inverse_norm,
-                          sdd_classify as _sdd_classify, simplex_selections,
-                          spectral_radius_nonneg)
+                          simplex_selections, spectral_radius_nonneg)
 from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
                      NormMismatch, SingularM, SingularSelection)
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
 from .wproperty import selection_chunks, selection_combination, vertex_chunks
 
 COND_WITNESS_LIMIT = 1e14
-
-# Still importable from this module, where bound43 used to call it.
-sdd_classify = _sdd_classify
 
 
 def comparison_matrix(store):

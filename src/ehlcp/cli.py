@@ -102,20 +102,26 @@ def _write_csv(path, comment, header, rows):
 
 
 def cmd_gen(args):
-    if args.example == "5.1":
-        if args.grid is None:
-            _fail(EXIT_VALIDATION, "example 5.1 needs --grid")
-        gen = problems.gen_example51(args.grid, args.mu, args.nu)
-    elif args.example == "5.2":
-        if args.n is None:
-            _fail(EXIT_VALIDATION, "example 5.2 needs --n")
-        gen = problems.gen_example52(args.n)
-    elif args.example == "5.3":
-        gen = problems.gen_example53(args.alpha)
-    elif args.example == "5.5":
-        if args.grid is None:
-            _fail(EXIT_VALIDATION, "example 5.5 needs --grid")
-        gen = problems.gen_example55(args.grid)
+    try:
+        if args.example == "5.1":
+            if args.grid is None:
+                _fail(EXIT_VALIDATION, "example 5.1 needs --grid")
+            gen = problems.gen_example51(args.grid, args.mu, args.nu)
+        elif args.example == "5.2":
+            if args.n is None:
+                _fail(EXIT_VALIDATION, "example 5.2 needs --n")
+            gen = problems.gen_example52(args.n)
+        elif args.example == "5.3":
+            gen = problems.gen_example53(args.alpha)
+        elif args.example == "5.5":
+            if args.grid is None:
+                _fail(EXIT_VALIDATION, "example 5.5 needs --grid")
+            gen = problems.gen_example55(args.grid)
+    except EhlcpError:  # an InvalidParams is a ValueError with its own message
+        raise
+    # numpy refuses a size beyond its index range with a ValueError
+    except (MemoryError, ValueError) as exc:
+        _fail(EXIT_VALIDATION, f"cannot generate example {args.example}: {exc}")
     problem = gen.problem
     if isinstance(problem, Ehlcp2Problem):
         problem = problem.as_general()

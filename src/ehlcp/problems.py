@@ -102,6 +102,8 @@ def gen_example53(alpha):
     """
     if not alpha >= 1:
         raise InvalidParams("alpha must be >= 1")
+    if not np.isfinite(alpha * alpha):
+        raise InvalidParams("alpha^2 must be finite")
     m_mat = DenseMatrix(np.array([[1.0, 0.0], [alpha, 1.0]]))
     h_mat = DenseMatrix(np.array([[1.0, 0.0], [alpha * alpha, 1.0]]))
     blocks = BlockMatrixSet(m_mat, (h_mat,))

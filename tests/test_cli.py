@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import example52_bound42_constant
-from ehlcp import problem_to_json, problems, solvers
+from ehlcp import problem_from_json, problem_to_json, problems, recover_solution, solvers
 from ehlcp.cli import main
 
 
@@ -79,8 +79,14 @@ def test_gen_example55_schema(tmp_path):
     ["gen", "--example", "5.2", "--n", "1"],
     ["gen", "--example", "5.3", "--alpha", "0.5"],
     ["gen", "--example", "5.3", "--alpha", "nan"],
+    ["gen", "--example", "5.3", "--alpha", "inf"],
+    ["gen", "--example", "5.3", "--alpha", "1e200"],
     ["gen", "--example", "5.5", "--grid", "1"],
     ["gen", "--example", "5.5"],
+    # 2**59 entries (4 EiB) fail in malloc at once; numpy refuses 2**62 outright
+    ["gen", "--example", "5.2", "--n", str(2 ** 59)],
+    ["gen", "--example", "5.5", "--grid", str(2 ** 59)],
+    ["gen", "--example", "5.2", "--n", str(2 ** 62)],
     ["solve", "--method", "fp31", "--tol", "inf"],
     ["solve", "--method", "fp31", "--tol", "nan"],
     ["solve", "--method", "proj33", "--relax", "nan"],
@@ -88,8 +94,9 @@ def test_gen_example55_schema(tmp_path):
     ["checkw", "--budget", "10", "--falsify", "5", "--seed", "-1"],
     ["bounds"],
 ], ids=["no-grid51", "grid51", "nan-mu51", "no-n52", "n52", "alpha53", "nan-alpha53",
-        "grid55", "no-grid55", "tol-inf", "tol-nan", "relax-nan", "falsify-negative",
-        "seed-negative", "no-probe"])
+        "inf-alpha53", "square-overflows-alpha53", "grid55", "no-grid55",
+        "out-of-memory-n52", "out-of-memory-grid55", "too-big-n52", "tol-inf", "tol-nan",
+        "relax-nan", "falsify-negative", "seed-negative", "no-probe"])
 def test_bad_argument_exit_code(tmp_path, capsys, args):
     problem, out = tmp_path / "p.json", tmp_path / "new.json"
     run_cli(["gen", "--example", "5.2", "--n", "12", "--out", str(problem)])
@@ -100,6 +107,17 @@ def test_bad_argument_exit_code(tmp_path, capsys, args):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["5.3", "--alpha", "0.5"], "error: alpha must be >= 1\n"),
+    (["5.3", "--alpha", "1e200"], "error: alpha^2 must be finite\n"),
+    (["5.2", "--n", str(2 ** 62)], "error: cannot generate example 5.2: array is too big"),
+], ids=["alpha53", "square-overflows-alpha53", "too-big-n52"])
+def test_gen_error_messages(tmp_path, capsys, args, message):
+    out = tmp_path / "p.json"
+    assert run_cli(["gen", "--example"] + args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_bounds_on_too_large_dense_file_exit_code(tmp_path, capsys, monkeypatch):
@@ -532,3 +550,53 @@ def test_written_json_is_the_one_shot_encoding(tmp_path):
     gen = problems.gen_example55(4)
     obj = problem_to_json(gen.problem.as_general(), gen.prescribed)
     assert out.read_text() == json.dumps(obj) + "\n"
+
+
+GENERATED = {
+    "5.1": (["--grid", "3", "--mu", "4", "--nu", "4"],
+            lambda: problems.gen_example51(3, 4.0, 4.0)),
+    "5.2": (["--n", "30"], lambda: problems.gen_example52(30)),
+    "5.3": (["--alpha", "1"], lambda: problems.gen_example53(1.0)),
+    "5.5": (["--grid", "4"], lambda: problems.gen_example55(4)),
+}
+
+
+@pytest.mark.parametrize("example", sorted(GENERATED))
+def test_prescribed_is_y_alone_and_recovers_the_solution(tmp_path, capsys, example):
+    flags, generate = GENERATED[example]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    assert run_cli(["gen", "--example", example] + flags + ["--out", str(new)]) == 0
+    obj = json.loads(new.read_text())
+    assert list(obj["prescribed"]) == ["y"]
+    want = generate().prescribed.solution
+    problem, prescribed = problem_from_json(obj)
+    got = recover_solution(prescribed["y"], problem.ladder)
+    assert got.w.tobytes() == want.w.tobytes()
+    assert [x.tobytes() for x in got.x] == [x.tobytes() for x in want.x]
+    # the spelling that also listed w* and x* gives the same bound columns
+    obj["prescribed"] = {"w": want.w.tolist(), "x": [x.tolist() for x in want.x],
+                         "y": obj["prescribed"]["y"]}
+    old.write_text(json.dumps(obj))
+    capsys.readouterr()
+    printed = []
+    for path in (old, new):
+        assert run_cli(["bounds", "--probe-pattern=-0.1,0.1", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].startswith("norm,trueError")
+
+
+@pytest.mark.parametrize("y, message", [
+    ([0.1, 0.2, 0.3], "prescribed y must have length 6, got 3"),
+    ([[1.0]], "prescribed y must be 1-D, got shape (1, 1)"),
+], ids=["short", "nested"])
+def test_malformed_prescribed_y_exit_code(tmp_path, capsys, y, message):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.2", "--n", "6", "--out", str(problem)])
+    obj = json.loads(problem.read_text())
+    obj["prescribed"]["y"] = y
+    problem.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli(["bounds", "--probe-pattern=-0.1,0.1", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot parse problem file: {message}\n"
+    assert captured.out == ""
