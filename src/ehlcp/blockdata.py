@@ -520,6 +520,7 @@ def problem_from_json(obj):
 
     An n other than M's order is refused before H or the ladder is sized by it.
     w* and x* are recover_solution(y*, ladder), so a file's "w" and "x" go unread.
+    A non-finite y* is refused as a ValueError, as ``validate`` flags q and d.
     """
     n = int(obj["n"])
     m = int(obj["m"])
@@ -534,5 +535,8 @@ def problem_from_json(obj):
                                              for d in obj.get("d", [])), n))
     prescribed = obj.get("prescribed")
     if prescribed is not None:
-        prescribed = {"y": _as_vector(prescribed["y"], n, "prescribed y")}
+        y_star = _as_vector(prescribed["y"], n, "prescribed y")
+        if not np.isfinite(y_star).all():
+            raise ValueError("non-finite entries in prescribed y")
+        prescribed = {"y": y_star}
     return problem, prescribed

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, entrywise
+from .blockdata import BandMatrix, DenseMatrix
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
                           _dominance, _scaled_up, _stack_inverses, _up,
                           enclose_resolvent, induced_norm, inverse_norm,
@@ -45,15 +45,62 @@ class SplitParts:
     C: list       # matrix stores, -offdiagonal of the source
 
 
+def _positive_diagonals(blocks):
+    """Each block's diagonal, all positive, else NonpositiveDiagonal."""
+    lambdas = [store.diagonal() for store in blocks.all()]
+    if not all(np.all(lam > 0) for lam in lambdas):
+        raise NonpositiveDiagonal("every block needs a positive diagonal")
+    return lambdas
+
+
 def split_diagonal(blocks):
-    lambdas, cs = [], []
-    for store in blocks.all():
-        lam = store.diagonal()
-        if not np.all(lam > 0):
-            raise NonpositiveDiagonal("every block needs a positive diagonal")
-        lambdas.append(lam)
-        cs.append(store.rebuilt(np.zeros(store.n), np.negative))
-    return SplitParts(lambdas, cs)
+    return SplitParts(_positive_diagonals(blocks),
+                      [store.rebuilt(np.zeros(store.n), np.negative) for store in blocks.all()])
+
+
+def _x_and_d_max(blocks):
+    """bound42's X = max_i Lambda_i^{-1}|C_i| and d_max = max_i Lambda_i^{-1},
+    in one pass over the blocks.
+
+    Each entry of X is |a (1/lambda)[row]| for an entry a off a block's
+    diagonal, maxed over the blocks in block order, so it is rounded once as
+    in ``split_diagonal``'s C_i scaled by rows: |(-a) s| = |a s| exactly. A
+    band X holds the union of the blocks' stored off-diagonals and no main
+    diagonal. A dense X (when any block is dense) takes 0 (1/lambda) on the
+    diagonal from each dense block, NaN where 1/lambda overflows, and zeros
+    off a band block's stored diagonals.
+    """
+    stores, n = blocks.all(), blocks.n
+    scales = [1.0 / lam for lam in _positive_diagonals(blocks)]
+    d_max = np.maximum.reduce(scales)
+
+    def scaled_diagonals(store, s):
+        """(offset, rows, columns, |a s[row]|) of each stored off-diagonal."""
+        for o, values in store.diagonals():
+            if o:
+                rows, cols = slice(max(0, -o), n - max(0, o)), slice(max(0, o), n + min(0, o))
+                part = values[cols] * s[rows]
+                yield o, rows, cols, np.abs(part, out=part)
+
+    if any(isinstance(store, DenseMatrix) for store in stores):
+        x = np.zeros((n, n))
+        for store, s in zip(stores, scales):
+            if isinstance(store, DenseMatrix):
+                part = store.data * s[:, None]
+                np.fill_diagonal(part, 0.0 * s)
+                np.maximum(x, np.abs(part, out=part), out=x)
+            else:
+                for _, rows, cols, part in scaled_diagonals(store, s):
+                    np.fill_diagonal(x[rows, cols], np.maximum(np.diagonal(x[rows, cols]), part))
+        return DenseMatrix(x), d_max
+    offsets = sorted({o for store in stores for o, _ in store.diagonals() if o},
+                     key=lambda o: (abs(o), o))
+    data = np.zeros((len(offsets), n))
+    row_of = dict(zip(offsets, data))
+    for store, s in zip(stores, scales):
+        for o, _, cols, part in scaled_diagonals(store, s):
+            np.maximum(row_of[o][cols], part, out=row_of[o][cols])
+    return BandMatrix(offsets, data), d_max
 
 
 @dataclass
@@ -72,7 +119,9 @@ def bound42(blocks, norm_tag="inf"):
     The entrywise max over blocks of Lambda_i^{-1}|C_i| is taken coordinate by
     coordinate; when rho of that matrix X is below one, the constant
     ||(I - X)^{-1} max_i Lambda_i^{-1}|| certifies the upper error bound
-    (norms 1 and inf supported).
+    (norms 1 and inf supported). X and d_max = max_i Lambda_i^{-1} are
+    assembled in one pass over the blocks (``_x_and_d_max``), rounded as the
+    split A = Lambda - C scaled by rows rounds them: the same bits.
 
     Both come from one vector v: for tag inf v approximates
     z = (I - X)^{-1} d_max, for tag 1 v approximates u = (I - X^T)^{-1} e.
@@ -96,10 +145,7 @@ def bound42(blocks, norm_tag="inf"):
     n = blocks.n
     if n > DENSE_LIMIT and any(isinstance(s, DenseMatrix) for s in blocks.all()):
         raise InvalidParams(f"dense layout too large for this bound (n > {DENSE_LIMIT})")
-    split = split_diagonal(blocks)
-    d_max = np.maximum.reduce([1.0 / lam for lam in split.Lambda])
-    x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
-                  [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
+    x, d_max = _x_and_d_max(blocks)
     rhs = d_max if norm_tag == "inf" else np.ones(n)
     cert = enclose_resolvent(x, rhs, norm_tag == "1")
     if cert is not None:

@@ -53,6 +53,7 @@ EIGVALS_FIRST_ORDER = 128
 # n = 400-10,000 (see CHANGES.md).
 NEUMANN_BREAK_EVEN = 8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u of round to nearest
+_REPEAT_TEST_EVERY = 4  # Neumann steps per comparison of consecutive iterates
 
 
 def _up(a):
@@ -106,11 +107,18 @@ def _neumann_steps(x, transposed):
 
 
 def _neumann_sum(rhs, apply_x, steps):
-    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out."""
+    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out.
+
+    rhs is added in place into the fresh product X v (IEEE + commutes bit for
+    bit), and the repeat test runs every ``_REPEAT_TEST_EVERY`` steps only:
+    once v repeats it never changes again, so v keeps the bits that a test
+    at every step returns.
+    """
     v = rhs
-    for _ in range(steps):
-        v_next = rhs + apply_x(v)
-        if np.array_equal(v_next, v):
+    for step in range(1, steps + 1):
+        v_next = apply_x(v)
+        v_next += rhs
+        if step % _REPEAT_TEST_EVERY == 0 and np.array_equal(v_next, v):
             break
         v = v_next
     return v

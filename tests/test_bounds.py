@@ -18,7 +18,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    sample_rho_L, sdd_classify, split_diagonal, suggest_omega,
                    underalpha_exact)
 from ehlcp import bounds, convergence
-from ehlcp.blockdata import BandMatrix, TridiagonalMatrix, abs_colsums
+from ehlcp.blockdata import BandMatrix, TridiagonalMatrix, abs_colsums, entrywise
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, simplex_selections
 from ehlcp.errors import BudgetExceeded, InvalidParams
 from ehlcp.wproperty import representative, selection_combination
@@ -62,6 +62,9 @@ def test_split_reconstruction(rng):
     bad = BlockMatrixSet(DenseMatrix([[0.0]]), (identity_matrix(1),))
     with pytest.raises(NonpositiveDiagonal):
         split_diagonal(bad)
+    with pytest.raises(NonpositiveDiagonal):
+        bound42(BlockMatrixSet(identity_matrix(2),
+                               (TridiagonalMatrix.constant(2, 0.0, -1.0, 0.0),)))
 
 
 def test_bound42_identity_blocks():
@@ -384,6 +387,140 @@ def test_neumann_sum_encloses_the_exact_constant(case):
         assert summed.constant == pytest.approx(solved.constant, rel=1e-12)
         lo, hi = summed.condition_bracket
         assert lo - 1e-12 <= rho <= hi + 1e-12
+
+
+def split_chain_x(blocks):
+    """bound42's X and d_max through ``split_diagonal``: each C_i scaled by
+    rows, then the entrywise max of the absolute values."""
+    split = split_diagonal(blocks)
+    x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
+                  [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
+    return x, np.maximum.reduce([1.0 / lam for lam in split.Lambda])
+
+
+def assert_x_bits(blocks):
+    """The one-pass X has the chain's layout, offsets and bits, and so has d_max."""
+    with np.errstate(all="ignore"):
+        (x, d_max), (want, want_d) = bounds._x_and_d_max(blocks), split_chain_x(blocks)
+    assert type(x) is type(want)
+    assert getattr(x, "offsets", None) == getattr(want, "offsets", None)
+    assert x.data.shape == want.data.shape
+    assert np.array_equal(x.data.view(np.uint64), want.data.view(np.uint64))
+    assert np.array_equal(d_max.view(np.uint64), want_d.view(np.uint64))
+
+
+def band_of(a, offsets):
+    """Band store of a's diagonals at offsets, signed zeros kept."""
+    n = len(a)
+    data = np.zeros((len(offsets), n))
+    for k, o in enumerate(offsets):
+        data[k, max(0, o):n + min(0, o)] = np.diagonal(a, o)
+    return BandMatrix(offsets, data)
+
+
+def _graded_blocks(n, count, seed):
+    """count random blocks with graded positive diagonals; row 1 of the last
+    has a subnormal diagonal (1/lambda = inf) and zeros of both signs, and
+    block 0 holds -0.0 and +0.0 off the diagonal."""
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(-2.0, 2.0, (count, n, n))
+    for a in mats:
+        np.fill_diagonal(a, rng.uniform(0.5, 4.0, n))
+    mats[0, 0, 1], mats[0, 2, 0] = -0.0, 0.0
+    mats[-1, 1, 1] = 5e-324
+    mats[-1, 1, 0], mats[-1, 1, 2] = 0.0, -0.0
+    return mats
+
+
+def _x_cases():
+    ex52 = gen_example52(7).problem.as_general().blocks
+    dense52 = [DenseMatrix(s.to_dense()) for s in ex52.all()]
+    mats = _graded_blocks(8, 4, 0)
+    bands = [band_of(mats[0], (0, -1, 1)), band_of(mats[1], (0, 3, -2)),
+             band_of(mats[2], (0,)), band_of(mats[3], (0, 1, -5))]
+    sub = _graded_blocks(5, 3, 1)
+    return {
+        "ex51-g3": gen_example51(3, 4.0, 4.0).problem.blocks,
+        "ex51-g20": gen_example51(20, 5.0, 5.0).problem.blocks,
+        "ex52-n7": ex52,
+        "ex52-n7-dense": BlockMatrixSet(dense52[0], tuple(dense52[1:])),
+        "ex52-n7-mixed": BlockMatrixSet(dense52[0], ex52.H[:1] + (dense52[2],)),
+        "band-m4-missing-offsets": BlockMatrixSet(bands[0], tuple(bands[1:])),
+        "dense-m2-subnormal": BlockMatrixSet(DenseMatrix(sub[0]),
+                                             (DenseMatrix(sub[1]), DenseMatrix(sub[2]))),
+        "band-m2-subnormal": BlockMatrixSet(band_of(sub[0], (0, 1, -1)),
+                                            (band_of(sub[1], (0, 2)),
+                                             band_of(sub[2], (0, -1, 1)))),
+        "mixed-m2-subnormal": BlockMatrixSet(band_of(sub[0], (0, 1, -1)),
+                                             (DenseMatrix(sub[1]),
+                                              band_of(sub[2], (0, -1, 1)))),
+        "mixed-m3": BlockMatrixSet(DenseMatrix(mats[0]), tuple(bands[1:])),
+    }
+
+
+X_CASES = _x_cases()
+
+
+@pytest.mark.parametrize("case", sorted(X_CASES))
+def test_one_pass_x_has_the_split_chain_bits(case):
+    assert_x_bits(X_CASES[case])
+
+
+ENTRIES = st.sampled_from([0.0, -0.0, 1e-300, -0.25, 0.5, -1.5, 3.0])
+DIAGONAL_ENTRIES = st.sampled_from([5e-324, 1e-310, 0.5, 1.0, 3.0, 1e300])
+
+
+@st.composite
+def x_instances(draw):
+    """Blocks of drawn layout with signed zeros, subnormal and huge diagonals."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(2, 4))
+    stores = []
+    for _ in range(count):
+        a = draw(hnp.arrays(float, (n, n), elements=ENTRIES))
+        np.fill_diagonal(a, draw(hnp.arrays(float, n, elements=DIAGONAL_ENTRIES)))
+        offsets = draw(st.lists(st.integers(1 - n, n - 1), unique=True, max_size=2 * n - 1))
+        stores.append(DenseMatrix(a) if draw(st.booleans())
+                      else band_of(a, [0] + [o for o in offsets if o]))
+    return BlockMatrixSet(stores[0], tuple(stores[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x_instances())
+def test_one_pass_x_has_the_split_chain_bits_on_drawn_blocks(blocks):
+    assert_x_bits(blocks)
+
+
+def neumann_every_step(rhs, apply_x, steps):
+    """The Neumann sum with the repeat test at every step."""
+    v = rhs
+    for _ in range(steps):
+        v_next = rhs + apply_x(v)
+        if np.array_equal(v_next, v):
+            break
+        v = v_next
+    return v
+
+
+def test_neumann_sum_has_the_bits_of_a_test_at_every_step():
+    rng = np.random.default_rng(5)
+    n = 10
+    lower = BandMatrix((-1, -3), rng.uniform(0.1, 0.4, (2, n)))  # nilpotent: X^n = 0
+    wide = BandMatrix((-1, 1, -3, 3), rng.uniform(0.05, 0.2, (4, n)))
+    rhs = rng.uniform(0.5, 2.0, n)
+    before = rhs.copy()
+    every = convergence._REPEAT_TEST_EVERY
+    for x, steps, stops_early in ((lower, 40, True), (wide, 9, False), (wide, 12, False)):
+        for apply_x in (x.matvec, x.rmatvec):
+            calls = []
+            got = convergence._neumann_sum(
+                rhs, lambda v, apply_x=apply_x: calls.append(1) or apply_x(v), steps)
+            assert got.tobytes() == neumann_every_step(rhs, apply_x, steps).tobytes()
+            if stops_early:  # the first cadence step at or after the repeat
+                assert len(calls) < steps and len(calls) % every == 0
+            else:
+                assert len(calls) == steps
+    assert rhs.tobytes() == before.tobytes()
 
 
 def test_bound43_examples():

@@ -588,7 +588,9 @@ def test_prescribed_is_y_alone_and_recovers_the_solution(tmp_path, capsys, examp
 @pytest.mark.parametrize("y, message", [
     ([0.1, 0.2, 0.3], "prescribed y must have length 6, got 3"),
     ([[1.0]], "prescribed y must be 1-D, got shape (1, 1)"),
-], ids=["short", "nested"])
+    ([float("nan")] + [0.1] * 5, "non-finite entries in prescribed y"),
+    ([0.1] * 5 + [float("inf")], "non-finite entries in prescribed y"),
+], ids=["short", "nested", "nan", "inf"])
 def test_malformed_prescribed_y_exit_code(tmp_path, capsys, y, message):
     problem = tmp_path / "p.json"
     run_cli(["gen", "--example", "5.2", "--n", "6", "--out", str(problem)])

@@ -16,6 +16,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
 from ehlcp.blockdata import (BandMatrix, BlockTridiagonalMatrix, TridiagonalMatrix,
                              entrywise)
 from ehlcp.bounds import split_diagonal
+from ehlcp.solvers import _check_info
 from ehlcp.transform import feasibility_violations
 
 
@@ -53,6 +54,13 @@ def test_factor_rejects_singular():
     for store in (DenseMatrix(np.diag(diag)), TridiagonalMatrix(-np.ones(5), diag, -np.ones(5))):
         with pytest.raises(SingularM):
             LinearOperatorFactor(store)
+
+
+def test_check_info_raises_on_an_illegal_argument():
+    # the f2py wrappers' shape checks keep LAPACK from returning info < 0
+    with pytest.raises(ValueError, match="^illegal argument 2 to dense solve$"):
+        _check_info(-2, "dense solve")
+    _check_info(0, "dense solve")
 
 
 def test_order_zero_store_raises_typed_error_without_lapack_output(capfd):

@@ -63,6 +63,14 @@ MUTANTS = [
            "ConvergenceReport(tag, float(value), value < 1.0, 0, certifying)",
            ("tests/test_convergence.py::"
             "test_rho_condition_is_decided_on_the_enclosure_not_the_eigenvalues",)),
+    Mutant("row-scale-by-column", "bounds.py",
+           "part = values[cols] * s[rows]",
+           "part = values[cols] * s[cols]",
+           ("tests/test_bounds.py::test_one_pass_x_has_the_split_chain_bits",)),
+    Mutant("neumann-returns-unchecked", "convergence.py",
+           "step % _REPEAT_TEST_EVERY == 0 and np.array_equal(v_next, v)",
+           "step % _REPEAT_TEST_EVERY == 0",
+           ("tests/test_bounds.py::test_neumann_sum_has_the_bits_of_a_test_at_every_step",)),
     Mutant("bracket-term-ends-unordered", "solvers.py",
            "lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)",
            "pass",
