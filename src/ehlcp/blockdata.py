@@ -19,6 +19,17 @@ Both stores also keep a column-aligned ``data`` array, zero outside the
 matrix: the dense array, and the band diagonals with data[k, j] in column j.
 The functions ``abs_colsums`` and ``all_finite`` read it directly.
 
+``matvec`` and ``rmatvec`` take x of shape (n,) only and raise ValueError
+for any other shape. A band store's products and row sums run on the
+compiled loop behind ``scipy.sparse.dia_array @ x``,
+``scipy.sparse._sparsetools.dia_matvec``, a name private to scipy. That loop
+adds each diagonal's products into the y it is given, one diagonal at a
+time, and checks no bounds, so the shape is checked before it runs.
+``tests/test_blockdata.py`` compares its bits with numpy's per-diagonal
+loops, so a scipy release that changes the loop fails the tests. A NaN
+result is compared as NaN only: which of two NaNs an operation returns is
+left open by IEEE 754, and the loop and numpy can pick different ones.
+
 ``rebuilt(main, off)`` returns a store of the same kind with ``main`` as its
 diagonal and ``off`` applied to every other entry. ``off`` must return a new
 array and map 0 to 0, since a band store applies it to its stored diagonals
@@ -33,8 +44,10 @@ package writes into a stored array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse._sparsetools import dia_matvec
 
 
 def _as_vector(a, n=None, name="vector"):
@@ -44,6 +57,11 @@ def _as_vector(a, n=None, name="vector"):
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {v.shape[0]}")
     return v
+
+
+def _product_operand(x, n):
+    """x as a float vector of shape (n,), the one shape both stores' products take."""
+    return _as_vector(x, n, "product operand")
 
 
 @dataclass(frozen=True)
@@ -65,10 +83,10 @@ class DenseMatrix:
     layout = "dense"
 
     def matvec(self, x):
-        return self.data @ x
+        return self.data @ _product_operand(x, self.n)
 
     def rmatvec(self, x):
-        return self.data.T @ x
+        return self.data.T @ _product_operand(x, self.n)
 
     def to_dense(self):
         return self.data.copy()
@@ -108,6 +126,13 @@ class BandMatrix:
     then by rising |offset|, negative before positive; every product and row
     or column sum accumulates the diagonals in that order. Entries of data
     that fall outside the matrix are zero.
+
+    The products and row sums run on scipy's ``dia_matvec`` loop (see the
+    module docstring). It adds into a given y, so y starts as main * x and
+    the loop adds the off-diagonal rows in the stored order: the products
+    and sums of a per-diagonal numpy loop, bit for bit. ``dia_array @ x``
+    would start y at zeros, and 0 + (-0.0) turns a -0.0 main product into
+    +0.0.
     """
 
     layout = "band"
@@ -134,29 +159,41 @@ class BandMatrix:
         self.bandwidth = max((abs(o) for o in self.offsets), default=0)
         self._rows = dict(zip(self.offsets, self.data))
         self._main = self._rows.get(0)
-        # (values, rows, cols) per off-diagonal: A[rows, cols] holds values.
-        self._off = [(row[max(0, o):min(n, n + o)], slice(max(0, -o), min(n, n - o)),
-                      slice(max(0, o), min(n, n + o)))
-                     for o, row in self._rows.items() if o]
+        # The off-diagonals as the loop takes them: int32 offsets and a view of data.
+        start = 0 if self._main is None else 1
+        self._off = (np.array(self.offsets[start:], dtype=np.int32), self.data[start:])
+
+    @cached_property
+    def _transposed(self):
+        """The transpose's off-diagonals in the stored order, built on the first rmatvec.
+
+        A[j - o, j] = data[k, j] is A^T[j, j - o], on offset -o, in column
+        c = j - o: its row is data's row read from column c + o. The stored
+        order keeps the order in which each sum adds its terms.
+        """
+        offsets, rows = self._off
+        return (-offsets, np.reshape([np.roll(row, -o) for o, row in
+                                      zip(offsets.tolist(), rows)], (-1, self.n)))
+
+    def _products(self, x, offsets, rows):
+        """main * x plus the products of the diagonals (offsets, rows) with x."""
+        x = _product_operand(x, self.n)
+        y = np.zeros(self.n) if self._main is None else self._main * x
+        dia_matvec(self.n, self.n, len(offsets), self.n, offsets, rows, x, y)
+        return y
 
     def matvec(self, x):
-        y = np.zeros(self.n) if self._main is None else self._main * x
-        for values, rows, cols in self._off:
-            y[rows] += values * x[cols]
-        return y
+        return self._products(x, *self._off)
 
     def rmatvec(self, x):
-        y = np.zeros(self.n) if self._main is None else self._main * x
-        for values, rows, cols in self._off:
-            y[cols] += values * x[rows]
-        return y
+        return self._products(x, *self._transposed)
 
     def to_dense(self):
-        out = np.zeros((self.n, self.n))
-        if self._main is not None:
-            np.fill_diagonal(out, self._main)
-        for values, rows, cols in self._off:
-            np.fill_diagonal(out[rows, cols], values)
+        n = self.n
+        out = np.zeros((n, n))
+        for o, row in self._rows.items():
+            lo, hi = max(0, o), min(n, n + o)
+            np.fill_diagonal(out[lo - o:hi - o, lo:hi], row[lo:hi])
         return out
 
     def diagonal(self):
@@ -179,9 +216,9 @@ class BandMatrix:
 
     def abs_rowsums(self):
         # matvec of |A| with ones, term for term: the same sums, bit for bit
-        y = np.zeros(self.n) if self._main is None else np.abs(self._main)
-        for values, rows, _ in self._off:
-            y[rows] += np.abs(values)
+        n, (offsets, rows) = self.n, self._off
+        y = np.zeros(n) if self._main is None else np.abs(self._main)
+        dia_matvec(n, n, len(offsets), n, offsets, np.abs(rows), np.ones(n), y)
         return y
 
 

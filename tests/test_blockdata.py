@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
@@ -132,6 +132,97 @@ def test_band_roundtrip_and_ops(rng):
         x = rng.standard_normal(store.n)
         assert np.allclose(band.matvec(x), dense @ x)
         assert np.allclose(band.rmatvec(x), dense.T @ x)
+
+
+def loop_products(store, x):
+    """(matvec, rmatvec, abs_rowsums) of a band store by per-diagonal numpy loops.
+
+    y starts at main * x, or at zeros without a main diagonal, and each
+    off-diagonal then adds its products in the stored order: the arithmetic
+    of the compiled loop, one numpy call at a time.
+    """
+    n, x = store.n, np.asarray(x, dtype=float)
+    main = dict(store.diagonals()).get(0)
+    off = [(row[max(0, o):min(n, n + o)], slice(max(0, -o), min(n, n - o)),
+            slice(max(0, o), min(n, n + o))) for o, row in store.diagonals() if o]
+    ax = np.zeros(n) if main is None else main * x
+    atx = np.zeros(n) if main is None else main * x
+    sums = np.zeros(n) if main is None else np.abs(main)
+    for values, rows, cols in off:
+        ax[rows] += values * x[cols]
+        atx[cols] += values * x[rows]
+        sums[rows] += np.abs(values)
+    return ax, atx, sums
+
+
+def nan_bits(v):
+    """v's bits, with every NaN as np.nan's: which NaN an operation on two
+    NaNs returns is left open by IEEE 754, and numpy's own add returns the
+    first operand's on arrays of two or more and the second's on one entry."""
+    return np.where(np.isnan(v), np.nan, v).view(np.uint64)
+
+
+ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
+                    st.floats(allow_nan=False))
+
+
+@st.composite
+def band_and_operand(draw):
+    """(band store, x) with entries from ENTRIES and x an array, a strided view or a list.
+
+    Offsets lie in -8..8, so some fall outside the matrix, and the main
+    diagonal may be missing or all zero.
+    """
+    n = draw(st.integers(1, 7))
+    offsets = draw(st.lists(st.integers(-8, 8), unique=True, max_size=5))
+    data = draw(st.lists(ENTRIES, min_size=len(offsets) * n, max_size=len(offsets) * n))
+    x = np.array(draw(st.lists(ENTRIES, min_size=n, max_size=n)))
+    form = draw(st.sampled_from(["array", "strided", "list"]))
+    if form == "strided":
+        x2 = np.full(2 * n, 7.0)
+        x2[::2] = x
+        x = x2[::2]
+    elif form == "list":
+        x = x.tolist()
+    return BandMatrix(offsets, np.reshape(data, (len(offsets), n))), x
+
+
+TWO53 = 2.0 ** 53
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_and_operand())
+# a -0.0 main product with no off-diagonal term in its row: row 2 of A x and
+# row 0 of A^T x, where 0 + (-0.0) would give +0.0
+@example((BandMatrix((0, 1), [[-1.0, -1.0, -1.0], [0.0, 2.0, 3.0]]), [0.0, 0.0, 0.0]))
+@example((BandMatrix((0,), [[-1.0]]), np.zeros(1)))
+# row 1 of A^T x adds A[2, 1] (offset -1, stored first) before A[0, 1]:
+# (1 + 2^53) - 2^53 = 0, where the other order gives 1
+@example((BandMatrix((0, -1, 1), [[1.0, 1.0, 1.0], [0.0, TWO53, 0.0], [0.0, -TWO53, 0.0]]),
+          np.ones(3)))
+def test_band_products_have_the_bits_of_the_per_diagonal_loops(drawn):
+    store, x = drawn
+    for got, want in zip((store.matvec(x), store.rmatvec(x), store.abs_rowsums()),
+                         loop_products(store, x)):
+        assert got.shape == (store.n,)
+        assert np.array_equal(nan_bits(got), nan_bits(want))
+
+
+SHAPE_STORES = [TridiagonalMatrix.constant(6, -1.0, 4.0, -0.5),
+                BlockTridiagonalMatrix(3, -1.0, TridiagonalMatrix.constant(3, -1.0, 4.0, -1.0),
+                                       -0.5),
+                BandMatrix((-1, 2), np.ones((2, 5))),
+                DenseMatrix(np.arange(16.0).reshape(4, 4))]
+
+
+@pytest.mark.parametrize("product", ["matvec", "rmatvec"])
+@pytest.mark.parametrize("shape", [lambda n: (n - 1,), lambda n: (n + 1,), lambda n: (n, 1),
+                                   lambda n: (1, n)], ids=["n-1", "n+1", "n,1", "1,n"])
+@pytest.mark.parametrize("store", SHAPE_STORES,
+                         ids=["tridiagonal", "block-tridiagonal", "band-without-main", "dense"])
+def test_products_take_only_a_vector_of_shape_n(store, shape, product):
+    with pytest.raises(ValueError, match="product operand must"):
+        getattr(store, product)(np.ones(shape(store.n)))
 
 
 def test_band_store_keeps_only_nonzero_diagonals_inside():

@@ -116,6 +116,23 @@ MUTANTS = [
            "y0.shape != (n,)",
            "False",
            ("tests/test_solvers.py::test_start_of_the_wrong_shape_is_invalid",)),
+    Mutant("dia-start-from-zeros", "blockdata.py",
+           "np.zeros(self.n) if self._main is None else self._main * x",
+           "np.zeros(self.n) if self._main is None else np.zeros(self.n) + self._main * x",
+           ("tests/test_blockdata.py::"
+            "test_band_products_have_the_bits_of_the_per_diagonal_loops",)),
+    Mutant("rmatvec-resorted-offsets", "blockdata.py",
+           "return (-offsets, np.reshape([np.roll(row, -o) for o, row in "
+           "zip(offsets.tolist(), rows)], (-1, self.n)))",
+           "order = np.argsort(-offsets)\n"
+           "return (-offsets[order], np.reshape([np.roll(row, -o) for o, row in "
+           "zip(offsets.tolist(), rows)], (-1, self.n))[order])",
+           ("tests/test_blockdata.py::"
+            "test_band_products_have_the_bits_of_the_per_diagonal_loops",)),
+    Mutant("product-shape-guard-dropped", "blockdata.py",
+           "_as_vector(x, n, 'product operand')",
+           "np.asarray(x, dtype=float)",
+           ("tests/test_blockdata.py::test_products_take_only_a_vector_of_shape_n",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
