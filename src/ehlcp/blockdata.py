@@ -61,7 +61,10 @@ def _as_vector(a, n=None, name="vector"):
 
 def _product_operand(x, n):
     """x as a float vector of shape (n,), the one shape both stores' products take."""
-    return _as_vector(x, n, "product operand")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        _as_vector(x, n, "product operand")  # raises the ValueError for this shape
+    return x
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,10 @@ class DenseMatrix:
     layout = "dense"
 
     def matvec(self, x):
-        return self.data @ _product_operand(x, self.n)
+        return self.data @ _product_operand(x, self.data.shape[0])
 
     def rmatvec(self, x):
-        return self.data.T @ _product_operand(x, self.n)
+        return self.data.T @ _product_operand(x, self.data.shape[0])
 
     def to_dense(self):
         return self.data.copy()

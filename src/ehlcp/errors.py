@@ -15,7 +15,8 @@ class InfeasibleTuple(EhlcpError):
 
 class InvalidParams(EhlcpError, ValueError):
     """A parameter outside its admissible range: an iteration setting, a
-    generator's size or shape parameter, or a selection count."""
+    generator's size or shape parameter, a selection count, or block data
+    that an exhaustive scan cannot certify (order 0 or a non-finite entry)."""
 
 
 class BudgetExceeded(EhlcpError):

@@ -17,7 +17,7 @@ from .bounds import overalpha_estimate, underalpha_exact
 from .convergence import _stacked_lu
 from .errors import BudgetExceeded
 from .transform import recover_solution
-from .wproperty import vertex_chunks
+from .wproperty import _dense_blocks, vertex_chunks
 
 REGION_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -36,7 +36,9 @@ def oracle_solve(problem, budget=2 ** 20):
     Region membership uses closed intervals with slack on both sides, so
     breakpoint solutions appear in several regions; duplicates are merged by
     y-proximity. Under the column W-property exactly one solution survives.
+    Blocks of order 0 or with non-finite entries raise InvalidParams.
     """
+    cols = _dense_blocks(problem.blocks).transpose(0, 2, 1)
     n, m = problem.n, problem.m
     total = (m + 1) ** n
     if total > budget:
@@ -44,7 +46,6 @@ def oracle_solve(problem, budget=2 ** 20):
     # cols[c, j] is column j of block c. On region c at coordinate j the
     # system gains the constant column const[c, j] (zero for c = 0):
     # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
-    cols = np.stack([s.to_dense().T for s in problem.blocks.all()])
     s_breaks = np.array(problem.ladder.prefix)
     d_cols = np.reshape(problem.ladder.d, (m - 1, n, 1)) * cols[1:m]
     below = np.cumsum(np.concatenate([np.zeros((1, n, n)), d_cols]), axis=0)

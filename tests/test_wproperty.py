@@ -3,9 +3,9 @@ import pytest
 
 from conftest import counter_order, random_dominant_problem
 from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
-                   EhlcpProblem, falsify_random, gen_example51, gen_example53,
-                   has_column_w_property, identity_matrix, oracle_solve,
-                   representative)
+                   EhlcpProblem, InvalidParams, TridiagonalMatrix, falsify_random,
+                   gen_example51, gen_example53, has_column_w_property,
+                   identity_matrix, oracle_solve, representative)
 from ehlcp import wproperty
 from ehlcp.wproperty import vertex_chunks
 
@@ -116,3 +116,34 @@ def test_w_property_soundness_unique_solutions(rng):
             d = tuple(rng.uniform(0.3, 1.5, n) for _ in range(m - 1))
             trial = EhlcpProblem(problem.blocks, q, BoundLadder(d, n))
             assert len(oracle_solve(trial).solutions) == 1
+
+
+# A NaN or infinite entry makes every determinant comparison false, which read
+# as a sign of 1: the check certified M = I with M[1, 2] = NaN and H1 = 2I, and
+# the oracle found no solution and no singular region. Order 0 failed inside
+# numpy. Both scans refuse such blocks before they enumerate.
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_blocks_are_refused_before_any_enumeration(bad):
+    m = np.eye(3)
+    m[1, 2] = bad
+    blocks = BlockMatrixSet(DenseMatrix(m), (DenseMatrix(2.0 * np.eye(3)),))
+    problem = EhlcpProblem(blocks, np.ones(3), BoundLadder((), 3))
+    with pytest.raises(InvalidParams, match="non-finite entries in M"):
+        has_column_w_property(blocks)
+    with pytest.raises(InvalidParams, match="non-finite entries in M"):
+        oracle_solve(problem)
+    band = TridiagonalMatrix([1.0, bad], [2.0, 2.0, 2.0], [0.0, 0.0])
+    blocks = BlockMatrixSet(identity_matrix(3), (identity_matrix(3), band))
+    with pytest.raises(InvalidParams, match="non-finite entries in H2"):
+        has_column_w_property(blocks)
+    with pytest.raises(InvalidParams, match="non-finite entries in H2"):
+        oracle_solve(EhlcpProblem(blocks, np.ones(3), BoundLadder((np.ones(3),), 3)))
+
+
+def test_blocks_of_order_zero_are_refused():
+    empty = DenseMatrix(np.zeros((0, 0)))
+    blocks = BlockMatrixSet(empty, (empty,))
+    with pytest.raises(InvalidParams, match="order 0"):
+        has_column_w_property(blocks)
+    with pytest.raises(InvalidParams, match="order 0"):
+        oracle_solve(EhlcpProblem(blocks, np.zeros(0), BoundLadder((), 0)))

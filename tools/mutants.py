@@ -133,6 +133,19 @@ MUTANTS = [
            "_as_vector(x, n, 'product operand')",
            "np.asarray(x, dtype=float)",
            ("tests/test_blockdata.py::test_products_take_only_a_vector_of_shape_n",)),
+    Mutant("column-reversal-sign-dropped", "wproperty.py",
+           "(-1.0) ** (n * (n - 1) // 2)",
+           "1.0",
+           ("tests/test_vertex_scans.py::test_sign_range_is_the_sign_of_the_determinant",)),
+    Mutant("zero-pivot-divided-by", "wproperty.py",
+           "np.where(p == 0, 1.0, p)",
+           "p",
+           ("tests/test_vertex_scans.py::"
+            "test_zero_pivot_gives_its_subtree_det_zero_without_nan",)),
+    Mutant("groups-highest-counters-first", "wproperty.py",
+           "_counter_order(np.arange(step), base, shared)[::-1].tolist()",
+           "_counter_order(np.arange(step), base, shared).tolist()",
+           ("tests/test_vertex_scans.py::test_groups_finish_lowest_counters_first",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
