@@ -38,7 +38,6 @@ def oracle_solve(problem, budget=2 ** 20):
     y-proximity. Under the column W-property exactly one solution survives.
     Blocks of order 0 or with non-finite entries raise InvalidParams.
     """
-    cols = _dense_blocks(problem.blocks).transpose(0, 2, 1)
     n, m = problem.n, problem.m
     total = (m + 1) ** n
     if total > budget:
@@ -46,6 +45,7 @@ def oracle_solve(problem, budget=2 ** 20):
     # cols[c, j] is column j of block c. On region c at coordinate j the
     # system gains the constant column const[c, j] (zero for c = 0):
     # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
+    cols = _dense_blocks(problem.blocks).transpose(0, 2, 1)
     s_breaks = np.array(problem.ladder.prefix)
     d_cols = np.reshape(problem.ladder.d, (m - 1, n, 1)) * cols[1:m]
     below = np.cumsum(np.concatenate([np.zeros((1, n, n)), d_cols]), axis=0)

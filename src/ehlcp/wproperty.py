@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, entrywise
+from .blockdata import DenseMatrix, all_finite, entrywise
 from .errors import BudgetExceeded, InvalidParams
 
 DET_ZERO_COEFF = 1e-10
@@ -97,15 +97,16 @@ def _dense_blocks(blocks):
 
     A NaN or infinite entry makes every determinant test false, which would
     read as a sign and certify nothing, so the exhaustive scans refuse it,
-    and blocks of order 0, with InvalidParams before they enumerate.
+    and blocks of order 0, with InvalidParams before they enumerate. The
+    entries are checked on each store's own data; the scans call this after
+    their budget check, so a refused count never builds the dense blocks.
     """
     if blocks.n < 1:
         raise InvalidParams("blocks of order 0 have no representatives")
-    dense = np.stack([s.to_dense() for s in blocks.all()])
-    if not np.isfinite(dense).all():
-        k = int(np.argmin(np.isfinite(dense).all(axis=(1, 2))))
-        raise InvalidParams(f"non-finite entries in {'M' if k == 0 else f'H{k}'}")
-    return dense
+    for k, store in enumerate(blocks.all()):
+        if not all_finite(store):
+            raise InvalidParams(f"non-finite entries in {'M' if k == 0 else f'H{k}'}")
+    return np.stack([s.to_dense() for s in blocks.all()])
 
 
 def _counter_order(a, base, depth):
@@ -193,13 +194,13 @@ def has_column_w_property(blocks, budget=2 ** 20):
     (``vertex_chunks``' order, coordinate 0 fastest), which is the witness.
     Blocks of order 0 or with non-finite entries raise InvalidParams.
     """
-    cols = _dense_blocks(blocks)  # cols[c, :, j]: column j of block c
     n, m = blocks.n, blocks.m
     total = (m + 1) ** n
     if total > budget:
         raise BudgetExceeded(
             f"(m+1)^n = {m + 1}^{n} representatives exceed budget {budget}; "
             "use falsify_random")
+    cols = _dense_blocks(blocks)  # cols[c, :, j]: column j of block c
     # [c, j]: 2-norm of column j of block c, by hypot so that it neither
     # underflows nor overflows where a sum of squares would: the test is then
     # the same for the blocks scaled by any power of two.

@@ -5,7 +5,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
                    EhlcpProblem, gen_example52, gen_example53, has_column_w_property,
                    identity_matrix, oracle_alpha_constants, oracle_solve,
                    underalpha_exact)
-from ehlcp.blockdata import EhlcpSolution
+from ehlcp.blockdata import BandMatrix, EhlcpSolution
 from ehlcp.transform import recover_solution
 
 
@@ -91,4 +91,22 @@ def test_budget_messages_name_the_count_at_paper_size():
              lambda: has_column_w_property(problem.blocks)]
     for call in calls:
         with pytest.raises(BudgetExceeded, match=r"\(m\+1\)\^n = 3\^10000 "):
+            call()
+
+
+def test_budget_is_refused_before_any_dense_block_is_built(monkeypatch):
+    # At n = 10,000 each dense block takes 800 MB, only to be refused.
+    problem = gen_example52(10000).problem.as_general()
+
+    def refuse(self):
+        raise AssertionError("a dense block was built before the budget check")
+
+    for store in (DenseMatrix, BandMatrix):
+        monkeypatch.setattr(store, "to_dense", refuse)
+    calls = [lambda: oracle_solve(problem),
+             lambda: oracle_alpha_constants(problem.blocks),
+             lambda: underalpha_exact(problem.blocks, "inf"),
+             lambda: has_column_w_property(problem.blocks)]
+    for call in calls:
+        with pytest.raises(BudgetExceeded):
             call()

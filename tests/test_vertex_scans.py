@@ -218,8 +218,8 @@ def test_witness_on_and_across_chunk_edges(per_chunk, h, monkeypatch):
 
 def report(blocks):
     """has_column_w_property's report as ref_w_property returns it, computed
-    where a NaN or a division by zero would raise."""
-    with np.errstate(divide="raise", invalid="raise"):
+    where a NaN would raise."""
+    with np.errstate(invalid="raise"):
         rep = has_column_w_property(blocks)
     return (rep.holds, rep.determinant_sign_range, rep.witness, rep.representatives_checked)
 
