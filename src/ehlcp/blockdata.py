@@ -7,12 +7,12 @@ three diagonals, and ``BlockTridiagonalMatrix`` from the uniform block
 pattern blktridiag(sub*I, B, super*I), where B is one tridiagonal block
 repeated down the block diagonal and n = g^2 for block order g.
 
-Both stores answer the same eight methods, and a new layout implements
-these eight:
+Both stores answer the same seven methods, and a new layout implements
+these seven:
 
 - products: ``matvec``, ``rmatvec``
 - forms: ``to_dense``, ``diagonal``, ``diagonals``
-- entrywise transforms: ``rebuilt(main, off)``, ``row_scaled``
+- entrywise transform: ``rebuilt(main, off)``
 - reduction: ``abs_rowsums``
 
 Both stores also keep a column-aligned ``data`` array, zero outside the
@@ -48,6 +48,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse._sparsetools import dia_matvec
+
+from .errors import InvalidParams
 
 
 def _as_vector(a, n=None, name="vector"):
@@ -102,9 +104,6 @@ class DenseMatrix:
         out = off(self.data)
         np.fill_diagonal(out, main)
         return DenseMatrix(out)
-
-    def row_scaled(self, s):
-        return DenseMatrix(self.data * np.asarray(s)[:, None])
 
     def abs_rowsums(self):
         return np.abs(self.data).sum(axis=1)
@@ -211,11 +210,6 @@ class BandMatrix:
         start = 0 if self._main is None else 1
         return BandMatrix((0,) + self.offsets[start:],
                           np.vstack([main, off(self.data[start:])]))
-
-    def row_scaled(self, s):
-        # A[j - o, j] takes s[j - o] = np.roll(s, o)[j]; wrapped entries meet zeros.
-        return BandMatrix(self.offsets, self.data * np.reshape(
-            [np.roll(s, o) for o in self.offsets], (-1, self.n)))
 
     def abs_rowsums(self):
         # matvec of |A| with ones, term for term: the same sums, bit for bit
@@ -332,7 +326,12 @@ def entrywise(fn, stores):
 
 @dataclass(frozen=True)
 class BlockMatrixSet:
-    """The ordered blocks (M, H_1, ..., H_m), all square of one order."""
+    """The ordered blocks (M, H_1, ..., H_m), all square of one order n >= 1.
+
+    No scan over blocks of order 0 or with a NaN or infinite entry certifies
+    anything, so they raise InvalidParams here. The entries are read from
+    each store's data; nothing dense is built.
+    """
 
     M: object
     H: tuple
@@ -345,6 +344,11 @@ class BlockMatrixSet:
         for k, h in enumerate(self.H, start=1):
             if h.n != n:
                 raise ValueError(f"block {k} has order {h.n}, expected {n}")
+        if n < 1:
+            raise InvalidParams("order n must be >= 1, the blocks have order 0")
+        for k, store in enumerate(self.all()):
+            if not all_finite(store):
+                raise InvalidParams(f"non-finite entries in {'M' if k == 0 else f'H{k}'}")
 
     @property
     def n(self):
@@ -423,6 +427,8 @@ class Ehlcp2Problem:
         object.__setattr__(self, "b", _as_vector(self.b, self.H1.n, "b"))
         if not np.all(self.b > 0):
             raise ValueError("b must be strictly positive")
+        if not all_finite(self.H1):
+            raise InvalidParams("non-finite entries in H1")
 
     @property
     def n(self):
@@ -458,16 +464,12 @@ class ValidationReport:
 
 
 def validate(problem):
-    """Report-style validation; collects every defect instead of raising."""
+    """Report-style validation of q, the ladder and their dimensions; collects
+    every defect instead of raising. The blocks were checked when their set
+    was built."""
     issues = []
     blocks = problem.blocks
-    n = blocks.M.n
-    if n < 1:
-        issues.append("order n must be >= 1")
-    for label, store in [("M", blocks.M)] + [(f"H{k}", h) for k, h in
-                                             enumerate(blocks.H, start=1)]:
-        if not all_finite(store):
-            issues.append(f"non-finite entries in {label}")
+    n = blocks.n
     if problem.ladder.n != n:
         issues.append(f"dimension mismatch: n = {problem.ladder.n}, but the blocks "
                       f"have order {n}")

@@ -13,6 +13,7 @@ column W-property; ``falsify_random`` searches sampled selections for one.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +28,8 @@ from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
 from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
                      NormMismatch, SingularM, SingularSelection)
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
-from .wproperty import selection_chunks, selection_combination, vertex_chunks
+from .wproperty import (_vertex_blocks, selection_chunks, selection_combination,
+                        vertex_chunks)
 
 COND_WITNESS_LIMIT = 1e14
 
@@ -233,32 +235,33 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
     of any block (1), and the largest row sum of the entrywise max over blocks
     of |A_k| (inf). Floating-point addition is monotone, so both equal the
     enumerated maximum bit for bit. The 2-norm enumerates every vertex.
-    Otherwise a sampled lower estimate (flagged) when samples > 0. Above order
+    Otherwise a sampled lower estimate (flagged) when samples > 0, else the
+    BudgetExceeded of the vertex gate ``wproperty._vertex_blocks``. Above order
     512 a band sample's 2-norm is ``two_norm_estimate``'s, which can be low;
     for a lower estimate that is the safe side.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
-    total = (m + 1) ** n
-    if total <= budget:
-        if norm_tag == "2":
-            worst = 0.0
-            for _, stack in vertex_chunks(blocks):
-                worst = max(worst, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
-        else:
-            mags = np.abs(np.stack([s.to_dense() for s in blocks.all()]))
-            worst = float(mags.sum(axis=1).max() if norm_tag == "1"
-                          else mags.max(axis=0).sum(axis=1).max())
-        return AlphaEstimate(worst, norm_tag, True, total)
-    if samples > 0:
+    try:
+        dense = _vertex_blocks(blocks, budget)
+    except BudgetExceeded:
+        if samples <= 0:
+            raise
         worst = 0.0
         for lam in simplex_selections(m, n, samples, seed):
             worst = max(worst, induced_norm(selection_combination(blocks, lam),
                                             norm_tag))
         return AlphaEstimate(worst, norm_tag, False, samples)
-    raise BudgetExceeded(f"(m+1)^n = {m + 1}^{n} vertices exceed budget {budget}; "
-                         "pass samples > 0 for a sampled estimate")
+    if norm_tag == "2":
+        worst = 0.0
+        for _, stack in vertex_chunks(dense):
+            worst = max(worst, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+    else:
+        mags = np.abs(dense)
+        worst = float(mags.sum(axis=1).max() if norm_tag == "1"
+                      else mags.max(axis=0).sum(axis=1).max())
+    return AlphaEstimate(worst, norm_tag, True, (m + 1) ** n)
 
 
 def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
@@ -291,8 +294,8 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
         return lam
 
     scans = []  # (chunks, the selection of a chunk key)
-    if (m + 1) ** n <= vertex_budget:
-        scans.append((vertex_chunks(blocks), one_hot))
+    with contextlib.suppress(BudgetExceeded):  # the vertices, when they fit vertex_budget
+        scans.append((vertex_chunks(_vertex_blocks(blocks, vertex_budget)), one_hot))
     if n <= DENSE_EIG_MAX_ORDER:
         scans.append((selection_chunks(blocks, simplex_selections(m, n, samples, seed)),
                       lambda lam: lam))

@@ -23,6 +23,7 @@ conditions are decided on the computed norm and are not rounding-safe.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -31,11 +32,11 @@ from typing import Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
-from .blockdata import DenseMatrix, abs_colsums, is_symmetric
-from .errors import InvalidParams, NoRuleApplies, SingularM
+from .blockdata import DenseMatrix, abs_colsums, all_finite, is_symmetric
+from .errors import BudgetExceeded, InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
-from .wproperty import selection_chunks, vertex_chunks
+from .wproperty import _vertex_blocks, selection_chunks, vertex_chunks
 
 DENSE_EIG_MAX_ORDER = 512
 DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
@@ -411,10 +412,13 @@ def check_thm34(H1, omega):
     condition is decided by ``enclose_resolvent`` (``_rho_report``), the
     norms 1 and inf on their ``_norm_ends`` upper ends. The 2-norm is exact,
     and None above order DENSE_EIG_MAX_ORDER; its condition is decided on the
-    computed norm and is not rounding-safe.
+    computed norm and is not rounding-safe. A bad omega or a non-finite
+    entry in H1 raises InvalidParams.
     """
     if not 0.0 < omega < np.inf:
         raise InvalidParams("omega must be finite and positive")
+    if not all_finite(H1):
+        raise InvalidParams("non-finite entries in H1")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
     rho_rep = _rho_report("Eq313Rho", a.rebuilt(np.abs(a.diagonal()), np.abs))
@@ -447,8 +451,8 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
     chunks = selection_chunks(blocks, simplex_selections(m, n, trials, seed))
-    if (m + 1) ** n <= vertex_budget:
-        chunks = itertools.chain(vertex_chunks(blocks), chunks)
+    with contextlib.suppress(BudgetExceeded):  # the vertices, when they fit vertex_budget
+        chunks = itertools.chain(vertex_chunks(_vertex_blocks(blocks, vertex_budget)), chunks)
     worst = 0.0
     count = 0
     for _, stack in chunks:

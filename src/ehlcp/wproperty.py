@@ -14,6 +14,12 @@ its own. The scans that need the representatives themselves (the 2-norm of
 their selections to ``selection_chunks`` the same way. The module imports only
 ``blockdata`` and ``errors``; the estimators that consume the stacks live in
 ``convergence`` and ``bounds``.
+
+Every vertex scan passes one gate, ``_vertex_blocks(blocks, budget)``: it
+raises BudgetExceeded when (m+1)^n passes the budget, before anything dense
+is built, and else returns the (m+1, n, n) dense blocks that the scan and
+``vertex_chunks`` read. ``overalpha_estimate`` and ``sample_rho_L`` take the
+vertices only when the gate lets them; the other scans let the error through.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .blockdata import DenseMatrix, all_finite, entrywise
-from .errors import BudgetExceeded, InvalidParams
+from .blockdata import DenseMatrix, entrywise
+from .errors import BudgetExceeded
 
 DET_ZERO_COEFF = 1e-10
 CHUNK_BYTES = 2 ** 20  # cap on the representatives of one chunk, in bytes
@@ -37,8 +43,18 @@ def _chunk_len(n):
     return max(1, CHUNK_BYTES // max(8 * n * n, 1))
 
 
-def vertex_chunks(blocks):
-    """(digits, stack) chunks of all (m+1)^n column representatives.
+def _vertex_blocks(blocks, budget):
+    """The (m+1, n, n) stack of the dense blocks, for a scan of all (m+1)^n
+    vertices; BudgetExceeded when their count passes budget, before anything
+    dense is built."""
+    if (blocks.m + 1) ** blocks.n > budget:
+        raise BudgetExceeded(f"(m+1)^n = {blocks.m + 1}^{blocks.n} vertices exceed "
+                             f"budget {budget}")
+    return np.stack([s.to_dense() for s in blocks.all()])
+
+
+def vertex_chunks(dense):
+    """(digits, stack) chunks of all (m+1)^n column representatives of dense blocks.
 
     digits is a (k, n) block of assignments in mixed-radix counter order
     (coordinate 0 fastest; counters are int64, so they stay below 2**63) and
@@ -47,8 +63,8 @@ def vertex_chunks(blocks):
     blocks, so each stack[i] is a Fortran-ordered view: a sum along its axes
     may round differently from the same sum on a C-ordered copy.
     """
-    n, base = blocks.n, blocks.m + 1
-    cols = np.stack([s.to_dense().T for s in blocks.all()])  # cols[c, j]: column j of block c
+    base, n = dense.shape[:2]
+    cols = np.ascontiguousarray(dense.transpose(0, 2, 1))  # cols[c, j]: column j of block c
     idx = np.arange(n)
     total = base ** n
     step = _chunk_len(n)
@@ -90,23 +106,6 @@ class WPropertyReport:
     determinant_sign_range: tuple  # (min sign, max sign) over checked assignments
     witness: Optional[tuple]  # assignment with zero or opposite-sign determinant
     representatives_checked: int
-
-
-def _dense_blocks(blocks):
-    """(m+1, n, n) stack of the dense blocks, after checking them.
-
-    A NaN or infinite entry makes every determinant test false, which would
-    read as a sign and certify nothing, so the exhaustive scans refuse it,
-    and blocks of order 0, with InvalidParams before they enumerate. The
-    entries are checked on each store's own data; the scans call this after
-    their budget check, so a refused count never builds the dense blocks.
-    """
-    if blocks.n < 1:
-        raise InvalidParams("blocks of order 0 have no representatives")
-    for k, store in enumerate(blocks.all()):
-        if not all_finite(store):
-            raise InvalidParams(f"non-finite entries in {'M' if k == 0 else f'H{k}'}")
-    return np.stack([s.to_dense() for s in blocks.all()])
 
 
 def _counter_order(a, base, depth):
@@ -192,15 +191,10 @@ def has_column_w_property(blocks, budget=2 ** 20):
     property asks for a strict sign, so floating point needs the explicit
     band. The scan stops at the first zero or opposite sign in counter order
     (``vertex_chunks``' order, coordinate 0 fastest), which is the witness.
-    Blocks of order 0 or with non-finite entries raise InvalidParams.
+    Above the budget, ``bounds.falsify_random`` can still falsify.
     """
     n, m = blocks.n, blocks.m
-    total = (m + 1) ** n
-    if total > budget:
-        raise BudgetExceeded(
-            f"(m+1)^n = {m + 1}^{n} representatives exceed budget {budget}; "
-            "use falsify_random")
-    cols = _dense_blocks(blocks)  # cols[c, :, j]: column j of block c
+    cols = _vertex_blocks(blocks, budget)  # cols[c, :, j]: column j of block c
     # [c, j]: 2-norm of column j of block c, by hypot so that it neither
     # underflows nor overflows where a sum of squares would: the test is then
     # the same for the blocks scaled by any power of two.

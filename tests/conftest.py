@@ -13,8 +13,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
-                   EhlcpProblem, identity_matrix)
+from ehlcp import (BandMatrix, BlockMatrixSet, BoundLadder, DenseMatrix,
+                   Ehlcp2Problem, EhlcpProblem, identity_matrix)
 
 
 def dominant_block(rng, n, base, diag_jitter=0.01, off_scale=0.03):
@@ -83,6 +83,16 @@ def example52_bound42_constant(n):
     for ci, di in zip(reversed(c[:-1]), reversed(d[:-1])):
         z.append(di - ci * z[-1])
     return max(z)
+
+
+def row_scaled(store, s):
+    """The store with row i scaled by s[i], in its own layout: a dense
+    store's rows, or a band store's diagonals, where A[j - o, j] takes
+    s[j - o] = roll(s, o)[j] and wrapped entries meet zeros."""
+    if isinstance(store, DenseMatrix):
+        return DenseMatrix(store.data * np.asarray(s)[:, None])
+    return BandMatrix(store.offsets, store.data * np.reshape(
+        [np.roll(s, o) for o in store.offsets], (-1, store.n)))
 
 
 def counter_order(n, m):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import row_scaled
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
-                   BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem, SingularM,
-                   TridiagonalMatrix, gen_example52, gen_example55, identity_matrix,
-                   prefix_sums, problem_from_json, problem_to_json, recover_solution,
-                   validate)
+                   BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem,
+                   InvalidParams, SingularM, TridiagonalMatrix, gen_example52,
+                   gen_example55, identity_matrix, prefix_sums, problem_from_json,
+                   problem_to_json, recover_solution, validate)
 from ehlcp.blockdata import (abs_colsums, all_finite, is_identity, is_symmetric,
                              matrix_from_json, matrix_to_json)
 from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
@@ -55,7 +56,7 @@ def test_entrywise_transforms_match_dense(rng):
         assert np.allclose(store.abs_rowsums(), np.abs(dense).sum(axis=1))
         assert np.allclose(abs_colsums(store), np.abs(dense).sum(axis=0))
         s = rng.uniform(0.5, 2.0, store.n)
-        assert np.allclose(store.row_scaled(s).to_dense(), dense * s[:, None])
+        assert np.allclose(row_scaled(store, s).to_dense(), dense * s[:, None])
 
 
 @st.composite
@@ -112,7 +113,7 @@ def test_rebuilt_and_to_dense_match_dense_arithmetic(drawn, c, seed):
 
 
 CONTRACT = {"matvec", "rmatvec", "to_dense", "diagonal", "diagonals", "rebuilt",
-            "row_scaled", "abs_rowsums"}
+            "abs_rowsums"}
 
 
 @pytest.mark.parametrize("cls", [DenseMatrix, BandMatrix])
@@ -320,9 +321,10 @@ def test_validate_flags_nonpositive_ladder():
 
 
 def test_validate_flags_order_zero():
+    # a block set refuses order 0 when it is built, so validate never meets it
     empty = DenseMatrix(np.zeros((0, 0)))
-    p = EhlcpProblem(BlockMatrixSet(empty, (empty,)), np.zeros(0), BoundLadder((), 0))
-    assert validate(p).issues == ["order n must be >= 1"]
+    with pytest.raises(InvalidParams, match="^order n must be >= 1"):
+        BlockMatrixSet(empty, (empty,))
 
 
 def test_validate_flags_dimension_mismatch():
@@ -344,11 +346,8 @@ def test_validate_flags_dimension_mismatch():
 def test_validate_flags_nonfinite():
     n = 2
     bad = DenseMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    blocks = BlockMatrixSet(bad, (identity_matrix(n),))
-    p = EhlcpProblem(blocks, np.zeros(n), BoundLadder((), n))
-    report = validate(p)
-    assert not report.ok
-    assert any("non-finite" in msg for msg in report.issues)
+    with pytest.raises(InvalidParams, match="^non-finite entries in M$"):
+        BlockMatrixSet(bad, (identity_matrix(n),))
     p = _well_formed(n)
     p = EhlcpProblem(p.blocks, np.array([np.inf, 0.0]),
                      BoundLadder((np.array([1.0, np.nan]),), n))
@@ -510,6 +509,8 @@ EYE_JSON = {"dense": [[1.0, 0.0], [0.0, 1.0]]}
      "block 1 has order 2, expected 3"),
     (lambda: Ehlcp2Problem(T3, np.zeros(3), np.array([1.0, 0.0, 1.0])), ValueError,
      "b must be strictly positive"),
+    (lambda: Ehlcp2Problem(TridiagonalMatrix.constant(3, -1.0, np.nan, -1.0), np.zeros(3),
+                           np.ones(3)), InvalidParams, "^non-finite entries in H1$"),
     (lambda: matrix_to_json(BandMatrix((0, 2), np.ones((2, 4)))), TypeError,
      "no JSON spelling for the band layout"),
     (lambda: matrix_from_json({"sparse": []}, 2), ValueError,
@@ -522,7 +523,7 @@ EYE_JSON = {"dense": [[1.0, 0.0], [0.0, 1.0]]}
      "n = 1000000000000, but M has order 1"),
 ], ids=["vector-2d", "vector-length", "dense-not-square", "band-shape",
         "block-order-zero", "block-order-mismatch", "no-trailing-block",
-        "block-order-differs", "b-not-positive", "band-json", "json-layout",
+        "block-order-differs", "b-not-positive", "h1-non-finite", "band-json", "json-layout",
         "json-block-count", "json-n-not-m-order"])
 def test_malformed_stores_and_problems_raise_typed_errors(build, error, message):
     with pytest.raises(error, match=message):

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import counter_order, example52_bound42_constant, random_dominant_problem
+from conftest import (counter_order, example52_bound42_constant, random_dominant_problem,
+                      row_scaled)
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    NonpositiveDiagonal, NormMismatch, SingularSelection,
                    bound42, bound43, comparison_matrix, gen_example51,
@@ -394,7 +395,7 @@ def split_chain_x(blocks):
     rows, then the entrywise max of the absolute values."""
     split = split_diagonal(blocks)
     x = entrywise(lambda a: np.maximum.reduce(np.abs(a)),
-                  [c.row_scaled(1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
+                  [row_scaled(c, 1.0 / lam) for lam, c in zip(split.Lambda, split.C)])
     return x, np.maximum.reduce([1.0 / lam for lam in split.Lambda])
 
 

@@ -602,3 +602,19 @@ def test_malformed_prescribed_y_exit_code(tmp_path, capsys, y, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot parse problem file: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["checkw"], ["solve", "--method", "fp31"],
+                                     ["bounds", "--probe-pattern=-0.1,0.1"]],
+                         ids=["checkw", "solve", "bounds"])
+def test_non_finite_block_file_exit_code(tmp_path, capsys, command):
+    problem = tmp_path / "p.json"
+    run_cli(["gen", "--example", "5.2", "--n", "6", "--out", str(problem)])
+    obj = json.loads(problem.read_text())
+    obj["H"][0]["tridiag"]["diag"] = [4.0] * 5 + [float("nan")]
+    problem.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli(command + [str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot parse problem file: non-finite entries in H1\n"
+    assert captured.out == ""

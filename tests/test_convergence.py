@@ -118,6 +118,15 @@ def test_check_thm34_rejects_bad_omega(omega):
         check_thm34(DENSE_P_MATRIX, omega)
 
 
+def test_check_thm34_refuses_a_non_finite_h1():
+    # H1 is a raw store here, not a block set: numpy's LinAlgError came out of
+    # the 2-norm on this one
+    for h1 in (DenseMatrix([[4.0, np.nan], [1.0, 4.0]]),
+               TridiagonalMatrix.constant(3, -1.0, 4.0, np.inf)):
+        with pytest.raises(InvalidParams, match="^non-finite entries in H1$"):
+            check_thm34(h1, 4.0)
+
+
 def test_check_thm34_identity_scaling():
     res = check_thm34(DenseMatrix(3.0 * np.eye(4)), 3.0)
     assert res.rho.value == pytest.approx(0.0, abs=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
                    EhlcpProblem, gen_example52, gen_example53, has_column_w_property,
                    identity_matrix, oracle_alpha_constants, oracle_solve,
-                   underalpha_exact)
+                   overalpha_estimate, sample_rho_L, underalpha_exact)
 from ehlcp.blockdata import BandMatrix, EhlcpSolution
 from ehlcp.transform import recover_solution
 
@@ -92,6 +92,24 @@ def test_budget_messages_name_the_count_at_paper_size():
     for call in calls:
         with pytest.raises(BudgetExceeded, match=r"\(m\+1\)\^n = 3\^10000 "):
             call()
+
+
+def test_budget_admits_exactly_the_vertex_count():
+    # (m+1)^n = 3^4 = 81 vertices: a budget of 81 runs them, one of 80 does not
+    problem = gen_example52(4).problem.as_general()
+    blocks, total = problem.blocks, 3 ** 4
+    calls = [lambda budget: has_column_w_property(blocks, budget=budget),
+             lambda budget: oracle_solve(problem, budget=budget),
+             lambda budget: underalpha_exact(blocks, "inf", budget=budget)]
+    for call in calls:
+        call(total)
+        with pytest.raises(BudgetExceeded,
+                           match=r"^\(m\+1\)\^n = 3\^4 vertices exceed budget 80$"):
+            call(total - 1)
+    # the sampled scans count the vertices exactly when they fit the budget
+    for budget, count in ((total, total + 5), (total - 1, 5)):
+        assert overalpha_estimate(blocks, samples=5, vertex_budget=budget).count == count
+        assert sample_rho_L(blocks, trials=5, vertex_budget=budget).samples_used == count
 
 
 def test_budget_is_refused_before_any_dense_block_is_built(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
-from conftest import random_dominant_problem
+from conftest import random_dominant_problem, row_scaled
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, Ehlcp2Problem,
                    EhlcpProblem, InvalidParams, IterationConfig,
                    LinearOperatorFactor, SingularM, gen_example51,
@@ -65,14 +65,14 @@ def test_check_info_raises_on_an_illegal_argument():
 
 def test_order_zero_store_raises_typed_error_without_lapack_output(capfd):
     # LAPACK's getrf prints to stderr on an order-0 argument: the check must
-    # come first, in both layouts and through a solver
+    # come first, in both layouts, and a solver's problem of order 0 is
+    # refused when its block set is built
     for store in (DenseMatrix(np.zeros((0, 0))), BandMatrix((0,), np.zeros((1, 0)))):
         with pytest.raises(InvalidParams):
             LinearOperatorFactor(store)
     empty = DenseMatrix(np.zeros((0, 0)))
-    problem = EhlcpProblem(BlockMatrixSet(empty, (empty,)), np.zeros(0), BoundLadder((), 0))
-    with pytest.raises(InvalidParams):
-        method31(problem)
+    with pytest.raises(InvalidParams, match="^order n must be >= 1"):
+        BlockMatrixSet(empty, (empty,))
     assert capfd.readouterr().err == ""
 
 
@@ -107,7 +107,7 @@ def _i_minus_x(blocks):
     """bound42's I - X: X is the entrywise max of Lambda_i^{-1} |C_i|."""
     split = split_diagonal(blocks)
     x = entrywise(np.maximum.reduce,
-                  [s.rebuilt(np.zeros(blocks.n), np.abs).row_scaled(1.0 / lam)
+                  [row_scaled(s.rebuilt(np.zeros(blocks.n), np.abs), 1.0 / lam)
                    for lam, s in zip(split.Lambda, blocks.all())])
     return x.rebuilt(1.0 - x.diagonal(), np.negative)
 

@@ -146,6 +146,15 @@ MUTANTS = [
            "_counter_order(np.arange(step), base, shared)[::-1].tolist()",
            "_counter_order(np.arange(step), base, shared).tolist()",
            ("tests/test_vertex_scans.py::test_groups_finish_lowest_counters_first",)),
+    Mutant("block-finiteness-unchecked", "blockdata.py",
+           "not all_finite(store)",
+           "False",
+           ("tests/test_wproperty.py::test_non_finite_blocks_are_refused_before_any_enumeration",
+            "tests/test_cli.py::test_non_finite_block_file_exit_code")),
+    Mutant("vertex-gate-refuses-its-budget", "wproperty.py",
+           "(blocks.m + 1) ** blocks.n > budget",
+           "(blocks.m + 1) ** blocks.n >= budget",
+           ("tests/test_oracle.py::test_budget_admits_exactly_the_vertex_count",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
