@@ -562,7 +562,7 @@ def problem_from_json(obj):
 
     An n other than M's order is refused before H or the ladder is sized by it.
     w* and x* are recover_solution(y*, ladder), so a file's "w" and "x" go unread.
-    A non-finite y* is refused as a ValueError, as ``validate`` flags q and d.
+    A non-finite y* raises InvalidParams, as a non-finite block does.
     """
     n = int(obj["n"])
     m = int(obj["m"])
@@ -579,6 +579,6 @@ def problem_from_json(obj):
     if prescribed is not None:
         y_star = _as_vector(prescribed["y"], n, "prescribed y")
         if not np.isfinite(y_star).all():
-            raise ValueError("non-finite entries in prescribed y")
+            raise InvalidParams("non-finite entries in prescribed y")
         prescribed = {"y": y_star}
     return problem, prescribed

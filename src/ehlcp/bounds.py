@@ -60,6 +60,7 @@ def split_diagonal(blocks):
                       [store.rebuilt(np.zeros(store.n), np.negative) for store in blocks.all()])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _x_and_d_max(blocks):
     """bound42's X = max_i Lambda_i^{-1}|C_i| and d_max = max_i Lambda_i^{-1},
     in one pass over the blocks.

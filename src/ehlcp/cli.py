@@ -41,12 +41,14 @@ def _fail(code, message):
 
 
 def _read_json(path, what, parse):
-    """parse(the JSON value in path), failing with exit 2 on a read or parse error."""
+    """parse(the JSON value in path), failing with exit 2 on a read, parse or value error."""
     try:
         with open(path) as fh:
             return parse(json.load(fh))
     except OSError as exc:
         _fail(EXIT_VALIDATION, f"cannot read {what} file: {exc}")
+    except EhlcpError as exc:  # an InvalidParams is also a ValueError
+        _fail(EXIT_VALIDATION, f"invalid {what}: {exc}")
     # JSONDecodeError is a ValueError; int() of a size read as inf overflows
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         _fail(EXIT_VALIDATION, f"cannot parse {what} file: {exc}")

@@ -54,7 +54,6 @@ EIGVALS_FIRST_ORDER = 128
 # n = 400-10,000 (see CHANGES.md).
 NEUMANN_BREAK_EVEN = 8
 UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u of round to nearest
-_REPEAT_TEST_EVERY = 4  # Neumann steps per comparison of consecutive iterates
 
 
 def _up(a):
@@ -108,20 +107,16 @@ def _neumann_steps(x, transposed):
 
 
 def _neumann_sum(rhs, apply_x, steps):
-    """v <- rhs + X v from v = rhs, until an iterate repeats or steps run out.
+    """v <- rhs + X v, steps times from v = rhs.
 
     rhs is added in place into the fresh product X v (IEEE + commutes bit for
-    bit), and the repeat test runs every ``_REPEAT_TEST_EVERY`` steps only:
-    once v repeats it never changes again, so v keeps the bits that a test
-    at every step returns.
+    bit). An iterate that repeats maps to itself, so v has the bits of a sum
+    that stops at the first repeat.
     """
     v = rhs
-    for step in range(1, steps + 1):
-        v_next = apply_x(v)
-        v_next += rhs
-        if step % _REPEAT_TEST_EVERY == 0 and np.array_equal(v_next, v):
-            break
-        v = v_next
+    for _ in range(steps):
+        v = apply_x(v)
+        v += rhs
     return v
 
 
@@ -203,15 +198,12 @@ def _rho_report(tag, x):
     """Decide rho(X) < 1 for a store X >= 0 on ``enclose_resolvent`` with
     right-hand side e: satisfied exactly when it certifies.
 
-    The value is the ``eigvals`` radius at order EIGVALS_FIRST_ORDER or below
-    and the certified theta_up above it. Above it, where the enclosure fails,
-    the value comes from ``spectral_radius_nonneg`` and is certifying only
-    when its bracket closed.
+    The value is the certified theta_up above order EIGVALS_FIRST_ORDER and
+    otherwise ``spectral_radius_nonneg``'s, certifying only when its bracket
+    closed, as the ``eigvals`` radius at that order or below always is.
     """
     cert = enclose_resolvent(x, np.ones(x.n), False)
-    if x.n <= EIGVALS_FIRST_ORDER:
-        value, certifying = spectral_radius_nonneg(x).value, True
-    elif cert is not None:
+    if cert is not None and x.n > EIGVALS_FIRST_ORDER:
         value, certifying = cert[2][1], True
     else:
         est = spectral_radius_nonneg(x)
@@ -237,11 +229,14 @@ def spectral_radius_nonneg(store):
     smallest and largest row sums, ``_widened`` for their rounding as
     ``_enclose`` widens its ratios, so lower <= rho(X) <= upper. The value is
     the upper end, and ``converged`` is True only when the bracket closes:
-    every computed row sum is the same.
+    every computed row sum is the same. A NaN or infinite row sum (from such an
+    entry, or an overflow) gives the unclosed bracket (0, inf), value inf.
     """
     if np.any(store.data < 0):
         raise ValueError("operator is not entrywise nonnegative")
     sums = store.matvec(np.ones(store.n))
+    if not np.isfinite(sums).all():
+        return SpectralRadiusEstimate(np.inf, 0.0, np.inf, 1, False, "rowsums")
     if np.max(sums) == 0.0:
         return SpectralRadiusEstimate(0.0, 0.0, 0.0, 1, True, "zero")
     if store.n <= EIGVALS_FIRST_ORDER:
@@ -412,11 +407,11 @@ def check_thm34(H1, omega):
     condition is decided by ``enclose_resolvent`` (``_rho_report``), the
     norms 1 and inf on their ``_norm_ends`` upper ends. The 2-norm is exact,
     and None above order DENSE_EIG_MAX_ORDER; its condition is decided on the
-    computed norm and is not rounding-safe. A bad omega or a non-finite
-    entry in H1 raises InvalidParams.
+    computed norm and is not rounding-safe. An omega without a finite positive
+    reciprocal, or a non-finite entry in H1, raises InvalidParams.
     """
-    if not 0.0 < omega < np.inf:
-        raise InvalidParams("omega must be finite and positive")
+    if not 0.0 < omega < np.inf or math.isinf(1.0 / float(omega)):
+        raise InvalidParams("omega must be finite and positive, with a finite reciprocal")
     if not all_finite(H1):
         raise InvalidParams("non-finite entries in H1")
     c = 1.0 / omega
@@ -448,6 +443,8 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
     factorization a chunk at a time.
     """
     n, m = blocks.n, blocks.m
+    if n > DENSE_LIMIT:
+        raise InvalidParams(f"check requires dense work, n <= {DENSE_LIMIT}")
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
     chunks = selection_chunks(blocks, simplex_selections(m, n, trials, seed))

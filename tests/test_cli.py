@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -586,10 +587,10 @@ def test_prescribed_is_y_alone_and_recovers_the_solution(tmp_path, capsys, examp
 
 
 @pytest.mark.parametrize("y, message", [
-    ([0.1, 0.2, 0.3], "prescribed y must have length 6, got 3"),
-    ([[1.0]], "prescribed y must be 1-D, got shape (1, 1)"),
-    ([float("nan")] + [0.1] * 5, "non-finite entries in prescribed y"),
-    ([0.1] * 5 + [float("inf")], "non-finite entries in prescribed y"),
+    ([0.1, 0.2, 0.3], "cannot parse problem file: prescribed y must have length 6, got 3"),
+    ([[1.0]], "cannot parse problem file: prescribed y must be 1-D, got shape (1, 1)"),
+    ([float("nan")] + [0.1] * 5, "invalid problem: non-finite entries in prescribed y"),
+    ([0.1] * 5 + [float("inf")], "invalid problem: non-finite entries in prescribed y"),
 ], ids=["short", "nested", "nan", "inf"])
 def test_malformed_prescribed_y_exit_code(tmp_path, capsys, y, message):
     problem = tmp_path / "p.json"
@@ -600,8 +601,25 @@ def test_malformed_prescribed_y_exit_code(tmp_path, capsys, y, message):
     capsys.readouterr()
     assert run_cli(["bounds", "--probe-pattern=-0.1,0.1", str(problem)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: cannot parse problem file: {message}\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_bounds_where_a_reciprocal_overflows_exits_zero_without_warnings(tmp_path, capsys):
+    # 1 / 1e-320 overflows in bound42's X: numpy's LinAlgError ended this run
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "n": 2, "m": 1, "M": {"dense": [[1e-320, 0.5], [0.25, 1.0]]},
+        "H": [{"dense": [[1.0, 0.0], [0.0, 1.0]]}], "q": [1.0, 1.0], "d": [],
+        "prescribed": {"y": [0.0, 0.0]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["bounds", "--probe-pattern=0.1,0.1", str(problem)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(captured.out.splitlines()))
+    assert [(row[0], row[3], row[5]) for row in rows[1:]] == [("1", "inf", "False"),
+                                                              ("inf", "inf", "False")]
 
 
 @pytest.mark.parametrize("command", [["checkw"], ["solve", "--method", "fp31"],
@@ -616,5 +634,5 @@ def test_non_finite_block_file_exit_code(tmp_path, capsys, command):
     capsys.readouterr()
     assert run_cli(command + [str(problem)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: cannot parse problem file: non-finite entries in H1\n"
+    assert captured.err == "error: invalid problem: non-finite entries in H1\n"
     assert captured.out == ""

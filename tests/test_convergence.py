@@ -9,9 +9,10 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
                    check_cor31, check_thm34, gen_example51, gen_example52,
                    gen_example55, identity_matrix, sample_rho_L, suggest_omega)
 from ehlcp import convergence
-from ehlcp.blockdata import TridiagonalMatrix
-from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, EIGVALS_FIRST_ORDER, induced_norm,
-                               inverse_norm, spectral_radius_nonneg, two_norm_estimate)
+from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
+from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
+                               induced_norm, inverse_norm, spectral_radius_nonneg,
+                               two_norm_estimate)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -39,6 +40,22 @@ def test_spectral_radius_rejects_a_negative_entry():
                   DenseMatrix([[1.0, -0.5], [0.0, 1.0]])):
         with pytest.raises(ValueError, match="not entrywise nonnegative"):
             spectral_radius_nonneg(store)
+
+
+def test_spectral_radius_of_a_non_finite_row_sum_is_an_unclosed_bracket(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigvals ran")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    n = EIGVALS_FIRST_ORDER + 2
+    stores = (DenseMatrix([[np.nan, 0.5], [0.25, 0.5]]), DenseMatrix([[0.5, np.inf], [0.25, 0.5]]),
+              TridiagonalMatrix.constant(n, 0.5, np.inf, 0.25),
+              TridiagonalMatrix.constant(n, 1e308, 1e308, 1e308))  # the sums overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for store in stores:
+            est = spectral_radius_nonneg(store)
+            assert (est.value, est.lower, est.upper, est.converged) == (np.inf, 0.0, np.inf, False)
 
 
 def test_spectral_radius_two_cyclic_takes_eigvals():
@@ -116,6 +133,16 @@ def test_check_cor31_dense_size_guard_raises_invalid_params(monkeypatch):
 def test_check_thm34_rejects_bad_omega(omega):
     with pytest.raises(InvalidParams, match="omega"):
         check_thm34(DENSE_P_MATRIX, omega)
+
+
+@pytest.mark.parametrize("omega", [1e-320, np.float64(1e-320)], ids=["float", "float64"])
+def test_check_thm34_refuses_an_omega_whose_reciprocal_overflows(omega):
+    # X = |H1 / omega - I| held inf, and eigvals and the 2-norm SVD raised
+    # numpy's LinAlgError on it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match="^omega must be finite and positive"):
+            check_thm34(TridiagonalMatrix.constant(10, 1.0, 4.0, -2.0), omega)
 
 
 def test_check_thm34_refuses_a_non_finite_h1():
@@ -284,6 +311,18 @@ def test_suggest_omega_rules():
     assert sug.rule == "positive-diagonal"
     with pytest.raises(NoRuleApplies):
         suggest_omega(DenseMatrix(np.array([[-1.0, 2.0], [0.0, 1.0]])))
+
+
+def test_dense_checks_refuse_paper_sizes_before_building_a_dense_store(monkeypatch):
+    blocks = gen_example51(65, 4, 4).problem.blocks  # n = 4,225 > DENSE_LIMIT
+
+    def refuse(store):
+        raise AssertionError(f"dense copy of a store of order {store.n}")
+
+    monkeypatch.setattr(BandMatrix, "to_dense", refuse)
+    for check in (check_cor31, sample_rho_L):
+        with pytest.raises(InvalidParams, match=f"^check requires dense work, n <= {DENSE_LIMIT}$"):
+            check(blocks)
 
 
 def test_sample_rho_L_trivial_and_seeded():

@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module, no module
-imports inside a function body, and every function defined inside a function
-is read there.
+imports inside a function body, every function defined inside a function
+is read there, and every private top-level name and upper-case module
+constant is read somewhere in the package.
 
 No linter ships with the project's dependencies, so this walks the syntax
-tree with the standard library. ``__init__.py`` is skipped: its imports are
-the public re-exports.
+tree with the standard library. ``__init__.py`` is skipped by the per-module
+checks: its imports are the public re-exports, which count as reads in the
+package-wide one.
 """
 
 import ast
@@ -58,6 +60,35 @@ def function_local_imports(source):
     return sorted(found)
 
 
+def unread_module_names(sources):
+    """Private top-level names and upper-case module constants that no source
+    reads (by name, as an attribute or in a from-import), as (module, line,
+    name); sources maps a module name to its source."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            found.update((module, node.lineno, name) for name in bound if name not in read
+                         and (name.isupper() or name.startswith("_") and not name.startswith("__")))
+    return sorted(found)
+
+
 def test_unused_imports_detects_an_unused_name():
     source = ("from __future__ import annotations\n"
               "import math\nimport numpy as np\nfrom os import path, sep\n"
@@ -89,6 +120,21 @@ def test_unused_nested_functions_detects_a_dead_helper():
               "def top():\n    return 0\n")
     assert unused_nested_functions(source) == [(2, "rho_of"), (5, "inner"),
                                                (8, "fetch")]
+
+
+def test_unread_module_names_detects_a_leftover_constant_and_helper():
+    sources = {"a": ("LIMIT = 4\n_EVERY = 4\n_A, (B, _c) = 1, (2, 3)\nlower = 1\n"
+                     "def _helper():\n    return LIMIT\n"
+                     "def _unused():\n    return _c\nclass _Spare:\n    pass\n"
+                     "__version__ = '1'\n"),
+               "b": "from .a import _helper\nimport a\nprint(a._A, _helper())\n"}
+    assert unread_module_names(sources) == [("a", 2, "_EVERY"), ("a", 3, "B"),
+                                            ("a", 7, "_unused"), ("a", 9, "_Spare")]
+
+
+def test_private_names_and_constants_are_read_in_the_package():
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unread_module_names(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -67,9 +67,9 @@ MUTANTS = [
            "part = values[cols] * s[rows]",
            "part = values[cols] * s[cols]",
            ("tests/test_bounds.py::test_one_pass_x_has_the_split_chain_bits",)),
-    Mutant("neumann-returns-unchecked", "convergence.py",
-           "step % _REPEAT_TEST_EVERY == 0 and np.array_equal(v_next, v)",
-           "step % _REPEAT_TEST_EVERY == 0",
+    Mutant("neumann-one-step-short", "convergence.py",
+           "range(steps)",
+           "range(steps - 1)",
            ("tests/test_bounds.py::test_neumann_sum_has_the_bits_of_a_test_at_every_step",)),
     Mutant("bracket-term-ends-unordered", "solvers.py",
            "lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)",
