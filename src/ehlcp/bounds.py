@@ -60,7 +60,6 @@ def split_diagonal(blocks):
                       [store.rebuilt(np.zeros(store.n), np.negative) for store in blocks.all()])
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _x_and_d_max(blocks):
     """bound42's X = max_i Lambda_i^{-1}|C_i| and d_max = max_i Lambda_i^{-1},
     in one pass over the blocks.
@@ -116,6 +115,7 @@ class BoundReport:
     condition_bracket: Optional[tuple] = None  # (lower, upper) bound on rho
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bound42(blocks, norm_tag="inf"):
     """Constant of the positive-diagonal bound, with its spectral condition.
 
@@ -141,7 +141,7 @@ def bound42(blocks, norm_tag="inf"):
     except for a dense X at order ``EIGVALS_FIRST_ORDER`` or below, where it
     is the spectral radius from ``spectral_radius_nonneg``. On an uncertified
     instance both come from ``spectral_radius_nonneg``: its value and its
-    (lower, upper) bracket.
+    (lower, upper) bracket; the constant is then inf, no bound, at every order.
     """
     if norm_tag not in ("1", "inf"):
         raise ValueError("bound supports norm tags '1' and 'inf'")
@@ -159,18 +159,8 @@ def bound42(blocks, norm_tag="inf"):
                  else bracket[1])
         return BoundReport("Thm42Eta", _scaled_up(top, eps), norm_tag, True, value,
                            bracket)
-    # Condition violated: report the true norm when feasible (inf when I - X
-    # is singular or its inverse overflows), flag it.
-    est = spectral_radius_nonneg(x)
-    if n <= DENSE_LIMIT:
-        i_minus_x = x.rebuilt(1.0 - x.diagonal(), np.negative)
-        inv, bad = _stack_inverses(i_minus_x.to_dense()[None])
-        constant = (float("inf") if bad is not None else
-                    float(np.linalg.norm(inv[0] * d_max[None, :], NORM_ORD[norm_tag])))
-    else:
-        constant = float("nan")
-    return BoundReport("Thm42Eta", constant, norm_tag, False, est.value,
-                       (est.lower, est.upper))
+    est = spectral_radius_nonneg(x)  # not certified: no bound
+    return BoundReport("Thm42Eta", np.inf, norm_tag, False, est.value, (est.lower, est.upper))
 
 
 def bound43(blocks):
@@ -196,12 +186,17 @@ def bound43(blocks):
                        all(flag for flag, _ in columns) and same_sign, min_margin)
 
 
+def _error_bound(constant, r_norm):
+    """constant * ||r||, and inf for an infinite constant (no bound), even at r = 0."""
+    return np.inf if np.isinf(constant) else constant * r_norm
+
+
 def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,
                             norm_tag="inf"):
     """Two-sided error interval (||r||/alpha_low, alpha_up * ||r||) at y.
 
-    BoundReport / AlphaEstimate arguments must carry the requested norm tag;
-    bare floats are trusted as-is.
+    BoundReport / AlphaEstimate arguments must carry the requested norm tag; bare
+    floats are trusted as-is. An infinite alpha_up (no bound) gives inf, even at r = 0.
     """
     up_tag = getattr(alpha_upper, "norm_tag", None)
     lo_tag = getattr(alpha_lower_den, "norm_tag", None)
@@ -214,7 +209,7 @@ def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,
         up = getattr(alpha_upper, "value", alpha_upper)
     lo = getattr(alpha_lower_den, "value", alpha_lower_den)
     r_norm = pls_residual(problem, y).norms[norm_tag]
-    return (r_norm / float(lo), float(up) * r_norm)
+    return (r_norm / float(lo), _error_bound(float(up), r_norm))
 
 
 @dataclass

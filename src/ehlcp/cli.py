@@ -210,8 +210,8 @@ def _y_star(args, problem, prescribed):
 
 def _bound_rows(problem, y, y_star, tags):
     """Per norm tag, the residual error bounds at probe y: (true error, ||r||,
-    eta = bound42 constant * ||r||, tau = bound43 constant * ||r||, bound42's
-    condition flag, bound43's condition flag)."""
+    eta = bound42 constant * ||r||, tau = bound43 constant * ||r||, each inf where
+    its constant is, bound42's condition flag, bound43's condition flag)."""
     rep = pls_residual(problem, y)
     b43 = bounds_mod.bound43(problem.blocks)
     rows = []
@@ -219,7 +219,7 @@ def _bound_rows(problem, y, y_star, tags):
         b42 = bounds_mod.bound42(problem.blocks, tag)
         r = rep.norms[tag]
         rows.append((float(np.linalg.norm(y - y_star, NORM_ORD[tag])), r,
-                     b42.constant * r, b43.constant * r,
+                     *(bounds_mod._error_bound(b.constant, r) for b in (b42, b43)),
                      b42.condition_satisfied, b43.condition_satisfied))
     return rows
 

@@ -221,6 +221,7 @@ class SpectralRadiusEstimate:
     method: str  # dense | rowsums | zero
 
 
+@np.errstate(over="ignore")
 def spectral_radius_nonneg(store):
     """Spectral radius of a store X >= 0; ValueError on a negative entry.
 
@@ -358,6 +359,7 @@ class Cor31Result:
     winner: Optional[str]
 
 
+@np.errstate(over="ignore")
 def check_cor31(blocks, norm_tag="inf"):
     """Both computable convergence conditions for the general fixed-point method.
 
@@ -399,6 +401,7 @@ class Thm34Result:
                                          for r in self.norms.values())
 
 
+@np.errstate(over="ignore")
 def check_thm34(H1, omega):
     """Spectral-radius and norm conditions for the scaled m=2 iteration.
 
@@ -408,7 +411,7 @@ def check_thm34(H1, omega):
     norms 1 and inf on their ``_norm_ends`` upper ends. The 2-norm is exact,
     and None above order DENSE_EIG_MAX_ORDER; its condition is decided on the
     computed norm and is not rounding-safe. An omega without a finite positive
-    reciprocal, or a non-finite entry in H1, raises InvalidParams.
+    reciprocal, or a non-finite entry in H1 or omega^{-1} H1, raises InvalidParams.
     """
     if not 0.0 < omega < np.inf or math.isinf(1.0 / float(omega)):
         raise InvalidParams("omega must be finite and positive, with a finite reciprocal")
@@ -416,6 +419,8 @@ def check_thm34(H1, omega):
         raise InvalidParams("non-finite entries in H1")
     c = 1.0 / omega
     a = H1.rebuilt(c * H1.diagonal() - 1.0, lambda d: c * d)
+    if not all_finite(a):
+        raise InvalidParams("omega^{-1} H1 overflows")
     rho_rep = _rho_report("Eq313Rho", a.rebuilt(np.abs(a.diagonal()), np.abs))
     norms = {tag: _report("Eq314Norm", *_norm_ends(a, tag)) for tag in ("1", "inf")}
     norms["2"] = (_report("Eq314Norm", *_norm_ends(a, "2"))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BoundLadder, DenseMatrix,
-                   Ehlcp2Problem, EhlcpProblem, identity_matrix)
+                   Ehlcp2Problem, EhlcpProblem, TridiagonalMatrix, identity_matrix)
 
 
 def dominant_block(rng, n, base, diag_jitter=0.01, off_scale=0.03):
@@ -33,6 +33,18 @@ def dominant_block(rng, n, base, diag_jitter=0.01, off_scale=0.03):
     a *= off_scale * base.min() / sums
     np.fill_diagonal(a, diag)
     return DenseMatrix(a)
+
+
+def two_solution_problem(layout):
+    """M = [[1, 2], [2, 1]], H1 = I, q = (3, 3), m = 1, in the dense or the
+    tridiagonal layout: three solutions, (-1, -1), (3, -3) and (-3, 3), and
+    bound42's X = [[0, 2], [2, 0]] with rho(X) = 2, so no error bound holds."""
+    if layout == "dense":
+        blocks = BlockMatrixSet(DenseMatrix([[1.0, 2.0], [2.0, 1.0]]), (DenseMatrix(np.eye(2)),))
+    else:
+        blocks = BlockMatrixSet(TridiagonalMatrix.constant(2, 2.0, 1.0, 2.0),
+                                (TridiagonalMatrix.constant(2, 0.0, 1.0, 0.0),))
+    return EhlcpProblem(blocks, np.array([3.0, 3.0]), BoundLadder((), 2))
 
 
 def random_dominant_problem(seed):

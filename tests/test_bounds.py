@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import (counter_order, example52_bound42_constant, random_dominant_problem,
-                      row_scaled)
+                      row_scaled, two_solution_problem)
 from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    NonpositiveDiagonal, NormMismatch, SingularSelection,
                    bound42, bound43, comparison_matrix, gen_example51,
                    gen_example52, gen_example53, identity_matrix,
-                   overalpha_estimate, pls_residual, residual_error_interval,
+                   oracle_solve, overalpha_estimate, pls_residual, residual_error_interval,
                    sample_rho_L, sdd_classify, split_diagonal, suggest_omega,
                    underalpha_exact)
 from ehlcp import bounds, convergence
@@ -93,15 +93,52 @@ def test_bound42_column_sdd_pair_condition_fails():
 
 
 def test_bound42_uncertified_band_store_above_dense_limit_has_no_constant():
-    """mu = nu = -2 makes X's row sums reach 2: no certificate, and at
-    n = 4,225 > DENSE_LIMIT no dense inverse is formed, so the constant is NaN."""
+    """mu = nu = -2 makes X's row sums reach 2: no certificate, so at
+    n = 4,225 > DENSE_LIMIT the constant is inf, no bound."""
     blocks = gen_example51(65, -2.0, -2.0).problem.blocks
     assert blocks.M.n > convergence.DENSE_LIMIT
     rep = bound42(blocks, "inf")
     assert not rep.condition_satisfied
-    assert np.isnan(rep.constant)
+    assert rep.constant == np.inf
     assert rep.condition_bracket[0] <= rep.condition_value == rep.condition_bracket[1]
     assert rep.condition_value > 1.0
+
+
+@pytest.mark.parametrize("grid", [20, 60])
+def test_bound42_uncertified_band_store_below_dense_limit_forms_no_dense_inverse(grid):
+    """mu = nu = -3 puts rho(X) near 4 at n = 400 and 3,600, below DENSE_LIMIT:
+    the constant is inf, and no dense I - X is built or inverted."""
+    blocks = gen_example51(grid, -3.0, -3.0).problem.blocks
+    assert blocks.M.n <= convergence.DENSE_LIMIT
+
+    def no_dense(*args):
+        raise AssertionError("dense work in an uncertified bound42")
+
+    with patch.object(bounds, "_stack_inverses", no_dense), \
+            patch.object(BandMatrix, "to_dense", no_dense):
+        for tag in ("1", "inf"):
+            rep = bound42(blocks, tag)
+            assert not rep.condition_satisfied and rep.constant == np.inf
+            assert 1.0 < rep.condition_bracket[0] <= rep.condition_value
+
+
+@pytest.mark.parametrize("layout", ["dense", "band"])
+def test_bound42_gives_no_bound_where_the_problem_has_three_solutions(layout):
+    """rho(X) = 2: the dense inverse of I - X had norm 1, and read as a bound
+    it put the solution (-3, 3) at distance 0 from the solution (-1, -1)."""
+    problem = two_solution_problem(layout)
+    ys = sorted(tuple(y) for y, *_ in oracle_solve(problem).solutions)
+    assert ys == [(-3.0, 3.0), (-1.0, -1.0), (3.0, -3.0)]
+    y, y_star = np.array([-3.0, 3.0]), np.array([-1.0, -1.0])
+    for tag in ("1", "inf"):
+        rep = bound42(problem.blocks, tag)
+        assert not rep.condition_satisfied and rep.constant == np.inf
+        assert rep.condition_bracket == (rep.condition_value,) * 2
+        assert rep.condition_value == pytest.approx(2.0, rel=1e-12)
+        true_error = np.linalg.norm(y - y_star, {"1": 1, "inf": np.inf}[tag])
+        lo, hi = residual_error_interval(problem, y, rep,
+                                         underalpha_exact(problem.blocks, tag), tag)
+        assert (lo, hi) == (0.0, np.inf) and lo <= true_error <= hi
 
 
 def test_bound42_example51_collapses_to_M_part():
@@ -171,6 +208,19 @@ def test_bound42_where_a_reciprocal_overflows_is_uncertified_and_infinite(m):
             assert rep.condition_value == np.inf and rep.condition_bracket == (0.0, np.inf)
 
 
+def test_bound42_of_finite_blocks_near_the_float_limit_is_uncertified_without_warnings():
+    # X v and the row sums of X overflow: numpy warned from matmul
+    big = np.full((3, 3), 1e308)
+    np.fill_diagonal(big, 1.0)
+    blocks = BlockMatrixSet(DenseMatrix(big), (identity_matrix(3),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tag in ("1", "inf"):
+            rep = bound42(blocks, tag)
+            assert not rep.condition_satisfied and rep.constant == np.inf
+            assert rep.condition_value == np.inf and rep.condition_bracket == (0.0, np.inf)
+
+
 def bound42_x(mats):
     """max_i Lambda_i^{-1}|C_i| and max_i Lambda_i^{-1}, straight from dense blocks."""
     diags = np.stack([np.diag(a) for a in mats])
@@ -206,17 +256,16 @@ def test_bound42_certificate_matches_dense_reference(case):
     x, d_max = bound42_x(mats)
     rho = float(np.max(np.abs(np.linalg.eigvals(x))))
     assume(abs(rho - 1.0) >= 1e-8)
-    try:
-        inv = np.linalg.inv(np.eye(len(x)) - x) * d_max[None, :]
-    except np.linalg.LinAlgError:
-        inv = None
     for tag in ("1", "inf"):
         rep = bound42(blocks, tag)
         assert rep.condition_satisfied == (rho < 1.0)
         if rep.condition_satisfied:
             lo, hi = rep.condition_bracket
             assert lo - 1e-12 <= rho <= hi + 1e-12
-        want = np.inf if inv is None else np.linalg.norm(inv, {"1": 1, "inf": np.inf}[tag])
+            inv = np.linalg.inv(np.eye(len(x)) - x) * d_max[None, :]
+            want = np.linalg.norm(inv, {"1": 1, "inf": np.inf}[tag])
+        else:
+            want = np.inf  # no bound
         assert rep.constant == pytest.approx(want, rel=1e-12)
 
 

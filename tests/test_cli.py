@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import example52_bound42_constant
+from conftest import example52_bound42_constant, two_solution_problem
 from ehlcp import problem_from_json, problem_to_json, problems, recover_solution, solvers
 from ehlcp.cli import main
 
@@ -620,6 +620,21 @@ def test_bounds_where_a_reciprocal_overflows_exits_zero_without_warnings(tmp_pat
     rows = list(csv.reader(captured.out.splitlines()))
     assert [(row[0], row[3], row[5]) for row in rows[1:]] == [("1", "inf", "False"),
                                                               ("inf", "inf", "False")]
+
+
+@pytest.mark.parametrize("layout", ["dense", "band"])
+def test_bounds_where_the_condition_fails_print_no_bound(tmp_path, capsys, layout):
+    # the probe (-3, 3) is another solution, 4 (inf-norm) from y* = (-1, -1):
+    # eta read 0 from the dense inverse of I - X, and tau inf * 0 = nan
+    problem = tmp_path / "p.json"
+    obj = problem_to_json(two_solution_problem(layout))
+    obj["prescribed"] = {"y": [-1.0, -1.0]}
+    problem.write_text(json.dumps(obj))
+    assert run_cli(["bounds", "--probe-pattern=-3,3", str(problem)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0][:6] == ["norm", "trueError", "residualNorm", "eta", "tau", "eq44Satisfied"]
+    assert [row[:6] for row in rows[1:]] == [["1", "6", "0", "inf", "inf", "False"],
+                                             ["inf", "4", "0", "inf", "inf", "False"]]
 
 
 @pytest.mark.parametrize("command", [["checkw"], ["solve", "--method", "fp31"],

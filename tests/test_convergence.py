@@ -154,6 +154,42 @@ def test_check_thm34_refuses_a_non_finite_h1():
             check_thm34(h1, 4.0)
 
 
+def test_check_thm34_refuses_an_omega_whose_scaled_h1_overflows(capfd):
+    # 1e-300 has a finite reciprocal, but omega^{-1} H1 held inf: numpy warned,
+    # LAPACK printed an illegal-value message from the 2-norm SVD, and the
+    # 2-norm condition read NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParams, match=r"^omega\^\{-1\} H1 overflows$"):
+            check_thm34(TridiagonalMatrix.constant(10, 1e10, 4e10, -2e10), 1e-300)
+    assert capfd.readouterr().err == ""
+
+
+NEAR_FLOAT_MAX = np.full((3, 3), 1e308)
+np.fill_diagonal(NEAR_FLOAT_MAX, 1.0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_cor31(BlockMatrixSet(identity_matrix(3), (DenseMatrix(NEAR_FLOAT_MAX),))),
+    lambda: check_thm34(DenseMatrix(NEAR_FLOAT_MAX), 1.0),
+    lambda: check_thm34(BandMatrix((0, 1, -1), [[1.0] * 3, [0.0, 1e308, 1e308],
+                                                [1e308, 1e308, 0.0]]), 1.0),
+], ids=["cor31", "thm34-dense", "thm34-band"])
+def test_checks_of_finite_blocks_near_the_float_limit_are_unsatisfied_without_warnings(check):
+    # the products and sums overflow: numpy warned from matmul and reduce
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check()
+    assert not res.satisfied and not res.rho.satisfied and res.rho.value == np.inf
+
+
+def test_spectral_radius_of_an_overflowing_dense_row_sum_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = spectral_radius_nonneg(DenseMatrix([[1e308, 1e308], [0.0, 0.0]]))
+    assert (est.value, est.lower, est.upper, est.converged) == (np.inf, 0.0, np.inf, False)
+
+
 def test_check_thm34_identity_scaling():
     res = check_thm34(DenseMatrix(3.0 * np.eye(4)), 3.0)
     assert res.rho.value == pytest.approx(0.0, abs=1e-12)

@@ -155,6 +155,18 @@ MUTANTS = [
            "(blocks.m + 1) ** blocks.n > budget",
            "(blocks.m + 1) ** blocks.n >= budget",
            ("tests/test_oracle.py::test_budget_admits_exactly_the_vertex_count",)),
+    Mutant("bound42-uncertified-nan", "bounds.py",
+           "BoundReport('Thm42Eta', np.inf, norm_tag, False, est.value, (est.lower, est.upper))",
+           "BoundReport('Thm42Eta', np.nan, norm_tag, False, est.value, (est.lower, est.upper))",
+           ("tests/test_bounds.py::"
+            "test_bound42_gives_no_bound_where_the_problem_has_three_solutions",
+            "tests/test_bounds.py::"
+            "test_bound42_uncertified_band_store_below_dense_limit_forms_no_dense_inverse")),
+    Mutant("thm34-scaled-overflow-unchecked", "convergence.py",
+           "not all_finite(a)",
+           "False",
+           ("tests/test_convergence.py::"
+            "test_check_thm34_refuses_an_omega_whose_scaled_h1_overflows",)),
     Mutant("unclosed-bracket-certifying", "convergence.py",
            "value, certifying = (est.value, est.converged)",
            "value, certifying = (est.value, True)",
