@@ -167,23 +167,24 @@ def bound43(blocks):
     """Reciprocal minimal column-dominance margin (1-norm bound).
 
     Hypothesis: every block transposed is row sdd and the blocks' diagonals
-    agree in sign coordinatewise; only flagged, the constant is still
-    reported whenever the margins are positive.
+    agree in sign coordinatewise. The constant is 1 / the smallest computed
+    margin where the hypothesis is certified, and inf (no bound) where it is
+    not; ``condition_value`` is that margin either way.
 
     The column dominance of each block is ``convergence._dominance`` by
     columns, the rule of ``sdd_classify``'s ``col_sdd``, decided on a lower
     end of each exact margin 2|a_jj| - sum_i |a_ij|; no row sum is computed.
-    The constant and ``condition_value`` come from the computed margins.
     """
     columns = [_dominance(store, transposed=True) for store in blocks.all()]
     diags = [store.diagonal() for store in blocks.all()]
     signs = np.sign(diags[0])
     same_sign = bool(np.all(signs != 0)) and all(
         bool(np.all(np.sign(d) == signs)) for d in diags[1:])
+    satisfied = all(flag for flag, _ in columns) and same_sign
     min_margin = float(min(np.min(margins) for _, margins in columns))
-    constant = 1.0 / min_margin if min_margin > 0 else float("inf")
-    return BoundReport("Thm43Tau", constant, "1",
-                       all(flag for flag, _ in columns) and same_sign, min_margin)
+    # a certified hypothesis has every computed margin positive
+    constant = 1.0 / min_margin if satisfied else float("inf")
+    return BoundReport("Thm43Tau", constant, "1", satisfied, min_margin)
 
 
 def _error_bound(constant, r_norm):

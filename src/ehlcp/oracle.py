@@ -16,7 +16,8 @@ import numpy as np
 from .bounds import overalpha_estimate, underalpha_exact
 from .convergence import _stacked_lu
 from .transform import recover_solution
-from .wproperty import _vertex_blocks, vertex_chunks
+from .wproperty import (_counter_digits, _on_tree, _region_solutions, _vertex_blocks,
+                        vertex_chunks)
 
 REGION_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -35,35 +36,63 @@ def oracle_solve(problem, budget=2 ** 20):
     Region membership uses closed intervals with slack on both sides, so
     breakpoint solutions appear in several regions; duplicates are merged by
     y-proximity. Under the column W-property exactly one solution survives.
+    Above ``wproperty.TREE_VERTICES`` regions they are solved on the tree of
+    column choices, at or below it by batched LAPACK calls; a region is
+    singular where that kernel's elimination meets an exact zero pivot.
     """
     n, m = problem.n, problem.m
     dense = _vertex_blocks(problem.blocks, budget)
     # cols[c, j] is column j of block c. On region c at coordinate j the
     # system gains the constant column const[c, j] (zero for c = 0):
     # -s_{c-1}[j] * cols[c, j] + sum_{l < c} d_l[j] * cols[l, j].
-    cols = dense.transpose(0, 2, 1)
+    cols = np.ascontiguousarray(dense.transpose(0, 2, 1))
     s_breaks = np.array(problem.ladder.prefix)
     d_cols = np.reshape(problem.ladder.d, (m - 1, n, 1)) * cols[1:m]
     below = np.cumsum(np.concatenate([np.zeros((1, n, n)), d_cols]), axis=0)
     const = np.concatenate([np.zeros((1, n, n)), below - s_breaks[:, :, None] * cols[1:]])
     # Region c admits y_j in [lower[c, j], upper[c, j]] (closed, with slack;
-    # s_0 = 0, so region 0 is y_j <= REGION_TOL).
-    lower = np.vstack([np.full(n, -np.inf), s_breaks - REGION_TOL])
-    upper = np.vstack([s_breaks + REGION_TOL, np.full(n, np.inf)])
+    # s_0 = 0, so region 0 is y_j <= REGION_TOL). The outer ends are the
+    # largest floats, so that a y that overflowed fails too.
+    big = np.finfo(float).max
+    lower = np.vstack([np.full(n, -big), s_breaks - REGION_TOL])
+    upper = np.vstack([s_breaks + REGION_TOL, np.full(n, big)])
     ys = []
     singular = 0
     coords = np.arange(n)
-    for digits, stack in vertex_chunks(dense):
-        g = problem.q + const[digits, coords].sum(axis=1)
-        y, regular = _stacked_lu(np.linalg.solve, stack, -g[..., None])
-        y = y[..., 0]  # NaN on a singular region, which fails every test below
-        singular += int(np.count_nonzero(~regular))
-        inside = ((lower[digits, coords] <= y) & (y <= upper[digits, coords])).all(axis=1)
-        for yk in y[inside]:
-            if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):
-                ys.append(yk)
+    if _on_tree((m + 1) ** n):
+        chunks = _tree_chunks(cols, const, problem.q)
+    else:
+        chunks = _lapack_chunks(dense, const, problem.q)
+    # Overflow, and inf - inf after it, comes only from a singular region or
+    # one whose y is not finite, and neither is admitted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for digits, y, bad in chunks:
+            singular += int(np.count_nonzero(bad))
+            inside = ~bad & ((lower[digits, coords] <= y)
+                             & (y <= upper[digits, coords])).all(axis=1)
+            for yk in y[inside]:
+                if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):
+                    ys.append(yk)
     solutions = [(y, recover_solution(y, problem.ladder)) for y in ys]
     return OracleResult(solutions, (m + 1) ** n, singular)
+
+
+def _lapack_chunks(dense, const, q):
+    """(digits, y, singular) per ``vertex_chunks`` chunk: one batched ``solve``."""
+    coords = np.arange(dense.shape[1])
+    for digits, stack in vertex_chunks(dense):
+        g = q + const[digits, coords].sum(axis=1)
+        y, regular = _stacked_lu(np.linalg.solve, stack, -g[..., None])
+        yield digits, y[..., 0], ~regular
+
+
+def _tree_chunks(cols, const, q):
+    """(digits, y, singular) per run of counters of ``_region_solutions``."""
+    base, n = cols.shape[:2]
+    lo = 0
+    for y, singular in _region_solutions(cols, const, -q):
+        yield _counter_digits(lo, lo + len(y), base, n), y, singular
+        lo += len(y)
 
 
 def oracle_alpha_constants(blocks, norm_tag="inf", budget=2 ** 20):

@@ -3,13 +3,15 @@
 The property asks every column representative determinant to carry one strict
 sign. Exhaustive verification covers (m+1)^n representatives and is offered
 at desk scale behind a budget; beyond it, ``bounds.falsify_random`` probes
-sampled selections and can only falsify. The check eliminates over the tree
-of column choices: representatives that share their last k columns share the
-first k steps of one LU with partial pivoting, so each step runs once for all
-of them and a representative costs O(1) amortized work, not an O(n^3) LU of
-its own. The scans that need the representatives themselves (the 2-norm of
-``underalpha_exact``, the vertices of ``overalpha_estimate`` and
-``sample_rho_L``, and the oracle's region solves) walk them through
+sampled selections and can only falsify. Above TREE_VERTICES vertices the
+check and the oracle's region solves eliminate over the tree of column
+choices: representatives that share their last k columns share the first k
+steps of one elimination with partial pivoting, so each step runs once for
+all of them and a representative costs O(1) amortized work, not an O(n^3) LU
+of its own. At or below it, where the tree's fixed cost per level loses, they
+call LAPACK on ``vertex_chunks``. The scans that need the representatives
+themselves (the 2-norm of ``underalpha_exact``, the vertices of
+``overalpha_estimate`` and ``sample_rho_L``) walk them through
 ``vertex_chunks``, one stack of matrices at a time, and the sampled scans pass
 their selections to ``selection_chunks`` the same way. The module imports only
 ``blockdata`` and ``errors``; the estimators that consume the stacks live in
@@ -36,6 +38,16 @@ from .errors import BudgetExceeded
 
 DET_ZERO_COEFF = 1e-10
 CHUNK_BYTES = 2 ** 20  # cap on the representatives of one chunk, in bytes
+# Above this many vertices the check and the oracle eliminate over the tree of
+# column choices. At or below it, the tree's fixed cost per level loses to
+# batched LAPACK calls on vertex_chunks (timed on dense instances up to n = 8).
+TREE_VERTICES = 256
+
+
+def _on_tree(vertices):
+    """Whether a scan of this many vertices eliminates over the tree of column
+    choices, rather than calling LAPACK on ``vertex_chunks``."""
+    return vertices > TREE_VERTICES
 
 
 def _chunk_len(n):
@@ -57,11 +69,11 @@ def vertex_chunks(dense):
     """(digits, stack) chunks of all (m+1)^n column representatives of dense blocks.
 
     digits is a (k, n) block of assignments in mixed-radix counter order
-    (coordinate 0 fastest; counters are int64, so they stay below 2**63) and
-    stack[i] the (n, n) representative of digits[i]: column j taken from block
-    digits[i, j]. Columns are gathered as contiguous rows of the transposed
-    blocks, so each stack[i] is a Fortran-ordered view: a sum along its axes
-    may round differently from the same sum on a C-ordered copy.
+    (``_counter_digits``) and stack[i] the (n, n) representative of
+    digits[i]: column j taken from block digits[i, j]. Columns are gathered
+    as contiguous rows of the transposed blocks, so each stack[i] is a
+    Fortran-ordered view: a sum along its axes may round differently from the
+    same sum on a C-ordered copy.
     """
     base, n = dense.shape[:2]
     cols = np.ascontiguousarray(dense.transpose(0, 2, 1))  # cols[c, j]: column j of block c
@@ -69,11 +81,18 @@ def vertex_chunks(dense):
     total = base ** n
     step = _chunk_len(n)
     for lo in range(0, total, step):
-        val = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        digits = np.empty((val.size, n), dtype=np.intp)
-        for j in range(n):
-            val, digits[:, j] = np.divmod(val, base)
+        digits = _counter_digits(lo, min(lo + step, total), base, n)
         yield digits, cols[digits, idx].transpose(0, 2, 1)
+
+
+def _counter_digits(lo, hi, base, n):
+    """(hi - lo, n) digits of the counters lo to hi - 1 in base, coordinate 0
+    fastest (counters are int64, so they stay below 2**63)."""
+    val = np.arange(lo, hi, dtype=np.int64)
+    digits = np.empty((val.size, n), dtype=np.intp)
+    for j in range(n):
+        val, digits[:, j] = np.divmod(val, base)
+    return digits
 
 
 def selection_chunks(blocks, lams):
@@ -184,6 +203,81 @@ def _representative_signs(cols, col_norms):
                      depth + 1))
 
 
+def _slogdet_signs(cols, col_norms):
+    """The signs of ``_representative_signs`` from one batched ``slogdet`` per
+    ``vertex_chunks`` chunk, with the same zero band."""
+    n = col_norms.shape[1]
+    for digits, stack in vertex_chunks(cols):
+        sign, logabs = np.linalg.slogdet(stack)
+        zero_log = math.log(DET_ZERO_COEFF) + n * np.log(
+            col_norms[digits, np.arange(n)].max(axis=1))
+        yield np.where(logabs < zero_log, 0, sign).astype(int)
+
+
+def _region_solutions(cols, const, rhs):
+    """(y, singular) of A_c y = rhs - sum_j const[c_j, j] for every column
+    choice c, in counter order, A_c being the representative of c.
+
+    cols[c, j] is column j of block c and const[c, j] the constant column that
+    choice c adds at coordinate j. Gauss-Jordan elimination with partial
+    pivoting runs over the tree of column choices, taking column n - 1 first,
+    as in ``_representative_signs``. A state at depth d has chosen the columns
+    from order = n - d to n - 1, one step each: w[s, c, j, 0] is column j <
+    order of block c after the steps of state s, w[s, c, j, 1] its constant
+    column, b[s] the right-hand side, placed[s, i] the column whose pivot row
+    i is (-1 while it is none), pivot[s, i] its pivot (1 while none) and
+    singular[s] whether a pivot was exactly zero. Each step eliminates its
+    column from every other row, the pivot rows included, so a leaf's pivot
+    row i of column j reads pivot * y[j] = b[i]. The child of state
+    s for block c is state s * base + c, so the leaves come out in counter
+    order. States are finished a group at a time, lowest counters first, the
+    group sized so that its largest array, the candidate columns of its
+    last level, takes at most half of CHUNK_BYTES; the loop is not a
+    recursion, and a group's arrays are freed before the next group starts.
+    Yields (y, singular) for consecutive runs of counters; y is garbage where
+    singular is True.
+    """
+    base, n = cols.shape[:2]
+    todo = [(np.stack([cols, const], axis=2)[None], rhs[None], np.full((1, n), -1),
+             np.ones((1, n)), np.zeros(1, dtype=bool))]
+    while todo:
+        w, b, placed, pivot, singular = todo.pop()
+        states, order = w.shape[0], w.shape[2]
+        group = max(1, CHUNK_BYTES // (32 * n * base ** order))
+        if states > group:
+            # pushed highest counters first, so that the lowest are popped first
+            for lo in reversed(range(0, states, group)):
+                todo.append((w[lo:lo + group], b[lo:lo + group], placed[lo:lo + group],
+                             pivot[lo:lo + group], singular[lo:lo + group]))
+            continue
+        a = w[:, :, order - 1, 0]  # [s, c, :]: the column that child (s, c) eliminates
+        b = b[:, None] - w[:, :, order - 1, 1]
+        # The pivot is the first largest |entry| of the rows not yet pivot rows.
+        r = np.where(placed[:, None] >= 0, -1.0, np.abs(a)).argmax(axis=2)[..., None]
+        at = np.arange(n) == r  # [s, c, i]: whether row i is the pivot row of child (s, c)
+        p = np.take_along_axis(a, r, 2)
+        zero = p == 0
+        # A zero pivot's subtree is singular; dividing by 1 instead keeps it finite.
+        p = p + zero
+        mult = np.where(at, 0.0, a) / p
+        b -= mult * np.take_along_axis(b, r, 2)
+        b = b.reshape(-1, n)
+        placed = np.where(at, order - 1, placed[:, None]).reshape(-1, n)
+        pivot = np.where(at, p, pivot[:, None]).reshape(-1, n)
+        singular = (singular[:, None] | zero[..., 0]).ravel()
+        if order == 1:
+            y = np.empty_like(b)
+            np.put_along_axis(y, placed, b / pivot, 1)
+            yield y, singular
+            continue
+        # w_r[s, c, c', j, t]: pivot row r[s, c] of state s
+        w_r = w[np.arange(states)[:, None], :, :order - 1, :, r[..., 0]]
+        child = mult[:, :, None, None, None] * w_r[..., None]
+        w = np.subtract(w[:, None, :, :order - 1], child, out=child)
+        todo.append((w.reshape(states * base, base, order - 1, 2, n), b, placed, pivot,
+                     singular))
+
+
 def has_column_w_property(blocks, budget=2 ** 20):
     """Exhaustive determinant-sign check over all column representatives.
 
@@ -202,9 +296,10 @@ def has_column_w_property(blocks, budget=2 ** 20):
     sign_min, sign_max = 2, -2
     first_sign = None
     checked = 0
+    signs_of = _representative_signs if _on_tree((m + 1) ** n) else _slogdet_signs
     # log(0) is -inf: below a zero pivot, and in the threshold of zero columns
     with np.errstate(divide="ignore"):
-        for signs in _representative_signs(cols, col_norms):
+        for signs in signs_of(cols, col_norms):
             if first_sign is None:
                 first_sign = signs[0]
             bad = (signs == 0) | (signs != first_sign)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import row_scaled
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                    BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem,
                    InvalidParams, SingularM, TridiagonalMatrix, gen_example52,
@@ -55,8 +54,6 @@ def test_entrywise_transforms_match_dense(rng):
         assert np.array_equal(absolute.to_dense(), np.abs(dense))
         assert np.allclose(store.abs_rowsums(), np.abs(dense).sum(axis=1))
         assert np.allclose(abs_colsums(store), np.abs(dense).sum(axis=0))
-        s = rng.uniform(0.5, 2.0, store.n)
-        assert np.allclose(row_scaled(store, s).to_dense(), dense * s[:, None])
 
 
 @st.composite

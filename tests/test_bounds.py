@@ -613,11 +613,25 @@ def test_bound43_flags_on_rounded_down_margins(wrap):
     assert 2 - sum(Fraction(t) for t in a[:, 0]) < 0
     rep = bound43(BlockMatrixSet(store, (identity_matrix(7),)))
     assert not rep.condition_satisfied
-    assert rep.constant == 2.0 ** 52 and rep.condition_value == 2.0 ** -52
+    assert rep.constant == np.inf and rep.condition_value == 2.0 ** -52
     # the same lower ends decide dominance by columns, by rows of the
     # transpose, and so the column-sdd rule of suggest_omega
     assert not sdd_classify(store).col_sdd and not sdd_classify(wrap(a.T)).row_sdd
     assert suggest_omega(store).rule == "positive-diagonal"
+
+
+def test_bound43_gives_no_bound_where_the_diagonals_disagree_in_sign():
+    # M = [[1]] and H1 = [[-1]] are column sdd with margin 1, but their
+    # diagonals differ in sign: y = -1 and y = 1 both solve, 2 apart, where
+    # the constant 1 / margin = 1 put them 0 apart at the probe y = 1.
+    problem = EhlcpProblem(BlockMatrixSet(DenseMatrix([[1.0]]), (DenseMatrix([[-1.0]]),)),
+                           np.array([1.0]), BoundLadder((), 1))
+    assert sorted(float(y[0]) for y, _ in oracle_solve(problem).solutions) == [-1.0, 1.0]
+    rep = bound43(problem.blocks)
+    assert not rep.condition_satisfied
+    assert (rep.constant, rep.condition_value) == (np.inf, 1.0)
+    assert pls_residual(problem, np.array([1.0])).norms["1"] == 0.0
+    assert bounds._error_bound(rep.constant, 0.0) == np.inf
 
 
 def test_bound43_certifies_vertices():

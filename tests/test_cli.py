@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import example52_bound42_constant, two_solution_problem
-from ehlcp import problem_from_json, problem_to_json, problems, recover_solution, solvers
+from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem, oracle_solve,
+                   problem_from_json, problem_to_json, problems, recover_solution, solvers)
 from ehlcp.cli import main
 
 
@@ -635,6 +636,26 @@ def test_bounds_where_the_condition_fails_print_no_bound(tmp_path, capsys, layou
     assert rows[0][:6] == ["norm", "trueError", "residualNorm", "eta", "tau", "eq44Satisfied"]
     assert [row[:6] for row in rows[1:]] == [["1", "6", "0", "inf", "inf", "False"],
                                              ["inf", "4", "0", "inf", "inf", "False"]]
+
+
+def test_bounds_print_no_tau_where_bound43_is_not_certified(tmp_path, capsys):
+    # Column 0 of M sums to 2 - 2^-52 in floating point but exceeds 2 exactly
+    # (test_bound43_flags_on_rounded_down_margins): the computed margin 2^-52
+    # had given tau = 2^52 ||r||. bound42's X is nilpotent, so eta is a bound.
+    a = np.eye(7)
+    a[1, 0] = 1.0 - 2.0 ** -52
+    a[2:, 0] = 0.45 * 2.0 ** -52
+    p = EhlcpProblem(BlockMatrixSet(DenseMatrix(a), (DenseMatrix(np.eye(7)),)),
+                     np.ones(7), BoundLadder((), 7))
+    problem = tmp_path / "p.json"
+    obj = problem_to_json(p)
+    obj["prescribed"] = {"y": oracle_solve(p).solutions[0][0].tolist()}
+    problem.write_text(json.dumps(obj))
+    assert run_cli(["bounds", "--probe-pattern=0.1,0.2", str(problem)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0][3:5] == ["eta", "tau"]
+    assert [row[4] for row in rows[1:]] == ["inf", "inf"]
+    assert all(np.isfinite(float(row[3])) for row in rows[1:])
 
 
 @pytest.mark.parametrize("command", [["checkw"], ["solve", "--method", "fp31"],

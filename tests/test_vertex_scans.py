@@ -7,13 +7,20 @@ scan spans several chunks, and the small integer blocks drawn here give zero
 determinants, sign changes, singular regions and 0, 1 or several solutions.
 The closed-form norms of ``underalpha_exact`` are checked on float-valued
 dense and band blocks too, where a wrong summation would show in the bits.
-``has_column_w_property`` eliminates over the tree of column choices instead
-of calling ``slogdet`` per representative; its rounding differs from LAPACK's,
-so its reports, not its bits, are compared with the reference, on the same
-float draws and on determinants placed just either side of the zero band.
+``has_column_w_property`` and ``oracle_solve`` eliminate over the tree of
+column choices above ``wproperty.TREE_VERTICES`` vertices and call LAPACK on
+``vertex_chunks`` at or below it; ``on_tree`` moves that constant so that a
+test runs the kernel it names at any size. The tree's rounding differs from
+LAPACK's, so its reports and solutions, not its bits, are compared with the
+reference: on the same float draws, on determinants placed just either side
+of the zero band, on column-dominant float problems and on the desk-random
+workload's instances. The integer draws run LAPACK only: on exactly singular
+regions, which pivot rounds to exactly zero depends on the elimination order.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +34,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, DenseMatrix, EhlcpProblem,
                    has_column_w_property, identity_matrix, oracle_solve,
                    overalpha_estimate, representative, sample_rho_L,
                    underalpha_exact)
-from ehlcp import wproperty
+from ehlcp import oracle, wproperty
 from ehlcp.blockdata import BandMatrix
 from ehlcp.solvers import LinearOperatorFactor
 from ehlcp.wproperty import vertex_chunks
@@ -70,6 +77,19 @@ def float_blocks(draw, flush_below=0.0):
 
 def small_chunks(mp, n, per_chunk):
     mp.setattr(wproperty, "CHUNK_BYTES", 8 * n * n * per_chunk)
+
+
+def on_tree(mp, tree):
+    """Run the exhaustive check and the oracle on the elimination tree at every
+    vertex count (tree), or on batched LAPACK calls at every count."""
+    mp.setattr(wproperty, "TREE_VERTICES", 0 if tree else math.inf)
+
+
+def both_kernels(mp):
+    """Set each kernel in turn: batched LAPACK calls, then the tree."""
+    for tree in (False, True):
+        on_tree(mp, tree)
+        yield tree
 
 
 def reps(blocks):
@@ -205,16 +225,18 @@ def test_closed_form_underalpha_is_the_vertex_maximum(blocks):
 def test_witness_on_and_across_chunk_edges(per_chunk, h, monkeypatch):
     small_chunks(monkeypatch, 3, per_chunk)
     blocks = BlockMatrixSet(DenseMatrix(np.eye(3)), (DenseMatrix(np.diag([1.0, 1.0, h])),))
-    rep = has_column_w_property(blocks)
-    assert (rep.holds, rep.witness, rep.representatives_checked) == (False, (0, 0, 1), 5)
-    assert rep.determinant_sign_range == ((0, 1) if h == 0.0 else (-1, 1))
+    for _ in both_kernels(monkeypatch):
+        rep = has_column_w_property(blocks)
+        assert (rep.holds, rep.witness, rep.representatives_checked) == (False, (0, 0, 1), 5)
+        assert rep.determinant_sign_range == ((0, 1) if h == 0.0 else (-1, 1))
+        if h == 0.0:
+            res = oracle_solve(EhlcpProblem(blocks, np.ones(3), BoundLadder((), 3)))
+            assert res.singular_regions == 4  # every region taking column 2 from H1
     if h == 0.0:
         with pytest.raises(SingularSelection) as info:
             overalpha_estimate(blocks, "inf", samples=0)
         assert np.array_equal(info.value.selection.lambdas,
                               [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        res = oracle_solve(EhlcpProblem(blocks, np.ones(3), BoundLadder((), 3)))
-        assert res.singular_regions == 4  # every region taking column 2 from H1
 
 
 def report(blocks):
@@ -235,6 +257,7 @@ def report(blocks):
 def test_tree_matches_the_per_representative_reference(blocks, per_chunk):
     with pytest.MonkeyPatch.context() as mp:
         small_chunks(mp, blocks.n, per_chunk)
+        on_tree(mp, True)
         assert report(blocks) == ref_w_property(blocks)
 
 
@@ -246,7 +269,7 @@ def test_tree_matches_the_per_representative_reference(blocks, per_chunk):
 @pytest.mark.parametrize("side", [-1, 1])
 @pytest.mark.parametrize("flip", [False, True])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_determinants_just_either_side_of_the_zero_band(n, side, flip, scale):
+def test_determinants_just_either_side_of_the_zero_band(n, side, flip, scale, monkeypatch):
     rng = np.random.default_rng(n)
     u, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
@@ -262,20 +285,22 @@ def test_determinants_just_either_side_of_the_zero_band(n, side, flip, scale):
     assert 0.0 < side * margin < 1e-3
     h = m * np.where(np.arange(n) == 0, -1.0, 1.0) if flip else m
     blocks = BlockMatrixSet(DenseMatrix(m), (DenseMatrix(h),))
-    got = report(blocks)
-    assert got == ref_w_property(blocks)
     if side < 0:
-        assert got == (False, (0, 0), (0,) * n, 1)
+        want = (False, (0, 0), (0,) * n, 1)
     elif flip:
-        assert got == (False, (-1, 1), (1,) + (0,) * (n - 1), 2)
+        want = (False, (-1, 1), (1,) + (0,) * (n - 1), 2)
     else:
-        assert got == (True, (int(sign), int(sign)), None, 2 ** n)
+        want = (True, (int(sign), int(sign)), None, 2 ** n)
+    assert ref_w_property(blocks) == want
+    for _ in both_kernels(monkeypatch):
+        assert report(blocks) == want
 
 
 # Column 1 of M is twice column 2, so the second step of the tree meets a zero
 # pivot under every state that took column 2 from M: those subtrees must read
 # det 0 without a division by zero or a NaN.
-def test_zero_pivot_gives_its_subtree_det_zero_without_nan():
+def test_zero_pivot_gives_its_subtree_det_zero_without_nan(monkeypatch):
+    on_tree(monkeypatch, True)
     m = DenseMatrix([[1.0, 2.0, 1.0], [0.0, 2.0, 1.0], [3.0, 0.0, 0.0]])
     blocks = BlockMatrixSet(m, (identity_matrix(3), DenseMatrix(np.diag([2.0, -1.0, 3.0]))))
     assert report(blocks) == ref_w_property(blocks) == (False, (0, 0), (0, 0, 0), 1)
@@ -290,6 +315,7 @@ def test_zero_pivot_gives_its_subtree_det_zero_without_nan():
 @pytest.mark.parametrize("n, cap", [(4, 8), (4, 8 * 3 * 3), (4, 8 * 3 * 3 * 4), (5, 1944)])
 def test_groups_finish_lowest_counters_first(n, cap, monkeypatch):
     monkeypatch.setattr(wproperty, "CHUNK_BYTES", cap)
+    on_tree(monkeypatch, True)
     h2 = np.eye(n)
     h2[1, 1] = -1.0
     blocks = BlockMatrixSet(identity_matrix(n), (identity_matrix(n), DenseMatrix(h2)))
@@ -301,12 +327,13 @@ def test_groups_finish_lowest_counters_first(n, cap, monkeypatch):
 # representative is that matrix, so the sign range is the sign of its det.
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("negate", [False, True])
-def test_sign_range_is_the_sign_of_the_determinant(n, negate):
+def test_sign_range_is_the_sign_of_the_determinant(n, negate, monkeypatch):
     m = np.eye(n)
     m[0, 0] = -1.0 if negate else 1.0
     blocks = BlockMatrixSet(DenseMatrix(m), (DenseMatrix(m),))
     want = -1 if negate else 1
-    assert report(blocks) == (True, (want, want), None, 2 ** n)
+    for _ in both_kernels(monkeypatch):
+        assert report(blocks) == (True, (want, want), None, 2 ** n)
 
 
 def test_example52_n10_against_slogdet_over_vertex_chunks():
@@ -331,7 +358,7 @@ def test_example52_n10_against_slogdet_over_vertex_chunks():
 # products, so its det is a residue far inside the band; taken twice, it must
 # fail at every scale.
 @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** -900, 2.0 ** 600])
-def test_scaling_by_a_power_of_two_keeps_the_report(scale):
+def test_scaling_by_a_power_of_two_keeps_the_report(scale, monkeypatch):
     near = DenseMatrix([[0.1, 0.7], [0.1 * 3.0, 0.7 * 3.0]])
     cases = [BlockMatrixSet(near, (near,))]
     rng = np.random.default_rng(7)
@@ -339,8 +366,184 @@ def test_scaling_by_a_power_of_two_keeps_the_report(scale):
         mats = rng.standard_normal((m + 1, n, n)) + 3.0 * np.eye(n)
         cases.append(BlockMatrixSet(DenseMatrix(mats[0]),
                                     tuple(DenseMatrix(a) for a in mats[1:])))
-    for blocks in cases:
-        scaled = BlockMatrixSet(DenseMatrix(blocks.M.data * scale),
-                                tuple(DenseMatrix(h.data * scale) for h in blocks.H))
-        assert report(scaled) == report(blocks) == ref_w_property(blocks)
-    assert report(cases[0]) == (False, (0, 0), (0, 0), 1)
+    for _ in both_kernels(monkeypatch):
+        for blocks in cases:
+            scaled = BlockMatrixSet(DenseMatrix(blocks.M.data * scale),
+                                    tuple(DenseMatrix(h.data * scale) for h in blocks.H))
+            assert report(scaled) == report(blocks) == ref_w_property(blocks)
+        assert report(cases[0]) == (False, (0, 0), (0, 0), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(integer_problems().map(lambda case: case[0].blocks),
+                 float_blocks(flush_below=1e-100)))
+def test_both_kernels_give_the_same_report(blocks):
+    with pytest.MonkeyPatch.context() as mp:
+        lapack, tree = [report(blocks) for _ in both_kernels(mp)]
+    assert lapack == tree
+
+
+@st.composite
+def column_dominant_problems(draw):
+    """Problems with float entries, n 1-4, m 1-3, whose blocks are column sdd
+    with positive diagonals, so the column W-property holds: one solution and
+    no singular region."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    mats = draw(hnp.arrays(np.float64, (m + 1, n, n), elements=st.floats(-1.0, 1.0)))
+    diag = draw(hnp.arrays(np.float64, (m + 1, n), elements=st.floats(n, 2.0 * n)))
+    mats[:, np.arange(n), np.arange(n)] = diag
+    q = draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+    d = draw(hnp.arrays(np.float64, (m - 1, n), elements=st.floats(0.5, 2.0)))
+    blocks = BlockMatrixSet(DenseMatrix(mats[0]), tuple(DenseMatrix(a) for a in mats[1:]))
+    return EhlcpProblem(blocks, q, BoundLadder(tuple(d), n))
+
+
+def assert_same_oracle(res, ys, singular, total):
+    assert (res.regions_checked, res.singular_regions) == (total, singular)
+    assert len(res.solutions) == len(ys)
+    for (y, _), want_y in zip(res.solutions, ys):
+        assert np.max(np.abs(y - want_y)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(column_dominant_problems())
+def test_tree_oracle_matches_the_reference_on_w_property_draws(problem):
+    with pytest.MonkeyPatch.context() as mp:
+        on_tree(mp, True)
+        res = oracle_solve(problem)
+    ys, singular = ref_oracle(problem)
+    assert_same_oracle(res, ys, singular, (problem.m + 1) ** problem.n)
+    assert (len(ys), singular) == (1, 0)
+
+
+def desk_random_instance():
+    """bench/workloads.py's random_instance: the desk-random workload's instances."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.random_instance
+
+
+# The 1,000 instances of desk-random seeds 1-10 against the LAPACK kernel,
+# and the 100 of seed 1 against the per-region reference too.
+def test_tree_oracle_matches_on_desk_random_seeds(monkeypatch):
+    random_instance = desk_random_instance()
+    for seed in range(1, 11):
+        for index in range(100):
+            problem, _ = random_instance(seed, index)
+            want, res = [oracle_solve(problem) for _ in both_kernels(monkeypatch)]
+            assert_same_oracle(res, [y for y, _ in want.solutions], want.singular_regions,
+                               want.regions_checked)
+            if seed == 1:
+                assert_same_oracle(res, *ref_oracle(problem), want.regions_checked)
+
+
+# Every region's y against LAPACK's solve of its own system, on blocks whose
+# row 0 holds 1e-20 in every column but the first: a pivot taken from the
+# first nonzero row instead of the largest divides by 1e-20 and loses the
+# other rows. Block 2's column 1 is zero, so exactly the regions that take
+# it are singular.
+def test_tree_solves_every_region_like_lapack(monkeypatch):
+    rng = np.random.default_rng(4)
+    n, base = 4, 3
+    cols = rng.uniform(-0.1, 0.1, (base, n, n))  # cols[c, j]: column j of block c
+    cols[:, np.arange(n), np.arange(n)] = rng.uniform(1.0, 2.0, (base, n))
+    cols[:, 1:, 0] = 1e-20
+    cols[2, 1] = 0.0
+    const = rng.uniform(-1.0, 1.0, (base, n, n))
+    rhs = rng.uniform(-1.0, 1.0, n)
+    for cap in (2 ** 20, 8):
+        monkeypatch.setattr(wproperty, "CHUNK_BYTES", cap)
+        chunks = list(wproperty._region_solutions(cols, const, rhs))
+        y = np.concatenate([y for y, _ in chunks])
+        singular = np.concatenate([s for _, s in chunks])
+        assert y.shape == (base ** n, n)
+        for k, assign in enumerate(counter_order(n, base - 1)):
+            assert singular[k] == (assign[1] == 2)
+            if not singular[k]:
+                a = np.column_stack([cols[c, j] for j, c in enumerate(assign)])
+                want = np.linalg.solve(a, rhs - sum(const[c, j] for j, c in enumerate(assign)))
+                assert np.max(np.abs(y[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# M = I and H1 = diag(1, 1, 0, 1, 1): the 16 regions that take column 2 from
+# H1 are singular on both kernels.
+def test_zero_column_gives_the_same_singular_count_on_both_kernels(monkeypatch):
+    blocks = BlockMatrixSet(identity_matrix(5),
+                            (DenseMatrix(np.diag([1.0, 1.0, 0.0, 1.0, 1.0])),))
+    problem = EhlcpProblem(blocks, np.array([1.0, -1.0, 1.0, -1.0, 1.0]), BoundLadder((), 5))
+    for _ in both_kernels(monkeypatch):
+        res = oracle_solve(problem)
+        assert (res.regions_checked, res.singular_regions) == (32, 16)
+        assert [y.tolist() for y, _ in res.solutions] == [[-1.0, 1.0, -1.0, 1.0, -1.0]]
+
+
+# Ex 5.2 at n = 6 has 729 vertices, above the constant, and at n = 5 243, at
+# or below it: each scan runs on one kernel only.
+def test_scans_pick_their_kernel_by_the_vertex_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel of the other side of the constant ran")
+
+    for n, tree in ((6, True), (5, False)):
+        gen = gen_example52(n)
+        problem = gen.problem.as_general()
+        assert ((problem.m + 1) ** n > wproperty.TREE_VERTICES) is tree
+        with pytest.MonkeyPatch.context() as mp:
+            if tree:
+                mp.setattr(np.linalg, "solve", refuse)
+                mp.setattr(np.linalg, "slogdet", refuse)
+            else:
+                mp.setattr(oracle, "_region_solutions", refuse)
+                mp.setattr(wproperty, "_representative_signs", refuse)
+            res = oracle_solve(problem)
+            rep = has_column_w_property(problem.blocks)
+        assert (len(res.solutions), res.singular_regions) == (1, 0)
+        assert np.max(np.abs(res.solutions[0][0] - gen.prescribed.y_star)) <= 1e-12
+        assert (rep.holds, rep.representatives_checked) == (True, 3 ** n)
+
+
+def several_solutions_problem(scale=1.0):
+    """Seeded normal blocks, n = 5, m = 2, with H2's column 3 zero: 13
+    solutions and 81 singular regions. Blocks and q are scaled by scale."""
+    rng = np.random.default_rng(11)
+    n = 5
+    mats = rng.standard_normal((3, n, n))
+    mats[2][:, 3] = 0.0
+    blocks = BlockMatrixSet(DenseMatrix(scale * mats[0]),
+                            tuple(DenseMatrix(scale * a) for a in mats[1:]))
+    return EhlcpProblem(blocks, scale * rng.standard_normal(n),
+                        BoundLadder((rng.uniform(0.5, 2.0, n),), n))
+
+
+def oracle_bits(problem):
+    res = oracle_solve(problem)
+    return ([y.tobytes() for y, _ in res.solutions], res.regions_checked,
+            res.singular_regions)
+
+
+@pytest.mark.parametrize("cap", [8, 8 * 5 * 3, 8 * 5 * 27, 5000, 8 * 5 * 3 ** 5])
+def test_tree_oracle_is_the_same_across_group_edges(cap, monkeypatch):
+    on_tree(monkeypatch, True)
+    problem = several_solutions_problem()
+    want = oracle_bits(problem)
+    assert (len(want[0]), want[2]) == (13, 81)
+    monkeypatch.setattr(wproperty, "CHUNK_BYTES", cap)
+    assert oracle_bits(problem) == want
+
+
+# Blocks and q scaled by 2^1000 (near 1e301) or 2^-1000: the solutions keep
+# their bits, so no step overflowed or lost bits below the normal range, and
+# no RuntimeWarning fails the suite. M = [[1, 1], [0, 0]] makes the regions
+# that take column 0 from M singular after a full pivot row: scaled by
+# 2^1000, the tree's elimination of that row overflows, quietly.
+@pytest.mark.parametrize("scale", [2.0 ** 1000, 2.0 ** -1000])
+def test_oracle_near_the_float_limits_keeps_its_solutions(scale, monkeypatch):
+    blocks = BlockMatrixSet(DenseMatrix([[scale, scale], [0.0, 0.0]]),
+                            (DenseMatrix(scale * np.eye(2)),))
+    singular = EhlcpProblem(blocks, np.array([scale, scale]), BoundLadder((), 2))
+    for _ in both_kernels(monkeypatch):
+        assert oracle_bits(several_solutions_problem(scale)) == oracle_bits(
+            several_solutions_problem())
+        assert oracle_bits(singular) == ([], 4, 2)

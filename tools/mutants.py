@@ -146,6 +146,23 @@ MUTANTS = [
            "_counter_order(np.arange(step), base, shared)[::-1].tolist()",
            "_counter_order(np.arange(step), base, shared).tolist()",
            ("tests/test_vertex_scans.py::test_groups_finish_lowest_counters_first",)),
+    Mutant("tree-pivot-first-nonzero-row", "wproperty.py",
+           "np.where(placed[:, None] >= 0, -1.0, np.abs(a)).argmax(axis=2)",
+           "np.where(placed[:, None] >= 0, -1.0, np.abs(a) > 0).argmax(axis=2)",
+           ("tests/test_vertex_scans.py::test_tree_solves_every_region_like_lapack",)),
+    Mutant("tree-constant-column-dropped", "wproperty.py",
+           "b[:, None] - w[:, :, order - 1, 1]",
+           "b[:, None] - 0.0 * w[:, :, order - 1, 1]",
+           ("tests/test_vertex_scans.py::test_tree_solves_every_region_like_lapack",)),
+    Mutant("tree-zero-pivot-unflagged", "wproperty.py",
+           "zero = p == 0",
+           "zero = np.zeros_like(p, dtype=bool)",
+           ("tests/test_vertex_scans.py::"
+            "test_zero_column_gives_the_same_singular_count_on_both_kernels",)),
+    Mutant("tree-overflow-warns", "oracle.py",
+           "np.errstate(over='ignore', invalid='ignore')",
+           "np.errstate()",
+           ("tests/test_vertex_scans.py::test_oracle_near_the_float_limits_keeps_its_solutions",)),
     Mutant("block-finiteness-unchecked", "blockdata.py",
            "not all_finite(store)",
            "False",
