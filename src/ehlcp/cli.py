@@ -22,7 +22,7 @@ from . import problems, solvers, wproperty
 from .blockdata import (Ehlcp2Problem, is_identity, problem_from_json,
                         problem_to_json, validate)
 from .convergence import suggest_omega
-from .errors import BudgetExceeded, EhlcpError
+from .errors import BudgetExceeded, EhlcpError, NonpositiveDiagonal
 from .problems import alternating
 from .transform import NORM_ORD, pls_residual, reconstruct_y
 
@@ -211,12 +211,16 @@ def _y_star(args, problem, prescribed):
 def _bound_rows(problem, y, y_star, tags):
     """Per norm tag, the residual error bounds at probe y: (true error, ||r||,
     eta = bound42 constant * ||r||, tau = bound43 constant * ||r||, each inf where
-    its constant is, bound42's condition flag, bound43's condition flag)."""
+    its constant is, bound42's condition flag, bound43's condition flag); eta
+    is inf and its flag False where a block's diagonal is not positive."""
     rep = pls_residual(problem, y)
     b43 = bounds_mod.bound43(problem.blocks)
     rows = []
     for tag in tags:
-        b42 = bounds_mod.bound42(problem.blocks, tag)
+        try:
+            b42 = bounds_mod.bound42(problem.blocks, tag)
+        except NonpositiveDiagonal:  # no eta; tau needs no positive diagonal
+            b42 = bounds_mod.BoundReport("Thm42Eta", np.inf, tag, False, np.nan)
         r = rep.norms[tag]
         rows.append((float(np.linalg.norm(y - y_star, NORM_ORD[tag])), r,
                      *(bounds_mod._error_bound(b.constant, r) for b in (b42, b43)),

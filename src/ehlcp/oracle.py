@@ -16,8 +16,7 @@ import numpy as np
 from .bounds import overalpha_estimate, underalpha_exact
 from .convergence import _stacked_lu
 from .transform import recover_solution
-from .wproperty import (_counter_digits, _on_tree, _region_solutions, _vertex_blocks,
-                        vertex_chunks)
+from .wproperty import _on_tree, _region_solutions, _vertex_blocks, vertex_chunks
 
 REGION_TOL = 1e-9
 DEDUP_TOL = 1e-8
@@ -38,7 +37,8 @@ def oracle_solve(problem, budget=2 ** 20):
     y-proximity. Under the column W-property exactly one solution survives.
     Above ``wproperty.TREE_VERTICES`` regions they are solved on the tree of
     column choices, at or below it by batched LAPACK calls; a region is
-    singular where that kernel's elimination meets an exact zero pivot.
+    singular where that kernel's elimination meets an exact zero pivot. Both
+    yield each y with its region's bounds, on which membership is tested.
     """
     n, m = problem.n, problem.m
     dense = _vertex_blocks(problem.blocks, budget)
@@ -58,18 +58,16 @@ def oracle_solve(problem, budget=2 ** 20):
     upper = np.vstack([s_breaks + REGION_TOL, np.full(n, big)])
     ys = []
     singular = 0
-    coords = np.arange(n)
     if _on_tree((m + 1) ** n):
-        chunks = _tree_chunks(cols, const, problem.q)
+        chunks = _region_solutions(cols, const, -problem.q, lower, upper)
     else:
-        chunks = _lapack_chunks(dense, const, problem.q)
+        chunks = _lapack_chunks(dense, const, problem.q, lower, upper)
     # Overflow, and inf - inf after it, comes only from a singular region or
     # one whose y is not finite, and neither is admitted.
     with np.errstate(over="ignore", invalid="ignore"):
-        for digits, y, bad in chunks:
+        for y, bad, lo, hi in chunks:
             singular += int(np.count_nonzero(bad))
-            inside = ~bad & ((lower[digits, coords] <= y)
-                             & (y <= upper[digits, coords])).all(axis=1)
+            inside = ~bad & ((lo <= y) & (y <= hi)).all(axis=1)
             for yk in y[inside]:
                 if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):
                     ys.append(yk)
@@ -77,22 +75,14 @@ def oracle_solve(problem, budget=2 ** 20):
     return OracleResult(solutions, (m + 1) ** n, singular)
 
 
-def _lapack_chunks(dense, const, q):
-    """(digits, y, singular) per ``vertex_chunks`` chunk: one batched ``solve``."""
+def _lapack_chunks(dense, const, q, lower, upper):
+    """(y, singular, lo, hi) per ``vertex_chunks`` chunk, as ``_region_solutions``
+    yields them: one batched ``solve``, the bounds looked up by the digits."""
     coords = np.arange(dense.shape[1])
     for digits, stack in vertex_chunks(dense):
         g = q + const[digits, coords].sum(axis=1)
         y, regular = _stacked_lu(np.linalg.solve, stack, -g[..., None])
-        yield digits, y[..., 0], ~regular
-
-
-def _tree_chunks(cols, const, q):
-    """(digits, y, singular) per run of counters of ``_region_solutions``."""
-    base, n = cols.shape[:2]
-    lo = 0
-    for y, singular in _region_solutions(cols, const, -q):
-        yield _counter_digits(lo, lo + len(y), base, n), y, singular
-        lo += len(y)
+        yield y[..., 0], ~regular, lower[digits, coords], upper[digits, coords]
 
 
 def oracle_alpha_constants(blocks, norm_tag="inf", budget=2 ** 20):

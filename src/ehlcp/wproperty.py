@@ -68,12 +68,12 @@ def _vertex_blocks(blocks, budget):
 def vertex_chunks(dense):
     """(digits, stack) chunks of all (m+1)^n column representatives of dense blocks.
 
-    digits is a (k, n) block of assignments in mixed-radix counter order
-    (``_counter_digits``) and stack[i] the (n, n) representative of
-    digits[i]: column j taken from block digits[i, j]. Columns are gathered
-    as contiguous rows of the transposed blocks, so each stack[i] is a
-    Fortran-ordered view: a sum along its axes may round differently from the
-    same sum on a C-ordered copy.
+    digits is a (k, n) block of assignments in mixed-radix counter order,
+    coordinate 0 fastest (``np.unravel_index``'s digits, reversed), and
+    stack[i] the (n, n) representative of digits[i]: column j taken from block
+    digits[i, j]. Columns are gathered as contiguous rows of the transposed
+    blocks, so each stack[i] is a Fortran-ordered view: a sum along its axes
+    may round differently from the same sum on a C-ordered copy.
     """
     base, n = dense.shape[:2]
     cols = np.ascontiguousarray(dense.transpose(0, 2, 1))  # cols[c, j]: column j of block c
@@ -81,18 +81,9 @@ def vertex_chunks(dense):
     total = base ** n
     step = _chunk_len(n)
     for lo in range(0, total, step):
-        digits = _counter_digits(lo, min(lo + step, total), base, n)
+        counters = np.arange(lo, min(lo + step, total))
+        digits = np.stack(np.unravel_index(counters, (base,) * n)[::-1], axis=1)
         yield digits, cols[digits, idx].transpose(0, 2, 1)
-
-
-def _counter_digits(lo, hi, base, n):
-    """(hi - lo, n) digits of the counters lo to hi - 1 in base, coordinate 0
-    fastest (counters are int64, so they stay below 2**63)."""
-    val = np.arange(lo, hi, dtype=np.int64)
-    digits = np.empty((val.size, n), dtype=np.intp)
-    for j in range(n):
-        val, digits[:, j] = np.divmod(val, base)
-    return digits
 
 
 def selection_chunks(blocks, lams):
@@ -214,9 +205,10 @@ def _slogdet_signs(cols, col_norms):
         yield np.where(logabs < zero_log, 0, sign).astype(int)
 
 
-def _region_solutions(cols, const, rhs):
-    """(y, singular) of A_c y = rhs - sum_j const[c_j, j] for every column
-    choice c, in counter order, A_c being the representative of c.
+def _region_solutions(cols, const, rhs, lower, upper):
+    """(y, singular, lo, hi) of A_c y = rhs - sum_j const[c_j, j] for every
+    column choice c, in counter order, A_c being the representative of c and
+    lo[j], hi[j] = lower[c_j, j], upper[c_j, j] the bounds of c's region.
 
     cols[c, j] is column j of block c and const[c, j] the constant column that
     choice c adds at coordinate j. Gauss-Jordan elimination with partial
@@ -225,30 +217,31 @@ def _region_solutions(cols, const, rhs):
     from order = n - d to n - 1, one step each: w[s, c, j, 0] is column j <
     order of block c after the steps of state s, w[s, c, j, 1] its constant
     column, b[s] the right-hand side, placed[s, i] the column whose pivot row
-    i is (-1 while it is none), pivot[s, i] its pivot (1 while none) and
-    singular[s] whether a pivot was exactly zero. Each step eliminates its
-    column from every other row, the pivot rows included, so a leaf's pivot
-    row i of column j reads pivot * y[j] = b[i]. The child of state
-    s for block c is state s * base + c, so the leaves come out in counter
-    order. States are finished a group at a time, lowest counters first, the
-    group sized so that its largest array, the candidate columns of its
-    last level, takes at most half of CHUNK_BYTES; the loop is not a
-    recursion, and a group's arrays are freed before the next group starts.
-    Yields (y, singular) for consecutive runs of counters; y is garbage where
-    singular is True.
+    i is (-1 while it is none), pivot[s, i] its pivot (1 while none),
+    singular[s] whether a pivot was exactly zero and bounds[s, :, j] the
+    (lower, upper) pair that its choice at column j >= order took. Each step
+    eliminates its column from every other row, the pivot rows included, so
+    a leaf's pivot row i of column j reads pivot * y[j] = b[i]. The child of
+    state s for block c is state s * base + c, so the leaves come out in
+    counter order. States are finished a group at a time, lowest counters
+    first, the group sized so that its largest array, the candidate columns
+    of its last level, takes at most half of CHUNK_BYTES (its leaves' bounds
+    take as much); the loop is not a recursion, and a group's arrays are
+    freed before the next group starts. Yields (y, singular, lo, hi) for
+    consecutive runs of counters; y is garbage where singular is True.
     """
     base, n = cols.shape[:2]
+    limits = np.stack([lower, upper], axis=1)  # [c, :, j]: block c's bounds at column j
     todo = [(np.stack([cols, const], axis=2)[None], rhs[None], np.full((1, n), -1),
-             np.ones((1, n)), np.zeros(1, dtype=bool))]
+             np.ones((1, n)), np.zeros(1, dtype=bool), np.zeros((1, 2, n)))]
     while todo:
-        w, b, placed, pivot, singular = todo.pop()
+        w, b, placed, pivot, singular, bounds = state = todo.pop()
         states, order = w.shape[0], w.shape[2]
         group = max(1, CHUNK_BYTES // (32 * n * base ** order))
         if states > group:
             # pushed highest counters first, so that the lowest are popped first
-            for lo in reversed(range(0, states, group)):
-                todo.append((w[lo:lo + group], b[lo:lo + group], placed[lo:lo + group],
-                             pivot[lo:lo + group], singular[lo:lo + group]))
+            for k in reversed(range(0, states, group)):
+                todo.append(tuple(a[k:k + group] for a in state))
             continue
         a = w[:, :, order - 1, 0]  # [s, c, :]: the column that child (s, c) eliminates
         b = b[:, None] - w[:, :, order - 1, 1]
@@ -265,17 +258,19 @@ def _region_solutions(cols, const, rhs):
         placed = np.where(at, order - 1, placed[:, None]).reshape(-1, n)
         pivot = np.where(at, p, pivot[:, None]).reshape(-1, n)
         singular = (singular[:, None] | zero[..., 0]).ravel()
+        bounds = np.where(np.arange(n) == order - 1, limits[:, :, order - 1, None],
+                          bounds[:, None]).reshape(-1, 2, n)
         if order == 1:
             y = np.empty_like(b)
             np.put_along_axis(y, placed, b / pivot, 1)
-            yield y, singular
+            yield y, singular, bounds[:, 0], bounds[:, 1]
             continue
         # w_r[s, c, c', j, t]: pivot row r[s, c] of state s
         w_r = w[np.arange(states)[:, None], :, :order - 1, :, r[..., 0]]
         child = mult[:, :, None, None, None] * w_r[..., None]
         w = np.subtract(w[:, None, :, :order - 1], child, out=child)
         todo.append((w.reshape(states * base, base, order - 1, 2, n), b, placed, pivot,
-                     singular))
+                     singular, bounds))
 
 
 def has_column_w_property(blocks, budget=2 ** 20):
@@ -289,6 +284,14 @@ def has_column_w_property(blocks, budget=2 ** 20):
     """
     n, m = blocks.n, blocks.m
     cols = _vertex_blocks(blocks, budget)  # cols[c, :, j]: column j of block c
+    # Blocks whose largest |entry| is below 1 are scaled up, exactly, by the
+    # power of two that brings it into [0.5, 1); in exact arithmetic that
+    # moves no sign and no side of the band. On subnormal entries LAPACK's
+    # elimination can drop its updates: every pivot of a rank-1 block of
+    # 2^-1023 came out 2^-1023.
+    top = np.abs(cols).max()
+    if 0 < top < 1:
+        cols = np.ldexp(cols, -np.frexp(top)[1])
     # [c, j]: 2-norm of column j of block c, by hypot so that it neither
     # underflows nor overflows where a sum of squares would: the test is then
     # the same for the blocks scaled by any power of two.

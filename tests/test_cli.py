@@ -658,6 +658,19 @@ def test_bounds_print_no_tau_where_bound43_is_not_certified(tmp_path, capsys):
     assert all(np.isfinite(float(row[3])) for row in rows[1:])
 
 
+def test_bounds_where_a_diagonal_is_negative_print_tau_and_no_eta(tmp_path, capsys):
+    # bound42 splits off positive diagonals and has none here, but bound43
+    # certifies with constant 0.5 and the column W-property holds
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        "n": 1, "m": 1, "M": {"dense": [[-2.0]]}, "H": [{"dense": [[-3.0]]}],
+        "q": [3.0], "d": [], "prescribed": {"y": [1.0]}}))
+    assert run_cli(["bounds", "--probe-pattern=0.5,0.5", str(problem)]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[1:] == [["1", "0.5", "1.5", "inf", "0.75", "False", "True"],
+                        ["inf", "0.5", "1.5", "inf", "0.75", "False", "True"]]
+
+
 @pytest.mark.parametrize("command", [["checkw"], ["solve", "--method", "fp31"],
                                      ["bounds", "--probe-pattern=-0.1,0.1"]],
                          ids=["checkw", "solve", "bounds"])

@@ -356,7 +356,9 @@ def test_example52_n10_against_slogdet_over_vertex_chunks():
 # norms' squares underflow (2^-600, 2^-900) or overflow (2^600) either. The
 # first M has a row three times the other, up to the rounding of the
 # products, so its det is a residue far inside the band; taken twice, it must
-# fail at every scale.
+# fail at every scale. So must blocks of rank 1 with every entry 2^-1023, on
+# which LAPACK's elimination of the unscaled subnormals found six nonzero
+# pivots.
 @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** -900, 2.0 ** 600])
 def test_scaling_by_a_power_of_two_keeps_the_report(scale, monkeypatch):
     near = DenseMatrix([[0.1, 0.7], [0.1 * 3.0, 0.7 * 3.0]])
@@ -372,6 +374,8 @@ def test_scaling_by_a_power_of_two_keeps_the_report(scale, monkeypatch):
                                     tuple(DenseMatrix(h.data * scale) for h in blocks.H))
             assert report(scaled) == report(blocks) == ref_w_property(blocks)
         assert report(cases[0]) == (False, (0, 0), (0, 0), 1)
+        tiny = DenseMatrix(np.full((6, 6), 2.0 ** -1023))
+        assert report(BlockMatrixSet(tiny, (tiny,))) == (False, (0, 0), (0,) * 6, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -444,7 +448,8 @@ def test_tree_oracle_matches_on_desk_random_seeds(monkeypatch):
 # row 0 holds 1e-20 in every column but the first: a pivot taken from the
 # first nonzero row instead of the largest divides by 1e-20 and loses the
 # other rows. Block 2's column 1 is zero, so exactly the regions that take
-# it are singular.
+# it are singular. Every region's bounds are distinct draws, so a bound
+# carried from the wrong column or block shows.
 def test_tree_solves_every_region_like_lapack(monkeypatch):
     rng = np.random.default_rng(4)
     n, base = 4, 3
@@ -454,13 +459,15 @@ def test_tree_solves_every_region_like_lapack(monkeypatch):
     cols[2, 1] = 0.0
     const = rng.uniform(-1.0, 1.0, (base, n, n))
     rhs = rng.uniform(-1.0, 1.0, n)
+    lower, upper = rng.uniform(-1.0, 1.0, (2, base, n))
     for cap in (2 ** 20, 8):
         monkeypatch.setattr(wproperty, "CHUNK_BYTES", cap)
-        chunks = list(wproperty._region_solutions(cols, const, rhs))
-        y = np.concatenate([y for y, _ in chunks])
-        singular = np.concatenate([s for _, s in chunks])
-        assert y.shape == (base ** n, n)
+        chunks = list(wproperty._region_solutions(cols, const, rhs, lower, upper))
+        y, singular, lo, hi = [np.concatenate(parts) for parts in zip(*chunks)]
+        assert y.shape == lo.shape == hi.shape == (base ** n, n)
         for k, assign in enumerate(counter_order(n, base - 1)):
+            assert np.array_equal(lo[k], lower[assign, np.arange(n)])
+            assert np.array_equal(hi[k], upper[assign, np.arange(n)])
             assert singular[k] == (assign[1] == 2)
             if not singular[k]:
                 a = np.column_stack([cols[c, j] for j, c in enumerate(assign)])
@@ -494,6 +501,9 @@ def test_scans_pick_their_kernel_by_the_vertex_count(monkeypatch):
             if tree:
                 mp.setattr(np.linalg, "solve", refuse)
                 mp.setattr(np.linalg, "slogdet", refuse)
+                # the tree carries each region's bounds, so no digits are built
+                mp.setattr(oracle, "vertex_chunks", refuse)
+                mp.setattr(np, "unravel_index", refuse)
             else:
                 mp.setattr(oracle, "_region_solutions", refuse)
                 mp.setattr(wproperty, "_representative_signs", refuse)

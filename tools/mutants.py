@@ -159,6 +159,14 @@ MUTANTS = [
            "zero = np.zeros_like(p, dtype=bool)",
            ("tests/test_vertex_scans.py::"
             "test_zero_column_gives_the_same_singular_count_on_both_kernels",)),
+    Mutant("tree-bounds-at-the-wrong-column", "wproperty.py",
+           "limits[:, :, order - 1, None]",
+           "limits[:, :, 0, None]",
+           ("tests/test_vertex_scans.py::test_tree_solves_every_region_like_lapack",)),
+    Mutant("tiny-blocks-not-rescaled", "wproperty.py",
+           "0 < top < 1",
+           "False",
+           ("tests/test_vertex_scans.py::test_scaling_by_a_power_of_two_keeps_the_report",)),
     Mutant("tree-overflow-warns", "oracle.py",
            "np.errstate(over='ignore', invalid='ignore')",
            "np.errstate()",
