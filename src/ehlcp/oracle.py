@@ -71,6 +71,7 @@ def oracle_solve(problem, budget=2 ** 20):
             for yk in y[inside]:
                 if not any(np.max(np.abs(yk - prev)) <= DEDUP_TOL for prev in ys):
                     ys.append(yk)
+            del y, bad, lo, hi  # freed before the next group is solved
     solutions = [(y, recover_solution(y, problem.ladder)) for y in ys]
     return OracleResult(solutions, (m + 1) ** n, singular)
 

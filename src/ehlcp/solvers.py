@@ -15,13 +15,14 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs, dpbtrf, dpbtrs
 
 from .blockdata import DenseMatrix, EhlcpSolution, all_finite, is_symmetric
 from .errors import InvalidParams, SingularM
-from .transform import recover_solution, residual_of_tuple
+from .transform import _x_pieces, recover_solution, residual_of_tuple
 
 DIVERGENCE_LIMIT = 1e12
 
 
 def _inf_norm(v):
-    return float(np.abs(v).max(initial=0.0))  # np.linalg.norm(v, inf), bit for bit
+    # np.linalg.norm(v, inf) bit for bit: ndarray.max's reduction, called directly
+    return float(np.maximum.reduce(np.abs(v), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,8 @@ def method31(problem, y0=None, cfg=None):
     y0 = _start(y0, n)
 
     def update(y):
-        sol = recover_solution(y, problem.ladder)
         phi = np.zeros(n)
-        for h, x in zip(problem.blocks.H, sol.x):
+        for h, x in zip(problem.blocks.H, _x_pieces(y, problem.ladder)):
             phi += h.matvec(x)
         return np.maximum(0.0, y) - factor.solve(problem.q + phi)
 
@@ -279,6 +279,13 @@ class _SweepPlan:
     g or x, or on x with a sign bit set (the loop's max(z, 0.0) keeps a
     z = -0.0 that can lie between two ends giving +0.0). It decides nothing
     when a correction end is not finite.
+
+    The loop visits only the terms of each row, the diagonals whose column
+    j + offset is at least 0, in the order above (``loop_data``). Its clamp
+    is min(max(z, 0.0), b) written as the comparisons those builtins make
+    (max(z, 0.0) is 0.0 only where 0.0 > z, min(z, b) is b only where
+    b < z), so no builtin is called per coordinate and a z = -0.0 or NaN
+    passes as it does there.
     """
 
     def __init__(self, H1, b, eta, omega_relax, e_diag, ktag):
@@ -309,9 +316,21 @@ class _SweepPlan:
 
     @cached_property
     def loop_data(self):
-        """b, omega E and K's diagonals as plain floats, for the scalar loop."""
-        return (self.b.tolist(), self.w.tolist(),
-                [(offset, memoryview(values)) for offset, values in self.tri])
+        """b, omega E and the terms of K's rows, as plain floats for the scalar
+        loop.
+
+        A row j visits only its terms: the (offset, values) pairs of ``tri``
+        with column j + offset >= 0, in ``tri``'s order, which is the rising
+        original column order (descending offsets on an upper sweep). Only
+        the first ``width`` rows, width the largest |offset| or n if less,
+        lose a diagonal that way; they get a filtered list each, and every
+        later row takes all of ``tri``. That is O(width x diagonals) more.
+        """
+        tri = [(offset, memoryview(values)) for offset, values in self.tri]
+        width = min(self.n, max((-offset for offset, _ in tri), default=0))
+        rows = [[(offset, values) for offset, values in tri if j + offset >= 0]
+                for j in range(width)]
+        return self.b.tolist(), self.w.tolist(), rows, tri
 
     def sweep(self, g, x):
         """x after one sweep, given g = H1 x + q."""
@@ -369,19 +388,26 @@ class _SweepPlan:
         """x_new with the loop's statements run on the rising indices todo;
         every other coordinate's delta is x_new - x, rounded as the loop's."""
         eta, rest = self.eta, self.rest
-        bs, ws, tri = self.loop_data
-        # The whole loop (x_new is x) writes each delta before reading it.
-        delta = [0.0] * self.n if x_new is x else (x_new - x).tolist()
-        g, xs, x_new = g.tolist(), x.tolist(), x_new.tolist()
+        bs, ws, rows, tri = self.loop_data
+        width = len(rows)
+        g, xs = g.tolist(), x.tolist()
+        if x_new is x:  # the whole loop writes each delta before reading it
+            x_new, delta = xs[:], [0.0] * self.n
+        else:
+            delta, x_new = (x_new - x).tolist(), x_new.tolist()
         for j in todo:
             corr = 0.0
-            for offset, values in tri:
+            for offset, values in (rows[j] if j < width else tri):
                 l = j + offset
-                if l >= 0:
-                    corr += values[l] * delta[l]
-            z = xs[j] - ws[j] * (g[j] + corr)
-            x_new[j] = eta * min(max(z, 0.0), bs[j]) + rest * xs[j]
-            delta[j] = x_new[j] - xs[j]
+                corr += values[l] * delta[l]
+            xj = xs[j]
+            z = xj - ws[j] * (g[j] + corr)
+            if z < 0.0:
+                z = 0.0
+            if bs[j] < z:
+                z = bs[j]
+            x_new[j] = v = eta * z + rest * xj
+            delta[j] = v - xj
         return np.array(x_new)
 
 

@@ -45,17 +45,19 @@ class ResidualReport:
     norms: dict
 
 
+def _x_pieces(y, ladder):
+    """The pieces (x_1, ..., x_m) encoded by the float vector y."""
+    s = ladder.prefix
+    m = ladder.m
+    xs = [np.maximum(0.0, np.minimum(y - s[i - 1], ladder.d[i - 1])) for i in range(1, m)]
+    xs.append(np.maximum(0.0, y - s[m - 1]))
+    return tuple(xs)
+
+
 def recover_solution(y, ladder):
     """Tuple (w, x_1..x_m) encoded by y; total and exact for any finite y."""
     y = np.asarray(y, dtype=float)
-    s = ladder.prefix
-    m = ladder.m
-    w = np.maximum(0.0, -y)
-    xs = []
-    for i in range(1, m):
-        xs.append(np.maximum(0.0, np.minimum(y - s[i - 1], ladder.d[i - 1])))
-    xs.append(np.maximum(0.0, y - s[m - 1]))
-    return EhlcpSolution(w, tuple(xs))
+    return EhlcpSolution(np.maximum(0.0, -y), _x_pieces(y, ladder))
 
 
 def feasibility_violations(sol, ladder):

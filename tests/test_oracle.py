@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, BudgetExceeded, DenseMatrix,
                    EhlcpProblem, gen_example52, gen_example53, has_column_w_property,
                    identity_matrix, oracle_alpha_constants, oracle_solve,
                    overalpha_estimate, sample_rho_L, underalpha_exact)
+from ehlcp import oracle
 from ehlcp.blockdata import BandMatrix, EhlcpSolution
 from ehlcp.transform import recover_solution
 
@@ -128,3 +131,24 @@ def test_budget_is_refused_before_any_dense_block_is_built(monkeypatch):
     for call in calls:
         with pytest.raises(BudgetExceeded):
             call()
+
+
+def test_oracle_frees_each_group_before_the_next(monkeypatch):
+    """Ex 5.2 n = 9 is solved on the tree in 9 groups. By the time a group's
+    y comes out, nothing holds the previous group's y any more: the oracle's
+    loop has let go of its (y, singular, lo, hi) before the tree solves the
+    next group."""
+    problem = gen_example52(9).problem.as_general()
+    solve_groups = oracle._region_solutions
+    previous = []
+
+    def spy(*args):
+        for y, bad, lo, hi in solve_groups(*args):
+            assert all(ref() is None for ref in previous)
+            previous.append(weakref.ref(y))
+            yield y, bad, lo, hi
+
+    monkeypatch.setattr(oracle, "_region_solutions", spy)
+    res = oracle_solve(problem)
+    assert len(previous) == 9
+    assert len(res.solutions) == 1

@@ -145,6 +145,14 @@ def order_sensitive_sweep(ktag):
             np.ones(4), ktag)
 
 
+def dense_upper_sweep():
+    """A dense n = 4 upper sweep with every strictly upper entry nonzero. The
+    plan holds K's diagonals by descending offset, so the terms of a row are
+    a prefix of them, not a suffix as in a lower sweep."""
+    h1 = DenseMatrix(np.arange(1.0, 17.0).reshape(4, 4) / 32.0 + 4.0 * np.eye(4))
+    return (h1, np.full(4, -1.0), np.zeros(4), np.ones(4), 1.0, 1.0, np.ones(4), "upper")
+
+
 def pairwise_sensitive_sweep():
     """A one-coordinate level with nine terms: 2^53, seven 1s, -2^53. Summed
     one by one they give 0; numpy's pairwise sum of nine gives 6."""
@@ -180,6 +188,7 @@ def overflowing_sweep():
 @given(sweeps())
 @example(order_sensitive_sweep("lower"))
 @example(order_sensitive_sweep("upper"))
+@example(dense_upper_sweep())
 @example(pairwise_sensitive_sweep())
 @example(signed_zero_chain_sweep())
 @example(overflowing_sweep())

@@ -6,7 +6,7 @@ from ehlcp import (BlockMatrixSet, BoundLadder, EhlcpProblem, EhlcpSolution,
                    InfeasibleTuple, gen_example52, gen_example53,
                    identity_matrix, pls_residual, reconstruct_y,
                    recover_solution, selection_matrices, sum_identity)
-from ehlcp.transform import (DiagonalSelection, feasibility_violations,
+from ehlcp.transform import (DiagonalSelection, _x_pieces, feasibility_violations,
                              residual_of_tuple, transformation_pieces)
 
 
@@ -44,6 +44,19 @@ def test_recover_m1_degenerates():
     assert np.array_equal(sol.w, np.maximum(0.0, -y))
     assert len(sol.x) == 1
     assert np.array_equal(sol.x[0], np.maximum(0.0, y))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_x_pieces_have_the_bits_of_recover_solution(m):
+    """The x pieces fixed-point updates take alone: signed zeros, y at each
+    breakpoint 0, 0.5 and 0.75, and y far outside the ladder."""
+    y = np.array([-0.0, 0.0, 0.5, 0.75, 0.3, 0.6, 2.0, 1e300, -1e300])
+    ladder = BoundLadder((np.full(9, 0.5), np.full(9, 0.25))[:m - 1], 9)
+    pieces = _x_pieces(y, ladder)
+    want = recover_solution(y, ladder).x
+    assert len(pieces) == len(want) == m
+    for got, x in zip(pieces, want):
+        np.testing.assert_array_equal(got.view(np.int64), x.view(np.int64))
 
 
 def test_reconstruct_examples():

@@ -112,6 +112,14 @@ MUTANTS = [
            "np.flatnonzero(~same)[::-1].tolist()",
            ("tests/test_sweep_kernels.py::"
             "test_first_ex55_sweep_is_partly_decided_and_finished_by_the_loop",)),
+    Mutant("loop-clamp-at-zero-le", "solvers.py",
+           "z < 0.0",
+           "z <= 0.0",
+           ("tests/test_sweep_kernels.py::test_bracket_examples_give_the_loop_bits",)),
+    Mutant("row-terms-drop-column-zero", "solvers.py",
+           "j + offset >= 0",
+           "j + offset > 0",
+           ("tests/test_sweep_kernels.py::test_kernels_match_scalar_reference",)),
     Mutant("start-shape-unchecked", "solvers.py",
            "y0.shape != (n,)",
            "False",
