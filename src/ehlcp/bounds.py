@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,18 +197,25 @@ def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,
                             norm_tag="inf"):
     """Two-sided error interval (||r||/alpha_low, alpha_up * ||r||) at y.
 
-    BoundReport / AlphaEstimate arguments must carry the requested norm tag; bare
-    floats are trusted as-is. An infinite alpha_up (no bound) gives inf, even at r = 0.
+    Only bounds make the interval: alpha_up is a BoundReport or a bare float,
+    alpha_low an AlphaEstimate with ``exact`` True or a bare float. Anything
+    else, such as ``overalpha_estimate``'s lower estimate of alpha_up, raises
+    InvalidParams. A BoundReport or AlphaEstimate must carry the requested norm
+    tag; bare floats are trusted as-is. An infinite alpha_up (no bound) gives
+    inf, even at r = 0.
     """
+    if not isinstance(alpha_upper, (BoundReport, numbers.Real)):
+        raise InvalidParams("the upper constant must be a BoundReport or a float")
+    if not (isinstance(alpha_lower_den, numbers.Real)
+            or isinstance(alpha_lower_den, AlphaEstimate) and alpha_lower_den.exact):
+        raise InvalidParams("the lower constant must be an exact AlphaEstimate or a float")
     up_tag = getattr(alpha_upper, "norm_tag", None)
     lo_tag = getattr(alpha_lower_den, "norm_tag", None)
     if up_tag is not None and up_tag != norm_tag:
         raise NormMismatch(f"upper constant is a {up_tag}-norm bound, wanted {norm_tag}")
     if lo_tag is not None and lo_tag != norm_tag:
         raise NormMismatch(f"lower constant is a {lo_tag}-norm bound, wanted {norm_tag}")
-    up = getattr(alpha_upper, "constant", None)
-    if up is None:
-        up = getattr(alpha_upper, "value", alpha_upper)
+    up = getattr(alpha_upper, "constant", alpha_upper)
     lo = getattr(alpha_lower_den, "value", alpha_lower_den)
     r_norm = pls_residual(problem, y).norms[norm_tag]
     return (r_norm / float(lo), _error_bound(float(up), r_norm))
@@ -217,39 +225,28 @@ def residual_error_interval(problem, y, alpha_upper, alpha_lower_den,
 class AlphaEstimate:
     value: float
     norm_tag: str
-    exact: bool  # vertex enumeration (exact) vs sampled estimate
+    exact: bool  # underalpha_exact's vertex maximum vs overalpha_estimate's lower estimate
     count: int
 
 
-def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20, samples=0, seed=0):
-    """Max selection-combination norm over the selection set.
+def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20):
+    """Max selection-combination norm over the selection set, exact or refused.
 
-    Exact when all (m+1)^n vertices fit the budget: the norm is convex in the
-    selection weights over a product of simplices, so the max sits at a
-    vertex, and vertex combinations are exactly the column representatives.
-    Each column of a representative comes from its own block, so for norms 1
-    and inf the vertex maximum has a closed form: the largest column abs-sum
-    of any block (1), and the largest row sum of the entrywise max over blocks
-    of |A_k| (inf). Floating-point addition is monotone, so both equal the
-    enumerated maximum bit for bit. The 2-norm enumerates every vertex.
-    Otherwise a sampled lower estimate (flagged) when samples > 0, else the
-    BudgetExceeded of the vertex gate ``wproperty._vertex_blocks``. Above order
-    512 a band sample's 2-norm is ``two_norm_estimate``'s, which can be low;
-    for a lower estimate that is the safe side.
+    The norm is convex in the selection weights over a product of simplices,
+    so the max sits at a vertex, and vertex combinations are exactly the
+    column representatives. Each column of a representative comes from its
+    own block, so for norms 1 and inf the vertex maximum has a closed form:
+    the largest column abs-sum of any block (1), and the largest row sum of
+    the entrywise max over blocks of |A_k| (inf). Floating-point addition is
+    monotone, so both equal the enumerated maximum bit for bit. The 2-norm
+    enumerates every vertex. When the (m+1)^n vertices exceed the budget, the
+    vertex gate ``wproperty._vertex_blocks`` raises BudgetExceeded, for every
+    tag.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
-    try:
-        dense = _vertex_blocks(blocks, budget)
-    except BudgetExceeded:
-        if samples <= 0:
-            raise
-        worst = 0.0
-        for lam in simplex_selections(m, n, samples, seed):
-            worst = max(worst, induced_norm(selection_combination(blocks, lam),
-                                            norm_tag))
-        return AlphaEstimate(worst, norm_tag, False, samples)
+    dense = _vertex_blocks(blocks, budget)
     if norm_tag == "2":
         worst = 0.0
         for _, stack in vertex_chunks(dense):
@@ -271,8 +268,8 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
     one in counter order among the vertices, then in draw order among the
     samples. Vertices, and samples at order DENSE_EIG_MAX_ORDER or below, are
     inverted a chunk at a time; above that order each sample takes
-    ``inverse_norm``, whose 2-norm estimate can be low: for a lower estimate
-    that is the safe side.
+    ``inverse_norm``: Hager's estimate for tags 1 and inf, and for tag 2 on
+    band blocks its InvalidParams.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")

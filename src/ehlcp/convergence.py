@@ -248,34 +248,6 @@ def spectral_radius_nonneg(store):
                                   "rowsums")
 
 
-def two_norm_estimate(matvec, rmatvec, n):
-    """Largest singular value via power iteration on A^T A.
-
-    Operator-based, so it also runs on a factorization's solves. Random seeded
-    start avoids starts orthogonal to the dominant singular space. It stops
-    when the Rayleigh quotient changes by at most 1e-12 relative, or after
-    10,000 steps with the last quotient, unflagged; either can sit below the
-    2-norm when the top singular values are close (1.4e-5 relative low on
-    ``TridiagonalMatrix.constant(513, 1, 4, -2)``). Every caller reads it as
-    a lower estimate.
-    """
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam_prev = None
-    for _ in range(10000):
-        u = rmatvec(matvec(v))
-        lam = float(v @ u)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        v = u / norm_u
-        if lam_prev is not None and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
-            return float(np.sqrt(max(lam, 0.0)))
-        lam_prev = lam
-    return float(np.sqrt(max(lam_prev, 0.0)))
-
-
 def _norm_ends(store, tag):
     """(induced norm of store, an upper end of it): for norms 1 and inf the
     largest absolute column or row sum and its ``_sum_up``; the 2-norm's end
@@ -284,17 +256,24 @@ def _norm_ends(store, tag):
     return value, (value if tag == "2" else _sum_up(value, len(store.data)))
 
 
+def _refuse_band_two_norm(store, tag):
+    """InvalidParams for the 2-norm of a band store above order
+    DENSE_EIG_MAX_ORDER: no kernel computes it exactly there."""
+    if tag == "2" and not isinstance(store, DenseMatrix) and store.n > DENSE_EIG_MAX_ORDER:
+        raise InvalidParams(f"no 2-norm of a band store above order {DENSE_EIG_MAX_ORDER}")
+
+
 def induced_norm(store, tag):
-    """Induced matrix norm of a store; the 2-norm is exact for a dense store and
-    up to order DENSE_EIG_MAX_ORDER, estimated (from below) above it."""
+    """Induced matrix norm of a store. The 2-norm is exact for a dense store
+    and up to order DENSE_EIG_MAX_ORDER, and refused (InvalidParams) for a
+    band store above it."""
     if tag == "1":
         return float(np.max(abs_colsums(store)))
     if tag == "inf":
         return float(np.max(store.abs_rowsums()))
     if tag == "2":
-        if isinstance(store, DenseMatrix) or store.n <= DENSE_EIG_MAX_ORDER:
-            return float(np.linalg.norm(store.to_dense(), 2))
-        return two_norm_estimate(store.matvec, store.rmatvec, store.n)
+        _refuse_band_two_norm(store, tag)
+        return float(np.linalg.norm(store.to_dense(), 2))
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
@@ -329,13 +308,13 @@ def inverse_norm(store, tag):
     estimated on the band factorization above it.
 
     The estimate is deterministic: Hager's method (``onenormest`` with t=1)
-    for norms 1 and inf, a seeded power iteration for the 2-norm
-    (``two_norm_estimate``, which can land below the norm; its callers above
-    order 512 want lower estimates, where a low value is the safe side). Raises
-    SingularM when the store cannot be inverted, ValueError on an unknown tag.
+    for norms 1 and inf. The 2-norm of a band store above order 512 is
+    refused with InvalidParams, as in ``induced_norm``. Raises SingularM when
+    the store cannot be inverted, ValueError on an unknown tag.
     """
     if tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {tag!r}")
+    _refuse_band_two_norm(store, tag)
     n = store.n
     if isinstance(store, DenseMatrix) or n <= DENSE_EIG_MAX_ORDER:
         inv, bad = _stack_inverses(store.to_dense()[None])
@@ -343,8 +322,6 @@ def inverse_norm(store, tag):
             raise SingularM("singular matrix or overflowing inverse")
         return float(np.linalg.norm(inv[0], NORM_ORD[tag]))
     factor = LinearOperatorFactor(store)  # raises SingularM
-    if tag == "2":
-        return two_norm_estimate(factor.solve, factor.solve_transposed, n)
     # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
     solve, rsolve = ((factor.solve, factor.solve_transposed) if tag == "1"
                      else (factor.solve_transposed, factor.solve))

@@ -15,8 +15,9 @@ class InfeasibleTuple(EhlcpError):
 
 class InvalidParams(EhlcpError, ValueError):
     """A parameter outside its admissible range: an iteration setting, a
-    generator's size or shape parameter, a selection count, or blocks of
-    order 0 or with a non-finite entry."""
+    generator's size or shape parameter, a selection count, blocks of order 0
+    or with a non-finite entry, the 2-norm of a band store above order 512,
+    or an error-interval constant that is not a bound."""
 
 
 class BudgetExceeded(EhlcpError):

@@ -11,8 +11,7 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
 from ehlcp import convergence
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
 from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                               induced_norm, inverse_norm, spectral_radius_nonneg,
-                               two_norm_estimate)
+                               induced_norm, inverse_norm, spectral_radius_nonneg)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -92,16 +91,12 @@ def test_spectral_radius_above_cut_brackets_by_row_sums(rng):
         assert Fraction(est.lower) <= Fraction(rho) <= Fraction(est.upper) == est.value
 
 
-def test_two_norm_matches_dense(rng):
-    a = rng.standard_normal((6, 6))
-    d = DenseMatrix(a)
-    got = two_norm_estimate(d.matvec, d.rmatvec, 6)
-    assert got == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
-
-
-def test_two_norm_of_a_zero_band_store_above_the_cut_is_zero():
-    # above order 512 the 2-norm is the power estimate, whose first product is 0
-    assert induced_norm(TridiagonalMatrix.constant(600, 0.0, 0.0, 0.0), "2") == 0.0
+def test_two_norm_of_a_zero_band_store_above_the_cut_is_refused():
+    # above order 512 no kernel computes a band store's 2-norm exactly
+    zero = TridiagonalMatrix.constant(600, 0.0, 0.0, 0.0)
+    for norm in (induced_norm, inverse_norm):
+        with pytest.raises(InvalidParams):
+            norm(zero, "2")
 
 
 def test_check_cor31_identical_blocks():
@@ -413,9 +408,9 @@ def test_induced_norms_match_numpy(rng):
     # a dense store's 2-norm is exact above the band cut too
     big = rng.standard_normal((DENSE_EIG_MAX_ORDER + 1,) * 2)
     assert induced_norm(DenseMatrix(big), "2") == np.linalg.norm(big, 2)
-    # above the cut a band store takes a power-iteration estimate, from below
+    # above the cut a band store's 2-norm is refused
     band = TridiagonalMatrix.constant(DENSE_EIG_MAX_ORDER + 1, 1.0, 4.0, -2.0)
-    exact = np.linalg.norm(band.to_dense(), 2)
-    assert exact * (1 - 1e-4) <= induced_norm(band, "2") <= exact * (1 + 1e-14)
+    with pytest.raises(InvalidParams):
+        induced_norm(band, "2")
     with pytest.raises(ValueError, match="unknown norm tag"):
         induced_norm(d, "Inf")

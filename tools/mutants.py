@@ -205,6 +205,17 @@ MUTANTS = [
            "value, certifying = (est.value, True)",
            ("tests/test_convergence.py::"
             "test_graded_matrix_certifies_or_reports_no_certificate_without_warnings",)),
+    Mutant("band-two-norm-unrefused", "convergence.py",
+           "store.n > DENSE_EIG_MAX_ORDER",
+           "False",
+           ("tests/test_convergence.py::"
+            "test_two_norm_of_a_zero_band_store_above_the_cut_is_refused",
+            "tests/test_bounds.py::"
+            "test_overalpha_two_norm_on_band_blocks_above_the_cut_is_refused")),
+    Mutant("interval-takes-an-estimate", "bounds.py",
+           "isinstance(alpha_lower_den, AlphaEstimate) and alpha_lower_den.exact",
+           "isinstance(alpha_lower_den, AlphaEstimate)",
+           ("tests/test_bounds.py::test_residual_error_interval_refuses_estimates",)),
 ]
 
 
