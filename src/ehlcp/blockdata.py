@@ -509,6 +509,13 @@ def _band_from_json(value, length):
     return value
 
 
+def _size_from_json(value, name):
+    """A size field, which must be a JSON integer; true and false are not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def matrix_to_json(store):
     """The JSON spelling of a dense store or a named band layout."""
     if store.layout == "dense":
@@ -537,7 +544,7 @@ def matrix_from_json(obj, n):
                                  _band_from_json(t["super"], max(n - 1, 0)))
     if "blocktridiag" in obj:
         t = obj["blocktridiag"]
-        g = int(t["blockOrder"])
+        g = _size_from_json(t["blockOrder"], "blockOrder")
         block = matrix_from_json({"tridiag": t["diagBlock"]}, g)
         return BlockTridiagonalMatrix(g, float(t["sub"]), block, float(t["super"]))
     raise ValueError(f"unknown matrix layout keys: {sorted(obj)}")
@@ -564,8 +571,8 @@ def problem_from_json(obj):
     w* and x* are recover_solution(y*, ladder), so a file's "w" and "x" go unread.
     A non-finite y* raises InvalidParams, as a non-finite block does.
     """
-    n = int(obj["n"])
-    m = int(obj["m"])
+    n = _size_from_json(obj["n"], "n")
+    m = _size_from_json(obj["m"], "m")
     M = matrix_from_json(obj["M"], n)
     if M.n != n:
         raise ValueError(f"n = {n}, but M has order {M.n}")

@@ -13,7 +13,6 @@ column W-property; ``falsify_random`` searches sampled selections for one.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -26,11 +25,10 @@ from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
                           _dominance, _scaled_up, _stack_inverses, _up,
                           enclose_resolvent, induced_norm, inverse_norm,
                           simplex_selections, spectral_radius_nonneg)
-from .errors import (BudgetExceeded, InvalidParams, NonpositiveDiagonal,
-                     NormMismatch, SingularM, SingularSelection)
+from .errors import (InvalidParams, NonpositiveDiagonal, NormMismatch, SingularM,
+                     SingularSelection)
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
-from .wproperty import (_vertex_blocks, selection_chunks, selection_combination,
-                        vertex_chunks)
+from .wproperty import _vertex_blocks, scan_chunks, selection_combination, vertex_chunks
 
 COND_WITNESS_LIMIT = 1e14
 
@@ -260,55 +258,35 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20):
 
 def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
                        vertex_budget=4096):
-    """Max inverse norm over sampled plus vertex selections.
+    """Max inverse norm over sampled plus vertex selections, exact or refused.
 
     Always a lower estimate of the true supremum and never certifying; used
-    for tightness diagnostics against the computable upper bounds. A singular
-    selection is raised as a witness against the column W-property: the first
-    one in counter order among the vertices, then in draw order among the
-    samples. Vertices, and samples at order DENSE_EIG_MAX_ORDER or below, are
-    inverted a chunk at a time; above that order each sample takes
-    ``inverse_norm``: Hager's estimate for tags 1 and inf, and for tag 2 on
-    band blocks its InvalidParams.
+    for tightness diagnostics against the computable upper bounds. The
+    vertices, when vertex_budget admits them, then the seeded samples come
+    from ``wproperty.scan_chunks`` and are inverted exactly a chunk at a time.
+    A singular selection is raised as a witness against the column
+    W-property: the first one in counter order among the vertices (its
+    one-hot selection), then in draw order among the samples. Above order
+    DENSE_EIG_MAX_ORDER no exact inverse is taken: InvalidParams, before any
+    work, for every tag, layout and sample count.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
+    if n > DENSE_EIG_MAX_ORDER:
+        raise InvalidParams(f"overalpha_estimate inverts exactly, n <= {DENSE_EIG_MAX_ORDER}")
     worst = 0.0
     count = 0
-
-    def singular(lam):
-        return SingularSelection(
-            "singular selection combination (column W-property violated)",
-            selection=DiagonalSelection(np.asarray(lam, dtype=float)))
-
-    def one_hot(digits):
-        lam = np.zeros((m + 1, n))
-        lam[digits, np.arange(n)] = 1.0
-        return lam
-
-    scans = []  # (chunks, the selection of a chunk key)
-    with contextlib.suppress(BudgetExceeded):  # the vertices, when they fit vertex_budget
-        scans.append((vertex_chunks(_vertex_blocks(blocks, vertex_budget)), one_hot))
-    if n <= DENSE_EIG_MAX_ORDER:
-        scans.append((selection_chunks(blocks, simplex_selections(m, n, samples, seed)),
-                      lambda lam: lam))
-    for chunks, selection in scans:
-        for keys, stack in chunks:
-            inv, bad = _stack_inverses(stack)
-            if bad is not None:
-                raise singular(selection(keys[bad]))
-            worst = max(worst, float(np.linalg.norm(inv, NORM_ORD[norm_tag],
-                                                    axis=(1, 2)).max()))
-            count += len(stack)
-    if n > DENSE_EIG_MAX_ORDER:
-        for lam in simplex_selections(m, n, samples, seed):
-            try:
-                worst = max(worst, inverse_norm(selection_combination(blocks, lam),
-                                                norm_tag))
-            except SingularM as exc:
-                raise singular(lam) from exc
-            count += 1
+    for keys, stack in scan_chunks(blocks, simplex_selections(m, n, samples, seed),
+                                   vertex_budget):
+        inv, bad = _stack_inverses(stack)
+        if bad is not None:
+            lam = keys[bad]  # a vertex's digits, or a sampled selection
+            raise SingularSelection(
+                "singular selection combination (column W-property violated)",
+                selection=DiagonalSelection(np.eye(m + 1)[lam].T if lam.ndim == 1 else lam))
+        worst = max(worst, float(np.linalg.norm(inv, NORM_ORD[norm_tag], axis=(1, 2)).max()))
+        count += len(stack)
     return AlphaEstimate(worst, norm_tag, False, count)
 
 

@@ -49,7 +49,7 @@ def _read_json(path, what, parse):
         _fail(EXIT_VALIDATION, f"cannot read {what} file: {exc}")
     except EhlcpError as exc:  # an InvalidParams is also a ValueError
         _fail(EXIT_VALIDATION, f"invalid {what}: {exc}")
-    # JSONDecodeError is a ValueError; int() of a size read as inf overflows
+    # JSONDecodeError is a ValueError; float() of a huge JSON integer overflows
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         _fail(EXIT_VALIDATION, f"cannot parse {what} file: {exc}")
     # a one-number band takes its length from n, which may be far beyond memory

@@ -23,8 +23,6 @@ conditions are decided on the computed norm and are not rounding-safe.
 """
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,10 +31,10 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, abs_colsums, all_finite, is_symmetric
-from .errors import BudgetExceeded, InvalidParams, NoRuleApplies, SingularM
+from .errors import InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
 from .transform import NORM_ORD
-from .wproperty import _vertex_blocks, selection_chunks, vertex_chunks
+from .wproperty import scan_chunks
 
 DENSE_EIG_MAX_ORDER = 512
 DENSE_LIMIT = 4096  # largest order of the checks and bounds that go dense
@@ -421,20 +419,18 @@ def sample_rho_L(blocks, trials=200, seed=0, vertex_budget=4096):
 
     The exact condition quantifies over the whole selection set, which has no
     general algorithm; this samples it (plus all vertices when cheap) and is
-    explicitly non-certifying. Vertices and samples go through M's one
-    factorization a chunk at a time.
+    explicitly non-certifying. The vertices, when vertex_budget admits them,
+    then the samples come from ``wproperty.scan_chunks`` and go through M's
+    one factorization a chunk at a time.
     """
     n, m = blocks.n, blocks.m
     if n > DENSE_LIMIT:
         raise InvalidParams(f"check requires dense work, n <= {DENSE_LIMIT}")
     factor = LinearOperatorFactor(blocks.M)  # raises SingularM
     eye = np.eye(n)
-    chunks = selection_chunks(blocks, simplex_selections(m, n, trials, seed))
-    with contextlib.suppress(BudgetExceeded):  # the vertices, when they fit vertex_budget
-        chunks = itertools.chain(vertex_chunks(_vertex_blocks(blocks, vertex_budget)), chunks)
     worst = 0.0
     count = 0
-    for _, stack in chunks:
+    for _, stack in scan_chunks(blocks, simplex_selections(m, n, trials, seed), vertex_budget):
         # One multi-RHS solve M X = [S_1 ... S_k] for the whole chunk.
         k = len(stack)
         sol = factor.solve(stack.transpose(1, 0, 2).reshape(n, k * n))

@@ -12,20 +12,23 @@ of its own. At or below it, where the tree's fixed cost per level loses, they
 call LAPACK on ``vertex_chunks``. The scans that need the representatives
 themselves (the 2-norm of ``underalpha_exact``, the vertices of
 ``overalpha_estimate`` and ``sample_rho_L``) walk them through
-``vertex_chunks``, one stack of matrices at a time, and the sampled scans pass
-their selections to ``selection_chunks`` the same way. The module imports only
+``vertex_chunks``, one stack of matrices at a time, and ``selection_chunks``
+stacks any selections the same way. The two sampled scans,
+``overalpha_estimate`` and ``sample_rho_L``, take both from one iterator,
+``scan_chunks``: the vertices, then their samples. The module imports only
 ``blockdata`` and ``errors``; the estimators that consume the stacks live in
 ``convergence`` and ``bounds``.
 
 Every vertex scan passes one gate, ``_vertex_blocks(blocks, budget)``: it
 raises BudgetExceeded when (m+1)^n passes the budget, before anything dense
 is built, and else returns the (m+1, n, n) dense blocks that the scan and
-``vertex_chunks`` read. ``overalpha_estimate`` and ``sample_rho_L`` take the
-vertices only when the gate lets them; the other scans let the error through.
+``vertex_chunks`` read. ``scan_chunks`` takes the vertices only when the gate
+lets them; the other scans let the error through.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -102,6 +105,17 @@ def selection_chunks(blocks, lams):
         lams = np.stack(batch)
         yield lams, sum(s.to_dense() * lams[:, k, None, :]
                         for k, s in enumerate(blocks.all()))
+
+
+def scan_chunks(blocks, lams, vertex_budget):
+    """(keys, stack) chunks of a sampled scan: every vertex from
+    ``vertex_chunks``, keyed by its digits, when ``_vertex_blocks`` admits
+    vertex_budget, then ``selection_chunks(blocks, lams)``, keyed by the
+    selections."""
+    chunks = selection_chunks(blocks, lams)
+    with contextlib.suppress(BudgetExceeded):  # the vertices, when they fit vertex_budget
+        chunks = itertools.chain(vertex_chunks(_vertex_blocks(blocks, vertex_budget)), chunks)
+    return chunks
 
 
 def representative(blocks, assign):

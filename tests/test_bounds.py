@@ -753,46 +753,26 @@ def test_overalpha_band_equals_dense_below_the_cut():
             assert est.value == exact
 
 
-def test_overalpha_repeats_above_the_cut():
-    # above the cut the band estimate draws nothing from numpy's global state
+@pytest.mark.parametrize("samples", [0, 3])
+@pytest.mark.parametrize("layout", ["band", "dense"])
+@pytest.mark.parametrize("tag", ["1", "2", "inf"])
+def test_overalpha_above_the_cut_is_refused(tag, layout, samples):
+    # no exact inverse is taken above the cut, whatever the tag, layout or
+    # sample count, and the refusal comes before any work
     blocks = gen_example52(DENSE_EIG_MAX_ORDER + 1).problem.as_general().blocks
-    values, saved = set(), np.random.get_state()
-    try:
-        for state in range(4):
-            np.random.seed(state)
-            values.add(overalpha_estimate(blocks, "inf", samples=3, seed=3,
-                                          vertex_budget=0).value)
-    finally:
-        np.random.set_state(saved)
-    assert len(values) == 1
-
-
-def test_overalpha_two_norm_on_band_blocks_above_the_cut_is_refused():
-    # no kernel computes the 2-norm of a band inverse exactly above the cut
-    blocks = gen_example52(DENSE_EIG_MAX_ORDER + 1).problem.as_general().blocks
+    if layout == "dense":
+        blocks = BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
+                                tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
     with pytest.raises(InvalidParams):
-        overalpha_estimate(blocks, "2", samples=1, vertex_budget=0)
+        overalpha_estimate(blocks, tag, samples=samples, vertex_budget=0)
 
 
 def test_overalpha_singular_selection_witness():
     blocks = BlockMatrixSet(identity_matrix(1), (DenseMatrix([[0.0]]),))
     with pytest.raises(SingularSelection) as info:
         overalpha_estimate(blocks, "inf", samples=5, seed=0)
-    assert info.value.selection is not None
-
-
-def test_overalpha_singular_witness_above_the_cut():
-    # a zero row in both band blocks: the first sample is singular, and the
-    # witness is that draw
-    n = DENSE_EIG_MAX_ORDER + 1
-    diag = np.ones(n)
-    diag[5] = 0.0
-    store = TridiagonalMatrix(np.zeros(n - 1), diag, np.zeros(n - 1))
-    blocks = BlockMatrixSet(store, (store,))
-    with pytest.raises(SingularSelection) as info:
-        overalpha_estimate(blocks, "inf", samples=2, seed=4, vertex_budget=0)
-    first = next(simplex_selections(1, n, 1, 4))
-    assert np.array_equal(info.value.selection.lambdas, first)
+    # vertex 1 (H1's column) is the first singular one: its one-hot selection
+    assert np.array_equal(info.value.selection.lambdas, [[0.0], [1.0]])
 
 
 def test_falsify_random_condition_number_witness():

@@ -532,8 +532,18 @@ ONE = {"tridiag": {"sub": 0.0, "diag": 1.0, "super": 0.0}}
       "q": [0.0, 0.0]}, "cannot parse problem file: diag must be 1-D"),
     ({"n": 2, "m": 2, "M": ONE, "H": [ONE, ONE], "q": [0.0, 0.0], "d": [True]},
      "cannot parse problem file: ladder entry must be 1-D"),
+    ({"n": 2.9, "m": 1, "M": ONE, "H": [ONE], "q": [0.0, 0.0]},
+     "cannot parse problem file: n must be an integer, not 2.9"),
+    ({"n": "2", "m": 1, "M": ONE, "H": [ONE], "q": [0.0, 0.0]},
+     "cannot parse problem file: n must be an integer, not '2'"),
+    ({"n": 2, "m": True, "M": ONE, "H": [ONE], "q": [0.0, 0.0]},
+     "cannot parse problem file: m must be an integer, not True"),
+    ({"n": 4, "m": 1, "M": ONE, "q": [0.0] * 4,
+      "H": [{"blocktridiag": {"blockOrder": 2.5, "sub": 0.0, "super": 0.0,
+                              "diagBlock": ONE["tridiag"]}}]},
+     "cannot parse problem file: blockOrder must be an integer, not 2.5"),
 ], ids=["n-not-m-order", "one-number-too-big", "one-number-out-of-memory",
-        "band-bool", "ladder-bool"])
+        "band-bool", "ladder-bool", "n-float", "n-string", "m-bool", "block-order-float"])
 def test_absurd_or_boolean_band_file_exit_code(tmp_path, capsys, obj, message):
     """n sizes the one-number bands. numpy refuses 2**62 entries outright, and
     the 4 EiB of 2**59 exceeds any user address space, so nothing is allocated."""

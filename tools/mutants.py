@@ -209,13 +209,24 @@ MUTANTS = [
            "store.n > DENSE_EIG_MAX_ORDER",
            "False",
            ("tests/test_convergence.py::"
-            "test_two_norm_of_a_zero_band_store_above_the_cut_is_refused",
-            "tests/test_bounds.py::"
-            "test_overalpha_two_norm_on_band_blocks_above_the_cut_is_refused")),
+            "test_two_norm_of_a_zero_band_store_above_the_cut_is_refused",)),
     Mutant("interval-takes-an-estimate", "bounds.py",
            "isinstance(alpha_lower_den, AlphaEstimate) and alpha_lower_den.exact",
            "isinstance(alpha_lower_den, AlphaEstimate)",
            ("tests/test_bounds.py::test_residual_error_interval_refuses_estimates",)),
+    Mutant("overalpha-above-cut-unrefused", "bounds.py",
+           "n > DENSE_EIG_MAX_ORDER",
+           "False",
+           ("tests/test_bounds.py::test_overalpha_above_the_cut_is_refused",)),
+    Mutant("vertex-witness-left-as-digits", "bounds.py",
+           "np.eye(m + 1)[lam].T if lam.ndim == 1 else lam",
+           "lam",
+           ("tests/test_bounds.py::test_overalpha_singular_selection_witness",)),
+    Mutant("size-fields-truncated", "blockdata.py",
+           "if not isinstance(value, int) or isinstance(value, bool):\n"
+           "    raise ValueError(f'{name} must be an integer, not {value!r}')",
+           "return int(value)",
+           ("tests/test_cli.py::test_absurd_or_boolean_band_file_exit_code",)),
 ]
 
 

@@ -38,8 +38,9 @@ def statements(source):
     return sorted(found)
 
 
-def run_traced(pytest_args):
-    """(pytest exit code, set of (file, line) pairs run in the package)."""
+def run_traced(fn):
+    """(fn(), set of (file, line) pairs run in the package), with this
+    checkout's ``src/`` first on sys.path."""
     src = str(SRC)
     hit = set()
 
@@ -55,21 +56,28 @@ def run_traced(pytest_args):
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main(pytest_args)
+        result = fn()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return code, hit
+    return result, hit
 
 
-def main(argv):
-    code, hit = run_traced(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    missed = 0
+def unrun(hit):
+    """(path, line, statement) of every statement of the package not in hit."""
     for path in sorted(SRC.glob("*.py")):
         for line, text in statements(path.read_text()):
             if (str(path), line) not in hit:
-                print(f"{path.relative_to(ROOT)}:{line}: {text}")
-                missed += 1
+                yield path, line, text
+
+
+def main(argv):
+    code, hit = run_traced(lambda: pytest.main(
+        argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    missed = 0
+    for path, line, text in unrun(hit):
+        print(f"{path.relative_to(ROOT)}:{line}: {text}")
+        missed += 1
     print(f"{missed} statements never ran")
     return int(code)
 
