@@ -9,6 +9,8 @@ algorithm and is replaced by the computable diagonal-dominance constants plus
 a non-certifying sampled lower estimate for tightness diagnostics. Where
 alpha_up is infinite some selection combination is singular, which breaks the
 column W-property; ``falsify_random`` searches sampled selections for one.
+Both sampled tools invert every combination exactly, a stack at a time, or
+refuse: above order DENSE_EIG_MAX_ORDER they raise InvalidParams.
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ import numpy as np
 
 from .blockdata import BandMatrix, DenseMatrix
 from .convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                          _dominance, _scaled_up, _stack_inverses, _up,
-                          enclose_resolvent, induced_norm, inverse_norm,
+                          _dominance, _scaled_up, _stacked_lu, _up, enclose_resolvent,
                           simplex_selections, spectral_radius_nonneg)
-from .errors import (InvalidParams, NonpositiveDiagonal, NormMismatch, SingularM,
-                     SingularSelection)
+from .errors import InvalidParams, NonpositiveDiagonal, NormMismatch, SingularSelection
 from .transform import NORM_ORD, DiagonalSelection, pls_residual
-from .wproperty import _vertex_blocks, scan_chunks, selection_combination, vertex_chunks
+from .wproperty import _vertex_blocks, scan_chunks, vertex_chunks
 
 COND_WITNESS_LIMIT = 1e14
 
@@ -256,6 +256,18 @@ def underalpha_exact(blocks, norm_tag="inf", budget=2 ** 20):
     return AlphaEstimate(worst, norm_tag, True, (m + 1) ** n)
 
 
+def _inverted_chunks(blocks, lams, vertex_budget):
+    """(keys, stack, inverses) of each ``wproperty.scan_chunks`` chunk, the
+    inverses from one batched LU (``convergence._stacked_lu``): NaN for a
+    singular matrix, inf where one overflows. Above order DENSE_EIG_MAX_ORDER
+    no exact inverse is taken: InvalidParams at the call, before any work."""
+    if blocks.n > DENSE_EIG_MAX_ORDER:
+        raise InvalidParams("selection combinations are inverted exactly, "
+                            f"n <= {DENSE_EIG_MAX_ORDER}")
+    return ((keys, stack, _stacked_lu(np.linalg.inv, stack)[0])
+            for keys, stack in scan_chunks(blocks, lams, vertex_budget))
+
+
 def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
                        vertex_budget=4096):
     """Max inverse norm over sampled plus vertex selections, exact or refused.
@@ -263,30 +275,28 @@ def overalpha_estimate(blocks, norm_tag="inf", samples=200, seed=0,
     Always a lower estimate of the true supremum and never certifying; used
     for tightness diagnostics against the computable upper bounds. The
     vertices, when vertex_budget admits them, then the seeded samples come
-    from ``wproperty.scan_chunks`` and are inverted exactly a chunk at a time.
-    A singular selection is raised as a witness against the column
-    W-property: the first one in counter order among the vertices (its
-    one-hot selection), then in draw order among the samples. Above order
-    DENSE_EIG_MAX_ORDER no exact inverse is taken: InvalidParams, before any
-    work, for every tag, layout and sample count.
+    from ``wproperty.scan_chunks`` and are inverted exactly a chunk at a time
+    (``_inverted_chunks``). A singular or overflowing inverse is raised as a
+    witness against the column W-property: the first one in counter order
+    among the vertices (its one-hot selection), then in draw order among the
+    samples. Above order DENSE_EIG_MAX_ORDER no exact inverse is taken:
+    InvalidParams, before any work, for every tag, layout and sample count.
     """
     if norm_tag not in NORM_ORD:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     n, m = blocks.n, blocks.m
-    if n > DENSE_EIG_MAX_ORDER:
-        raise InvalidParams(f"overalpha_estimate inverts exactly, n <= {DENSE_EIG_MAX_ORDER}")
     worst = 0.0
     count = 0
-    for keys, stack in scan_chunks(blocks, simplex_selections(m, n, samples, seed),
-                                   vertex_budget):
-        inv, bad = _stack_inverses(stack)
-        if bad is not None:
-            lam = keys[bad]  # a vertex's digits, or a sampled selection
+    for keys, _, inv in _inverted_chunks(blocks, simplex_selections(m, n, samples, seed),
+                                         vertex_budget):
+        bad = ~np.isfinite(inv).all(axis=(1, 2))
+        if bad.any():
+            lam = keys[np.argmax(bad)]  # a vertex's digits, or a sampled selection
             raise SingularSelection(
                 "singular selection combination (column W-property violated)",
                 selection=DiagonalSelection(np.eye(m + 1)[lam].T if lam.ndim == 1 else lam))
         worst = max(worst, float(np.linalg.norm(inv, NORM_ORD[norm_tag], axis=(1, 2)).max()))
-        count += len(stack)
+        count += len(inv)
     return AlphaEstimate(worst, norm_tag, False, count)
 
 
@@ -300,22 +310,24 @@ def _midpoint_selections(m, n):
             yield lam
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def falsify_random(blocks, trials=200, seed=0):
-    """Search for a numerically singular selection combination.
+    """Search for a numerically singular selection combination, exactly or refused.
 
     Deterministic midpoint probes run first, then seeded random simplex
-    selections. A combination is a witness when it is singular or its
-    inf-norm condition number exceeds COND_WITNESS_LIMIT. Returns the witness
-    selection or None; None proves nothing.
+    selections, inverted exactly a chunk at a time (``_inverted_chunks``, no
+    vertices). The witness is the first combination S in that order whose
+    inf-norm condition number ||S|| ||S^{-1}|| is not at most
+    COND_WITNESS_LIMIT: a singular or overflowing inverse gives NaN or inf
+    there, so it is a witness too. Returns the witness selection or None;
+    None proves nothing. Above order DENSE_EIG_MAX_ORDER no exact inverse is
+    taken: InvalidParams, before any work, for every layout and trial count.
     """
     n, m = blocks.n, blocks.m
-    for lam in itertools.chain(_midpoint_selections(m, n),
-                               simplex_selections(m, n, trials, seed)):
-        combo = selection_combination(blocks, lam)
-        try:
-            cond = induced_norm(combo, "inf") * inverse_norm(combo, "inf")
-        except SingularM:
-            return DiagonalSelection(lam)
-        if cond > COND_WITNESS_LIMIT:
-            return DiagonalSelection(lam)
+    lams = itertools.chain(_midpoint_selections(m, n), simplex_selections(m, n, trials, seed))
+    for keys, stack, inv in _inverted_chunks(blocks, lams, 0):
+        s_norm = np.linalg.norm(stack, np.inf, axis=(1, 2))
+        witness = ~(s_norm * np.linalg.norm(inv, np.inf, axis=(1, 2)) <= COND_WITNESS_LIMIT)
+        if witness.any():
+            return DiagonalSelection(keys[np.argmax(witness)])
     return None

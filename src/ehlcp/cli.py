@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import problems, solvers, wproperty
 from .blockdata import (Ehlcp2Problem, is_identity, problem_from_json,
                         problem_to_json, validate)
-from .convergence import suggest_omega
+from .convergence import DENSE_EIG_MAX_ORDER, suggest_omega
 from .errors import BudgetExceeded, EhlcpError, NonpositiveDiagonal
 from .problems import alternating
 from .transform import NORM_ORD, pls_residual, reconstruct_y
@@ -255,7 +255,9 @@ def cmd_checkw(args):
                 print("witness selection found (column W-property fails):")
                 print(json.dumps(witness.lambdas.tolist()))
             return 0
-        _fail(EXIT_BUDGET, "enumeration exceeds budget; rerun with --falsify TRIALS")
+        # falsify_random inverts exactly, so it is offered only where it runs
+        hint = "; rerun with --falsify TRIALS" if problem.n <= DENSE_EIG_MAX_ORDER else ""
+        _fail(EXIT_BUDGET, "enumeration exceeds budget" + hint)
     if report.holds:
         print(f"holds: checked {report.representatives_checked} representatives, "
               f"determinant signs {report.determinant_sign_range}")
@@ -376,7 +378,8 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--budget", type=int, default=2 ** 20)
     p.add_argument("--falsify", type=int, default=0,
-                   help="random falsification trials when enumeration is too big")
+                   help="random falsification trials when enumeration is too big "
+                        f"(n <= {DENSE_EIG_MAX_ORDER})")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_checkw)
 

@@ -1,8 +1,7 @@
 """Checkable sufficient conditions for convergence and step-size heuristics.
 
-Every condition and bound in the package runs on four kernels over a matrix
-store: ``induced_norm``, ``inverse_norm``, ``enclose_resolvent`` and
-``spectral_radius_nonneg``.
+Every condition and bound in the package runs on three kernels over a matrix
+store: ``induced_norm``, ``enclose_resolvent`` and ``spectral_radius_nonneg``.
 
 Every decision rho(X) < 1 for a nonnegative X (Thm 3.4's
 rho(|omega^{-1} H1 - I|) in ``check_thm34``, Cor 3.1's
@@ -28,12 +27,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .blockdata import DenseMatrix, abs_colsums, all_finite, is_symmetric
 from .errors import InvalidParams, NoRuleApplies, SingularM
 from .solvers import LinearOperatorFactor
-from .transform import NORM_ORD
 from .wproperty import scan_chunks
 
 DENSE_EIG_MAX_ORDER = 512
@@ -254,13 +251,6 @@ def _norm_ends(store, tag):
     return value, (value if tag == "2" else _sum_up(value, len(store.data)))
 
 
-def _refuse_band_two_norm(store, tag):
-    """InvalidParams for the 2-norm of a band store above order
-    DENSE_EIG_MAX_ORDER: no kernel computes it exactly there."""
-    if tag == "2" and not isinstance(store, DenseMatrix) and store.n > DENSE_EIG_MAX_ORDER:
-        raise InvalidParams(f"no 2-norm of a band store above order {DENSE_EIG_MAX_ORDER}")
-
-
 def induced_norm(store, tag):
     """Induced matrix norm of a store. The 2-norm is exact for a dense store
     and up to order DENSE_EIG_MAX_ORDER, and refused (InvalidParams) for a
@@ -270,7 +260,8 @@ def induced_norm(store, tag):
     if tag == "inf":
         return float(np.max(store.abs_rowsums()))
     if tag == "2":
-        _refuse_band_two_norm(store, tag)
+        if not isinstance(store, DenseMatrix) and store.n > DENSE_EIG_MAX_ORDER:
+            raise InvalidParams(f"no 2-norm of a band store above order {DENSE_EIG_MAX_ORDER}")
         return float(np.linalg.norm(store.to_dense(), 2))
     raise ValueError(f"unknown norm tag {tag!r}")
 
@@ -292,38 +283,6 @@ def _stacked_lu(op, stack, *rhs):
         out = np.full((len(stack),) + part.shape[1:], np.nan)
         out[regular] = part
         return out, regular
-
-
-def _stack_inverses(stack):
-    """(inverses, index of the first singular or overflowing matrix or None)."""
-    inv, _ = _stacked_lu(np.linalg.inv, stack)
-    bad = ~np.isfinite(inv).all(axis=(1, 2))
-    return inv, (int(np.argmax(bad)) if bad.any() else None)
-
-
-def inverse_norm(store, tag):
-    """Induced norm of store^{-1}: exact for a dense store and up to order 512,
-    estimated on the band factorization above it.
-
-    The estimate is deterministic: Hager's method (``onenormest`` with t=1)
-    for norms 1 and inf. The 2-norm of a band store above order 512 is
-    refused with InvalidParams, as in ``induced_norm``. Raises SingularM when
-    the store cannot be inverted, ValueError on an unknown tag.
-    """
-    if tag not in NORM_ORD:
-        raise ValueError(f"unknown norm tag {tag!r}")
-    _refuse_band_two_norm(store, tag)
-    n = store.n
-    if isinstance(store, DenseMatrix) or n <= DENSE_EIG_MAX_ORDER:
-        inv, bad = _stack_inverses(store.to_dense()[None])
-        if bad is not None:
-            raise SingularM("singular matrix or overflowing inverse")
-        return float(np.linalg.norm(inv[0], NORM_ORD[tag]))
-    factor = LinearOperatorFactor(store)  # raises SingularM
-    # ||S^{-1}||_inf = ||(S^T)^{-1}||_1
-    solve, rsolve = ((factor.solve, factor.solve_transposed) if tag == "1"
-                     else (factor.solve_transposed, factor.solve))
-    return float(onenormest(LinearOperator((n, n), matvec=solve, rmatvec=rsolve), t=1))
 
 
 @dataclass

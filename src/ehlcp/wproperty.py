@@ -1,20 +1,20 @@
 """Selection combinations: enumeration, stacking and the column W-property.
 
 The property asks every column representative determinant to carry one strict
-sign. Exhaustive verification covers (m+1)^n representatives and is offered
-at desk scale behind a budget; beyond it, ``bounds.falsify_random`` probes
-sampled selections and can only falsify. Above TREE_VERTICES vertices the
-check and the oracle's region solves eliminate over the tree of column
-choices: representatives that share their last k columns share the first k
-steps of one elimination with partial pivoting, so each step runs once for
-all of them and a representative costs O(1) amortized work, not an O(n^3) LU
-of its own. At or below it, where the tree's fixed cost per level loses, they
-call LAPACK on ``vertex_chunks``. The scans that need the representatives
+sign. Exhaustive verification covers (m+1)^n representatives and is offered at
+desk scale behind a budget; beyond it, ``bounds.falsify_random`` probes
+sampled selections, up to order 512, and can only falsify. Above TREE_VERTICES
+vertices the check and the oracle's region solves eliminate over the tree of
+column choices: representatives that share their last k columns share the
+first k steps of one elimination with partial pivoting, so each step runs once
+for all of them and a representative costs O(1) amortized work, not an O(n^3)
+LU of its own. At or below it, where the tree's fixed cost per level loses,
+they call LAPACK on ``vertex_chunks``. The scans that need the representatives
 themselves (the 2-norm of ``underalpha_exact``, the vertices of
 ``overalpha_estimate`` and ``sample_rho_L``) walk them through
 ``vertex_chunks``, one stack of matrices at a time, and ``selection_chunks``
-stacks any selections the same way. The two sampled scans,
-``overalpha_estimate`` and ``sample_rho_L``, take both from one iterator,
+stacks any selections the same way. The sampled scans, ``overalpha_estimate``,
+``falsify_random`` and ``sample_rho_L``, take both from one iterator,
 ``scan_chunks``: the vertices, then their samples. The module imports only
 ``blockdata`` and ``errors``; the estimators that consume the stacks live in
 ``convergence`` and ``bounds``.
@@ -294,7 +294,8 @@ def has_column_w_property(blocks, budget=2 ** 20):
     property asks for a strict sign, so floating point needs the explicit
     band. The scan stops at the first zero or opposite sign in counter order
     (``vertex_chunks``' order, coordinate 0 fastest), which is the witness.
-    Above the budget, ``bounds.falsify_random`` can still falsify.
+    Above the budget, ``bounds.falsify_random`` can still falsify, up to
+    order 512.
     """
     n, m = blocks.n, blocks.m
     cols = _vertex_blocks(blocks, budget)  # cols[c, :, j]: column j of block c

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 
 from ehlcp import (BandMatrix, BlockMatrixSet, BlockTridiagonalMatrix,
                    BoundLadder, DenseMatrix, Ehlcp2Problem, EhlcpProblem,
-                   InvalidParams, SingularM, TridiagonalMatrix, gen_example52,
+                   InvalidParams, TridiagonalMatrix, gen_example52,
                    gen_example55, identity_matrix, prefix_sums, problem_from_json,
                    problem_to_json, recover_solution, validate)
 from ehlcp.blockdata import (abs_colsums, all_finite, is_identity, is_symmetric,
                              matrix_from_json, matrix_to_json)
-from ehlcp.convergence import DENSE_EIG_MAX_ORDER, inverse_norm
 
 
 def example_stores(rng):
@@ -97,16 +96,6 @@ def test_rebuilt_and_to_dense_match_dense_arithmetic(drawn, c, seed):
     assert np.allclose(abs_colsums(store), np.abs(ref).sum(axis=0), rtol=1e-14, atol=0.0)
     assert all_finite(store)
     assert not all_finite(store.rebuilt(np.full(store.n, np.nan), np.positive))
-    # below DENSE_EIG_MAX_ORDER every store takes the dense store's exact path
-    assert store.n <= DENSE_EIG_MAX_ORDER
-    for tag in ("1", "2", "inf"):
-        try:
-            want = inverse_norm(DenseMatrix(ref), tag)
-        except SingularM:
-            with pytest.raises(SingularM):
-                inverse_norm(store, tag)
-        else:
-            assert inverse_norm(store, tag) == want
 
 
 CONTRACT = {"matvec", "rmatvec", "to_dense", "diagonal", "diagonals", "rebuilt",

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 from unittest.mock import patch
@@ -114,7 +115,7 @@ def test_bound42_uncertified_band_store_below_dense_limit_forms_no_dense_inverse
     def no_dense(*args):
         raise AssertionError("dense work in an uncertified bound42")
 
-    with patch.object(bounds, "_stack_inverses", no_dense), \
+    with patch.object(bounds, "_stacked_lu", no_dense), \
             patch.object(BandMatrix, "to_dense", no_dense):
         for tag in ("1", "inf"):
             rep = bound42(blocks, tag)
@@ -738,12 +739,16 @@ def test_overalpha_dominated_by_bounds():
         assert est_1.value <= b43.constant + 1e-10
 
 
+def as_dense(blocks):
+    return BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
+                          tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
+
+
 def test_overalpha_band_equals_dense_below_the_cut():
     # up to DENSE_EIG_MAX_ORDER a band store takes the dense store's exact
-    # inverse norm of every selection combination
+    # inverse of every selection combination
     blocks = gen_example52(12).problem.as_general().blocks
-    dense = BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
-                           tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
+    dense = as_dense(blocks)
     lams = list(simplex_selections(blocks.m, blocks.n, 6, 3))
     for tag, order in (("1", 1), ("2", 2), ("inf", np.inf)):
         exact = max(np.linalg.norm(np.linalg.inv(
@@ -751,6 +756,14 @@ def test_overalpha_band_equals_dense_below_the_cut():
         for b in (dense, blocks):
             est = overalpha_estimate(b, tag, samples=6, seed=3, vertex_budget=0)
             assert est.value == exact
+    # falsify_random stacks the same combinations: the same result on both layouts
+    cancelled = BlockMatrixSet(blocks.M, (blocks.M.rebuilt(-blocks.M.diagonal(), np.negative),
+                                          blocks.H[1]))  # H1 = -M: the first midpoint is 0
+    for b in (dense, blocks):
+        assert bounds.falsify_random(b, 6, 3) is None
+    for b in (as_dense(cancelled), cancelled):
+        assert np.array_equal(bounds.falsify_random(b, 6, 3).lambdas,
+                              [[0.5] * 12, [0.5] * 12, [0.0] * 12])
 
 
 @pytest.mark.parametrize("samples", [0, 3])
@@ -758,13 +771,15 @@ def test_overalpha_band_equals_dense_below_the_cut():
 @pytest.mark.parametrize("tag", ["1", "2", "inf"])
 def test_overalpha_above_the_cut_is_refused(tag, layout, samples):
     # no exact inverse is taken above the cut, whatever the tag, layout or
-    # sample count, and the refusal comes before any work
+    # sample count, and the refusal comes before any work; falsify_random
+    # takes its inverses the same way
     blocks = gen_example52(DENSE_EIG_MAX_ORDER + 1).problem.as_general().blocks
     if layout == "dense":
-        blocks = BlockMatrixSet(DenseMatrix(blocks.M.to_dense()),
-                                tuple(DenseMatrix(h.to_dense()) for h in blocks.H))
+        blocks = as_dense(blocks)
     with pytest.raises(InvalidParams):
         overalpha_estimate(blocks, tag, samples=samples, vertex_budget=0)
+    with pytest.raises(InvalidParams):
+        bounds.falsify_random(blocks, trials=samples)
 
 
 def test_overalpha_singular_selection_witness():
@@ -780,6 +795,51 @@ def test_falsify_random_condition_number_witness():
     a = DenseMatrix(np.diag([1.0, 1e-16]))
     witness = bounds.falsify_random(BlockMatrixSet(a, (a,)), trials=0)
     assert np.array_equal(witness.lambdas, np.full((2, 2), 0.5))
+
+
+def first_ill_conditioned(blocks, lams):
+    """Reference for ``falsify_random``: the first selection, one at a time,
+    whose combination numpy cannot invert or whose inf-norm condition number
+    is not at most COND_WITNESS_LIMIT."""
+    for lam in lams:
+        s = selection_combination(blocks, lam).to_dense()
+        try:
+            inv = np.linalg.inv(s)
+        except np.linalg.LinAlgError:
+            return lam
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (np.linalg.norm(s, np.inf) * np.linalg.norm(inv, np.inf)
+                    <= bounds.COND_WITNESS_LIMIT):
+                return lam
+    return None
+
+
+def test_falsify_random_returns_the_first_witness_of_a_reference_loop():
+    # dense draws, half with one H column set to -M's column: their midpoint
+    # of M and that H has a zero column
+    found = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+        mats = rng.uniform(-1.0, 1.0, (m + 1, n, n))
+        if seed % 2:
+            j = rng.integers(n)
+            mats[rng.integers(1, m + 1), :, j] = -mats[0, :, j]
+        blocks = BlockMatrixSet(DenseMatrix(mats[0]), tuple(DenseMatrix(a) for a in mats[1:]))
+        want = first_ill_conditioned(blocks, itertools.chain(
+            bounds._midpoint_selections(m, n), simplex_selections(m, n, 30, seed)))
+        got = bounds.falsify_random(blocks, trials=30, seed=seed)
+        assert (got is None) == (want is None)
+        if want is not None:
+            found += 1
+            assert np.array_equal(got.lambdas, want)
+    assert found == 20  # the odd seeds, at the first or the second midpoint
+    # one chunk holds three midpoints, and the second and third are witnesses
+    # (column 0 of M + H2 and column 1 of H1 + H2 are zero): the second is returned
+    eye, h1 = DenseMatrix(np.eye(2)), DenseMatrix([[1.0, 1.0], [2.0, 3.0]])
+    h2 = DenseMatrix([[-1.0, -1.0], [0.0, -3.0]])
+    witness = bounds.falsify_random(BlockMatrixSet(eye, (h1, h2)), trials=0)
+    assert np.array_equal(witness.lambdas, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])
 
 
 def test_negative_selection_count_or_seed_raises_at_the_call():

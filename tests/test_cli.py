@@ -360,12 +360,14 @@ def test_checkw_budget_exit_at_paper_size(example52_n10000, capsys):
     assert run_cli(["checkw", str(example52_n10000)]) == 4
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "Traceback" not in err
+    assert "--falsify" not in err  # falsify_random refuses n > 512
 
 
 def test_checkw_falsify_at_paper_size(example52_n10000, capsys):
     capsys.readouterr()
-    assert run_cli(["checkw", "--falsify", "3", str(example52_n10000)]) == 0
-    assert capsys.readouterr().out.startswith("no witness found in 3 random selections")
+    assert run_cli(["checkw", "--falsify", "3", str(example52_n10000)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "n <= 512" in err and "Traceback" not in err
 
 
 def test_checkw_falsify_prints_witness(tmp_path, capsys):

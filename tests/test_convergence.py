@@ -11,7 +11,7 @@ from ehlcp import (BlockMatrixSet, DenseMatrix, InvalidParams, NoRuleApplies,
 from ehlcp import convergence
 from ehlcp.blockdata import BandMatrix, TridiagonalMatrix
 from ehlcp.convergence import (DENSE_EIG_MAX_ORDER, DENSE_LIMIT, EIGVALS_FIRST_ORDER,
-                               induced_norm, inverse_norm, spectral_radius_nonneg)
+                               induced_norm, spectral_radius_nonneg)
 
 DENSE_P_MATRIX = DenseMatrix(np.array([[1.5, 1.0, 1.0],
                                 [1.0, 1.5, 1.0],
@@ -93,10 +93,8 @@ def test_spectral_radius_above_cut_brackets_by_row_sums(rng):
 
 def test_two_norm_of_a_zero_band_store_above_the_cut_is_refused():
     # above order 512 no kernel computes a band store's 2-norm exactly
-    zero = TridiagonalMatrix.constant(600, 0.0, 0.0, 0.0)
-    for norm in (induced_norm, inverse_norm):
-        with pytest.raises(InvalidParams):
-            norm(zero, "2")
+    with pytest.raises(InvalidParams):
+        induced_norm(TridiagonalMatrix.constant(600, 0.0, 0.0, 0.0), "2")
 
 
 def test_check_cor31_identical_blocks():
@@ -313,12 +311,6 @@ def test_norm_conditions_decide_on_an_upper_end():
     res = check_cor31(BlockMatrixSet(identity_matrix(7), (h1,)), "inf")
     assert res.norm_sum.value == 1.0 - 2.0 ** -53 and not res.norm_sum.satisfied
     assert res.winner == "Eq38Rho"  # x is nilpotent
-
-
-@pytest.mark.parametrize("n", [10, DENSE_EIG_MAX_ORDER + 1])
-def test_inverse_norm_rejects_unknown_norm_tag(n):
-    with pytest.raises(ValueError, match="unknown norm tag"):
-        inverse_norm(TridiagonalMatrix.constant(n, 1.0, 4.0, -2.0), "Inf")
 
 
 def test_column_sdd_tau_rule_gives_one_norm_below_one():

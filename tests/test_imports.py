@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, no module
 imports inside a function body, every function defined inside a function
-is read there, and every private top-level name and upper-case module
-constant is read somewhere in the package.
+is read there, every private top-level name and upper-case module
+constant is read somewhere in the package, and ``import ehlcp`` does not
+load ``scipy.sparse.linalg``.
 
 No linter ships with the project's dependencies, so this walks the syntax
 tree with the standard library. ``__init__.py`` is skipped by the per-module
@@ -10,6 +11,9 @@ package-wide one.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +154,14 @@ def test_module_imports_at_top_level(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_nested_functions_are_read(path):
     assert unused_nested_functions(path.read_text()) == []
+
+
+def test_package_import_leaves_out_scipy_sparse_linalg():
+    # no kernel of the package needs scipy's iterative sparse solvers or
+    # estimators, so importing it must not pay for loading them
+    code = "import sys, ehlcp; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

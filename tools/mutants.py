@@ -215,9 +215,19 @@ MUTANTS = [
            "isinstance(alpha_lower_den, AlphaEstimate)",
            ("tests/test_bounds.py::test_residual_error_interval_refuses_estimates",)),
     Mutant("overalpha-above-cut-unrefused", "bounds.py",
-           "n > DENSE_EIG_MAX_ORDER",
+           "blocks.n > DENSE_EIG_MAX_ORDER",
            "False",
+           # the test asks both overalpha_estimate and falsify_random to refuse
            ("tests/test_bounds.py::test_overalpha_above_the_cut_is_refused",)),
+    Mutant("falsify-condition-ignored", "bounds.py",
+           "~(s_norm * np.linalg.norm(inv, np.inf, axis=(1, 2)) <= COND_WITNESS_LIMIT)",
+           "~np.isfinite(inv).all(axis=(1, 2))",
+           ("tests/test_bounds.py::test_falsify_random_condition_number_witness",)),
+    Mutant("falsify-last-witness", "bounds.py",
+           "keys[np.argmax(witness)]",
+           "keys[len(witness) - 1 - np.argmax(witness[::-1])]",
+           ("tests/test_bounds.py::"
+            "test_falsify_random_returns_the_first_witness_of_a_reference_loop",)),
     Mutant("vertex-witness-left-as-digits", "bounds.py",
            "np.eye(m + 1)[lam].T if lam.ndim == 1 else lam",
            "lam",
